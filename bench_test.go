@@ -203,6 +203,39 @@ func BenchmarkForkSweep(b *testing.B) {
 	b.Run("cold", run(false))
 }
 
+// BenchmarkMultiWarmShare measures what the whole-die warm share buys
+// on the multi-core experiments: dtm-scope (three DTM scopes over one
+// thread set per victim) and neighbor-heat (a benign and a trojan
+// neighbour per victim) on a 2-core grid die. The shared arm warms each
+// distinct core program and the die once per experiment run and
+// restores them into every later job; the cold arm
+// (DisableWarmupReuse) simulates every core's warmup and relaxes every
+// die from ambient. The measured quantum is short, so warmup and die
+// initialisation dominate a job, as they do in the multi-core sweeps.
+func BenchmarkMultiWarmShare(b *testing.B) {
+	run := func(disable bool) func(*testing.B) {
+		return func(b *testing.B) {
+			opts := benchOptions(b)
+			opts.Warmup = 500_000
+			opts.Quantum = 100_000
+			opts.DisableWarmupReuse = disable
+			for i := 0; i < b.N; i++ {
+				for _, name := range []string{"dtm-scope", "neighbor-heat"} {
+					table, err := heatstroke.RunExperiment(name, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(table.Rows) == 0 {
+						b.Fatal("empty table")
+					}
+				}
+			}
+		}
+	}
+	b.Run("shared", run(false))
+	b.Run("cold", run(true))
+}
+
 // ---- substrate microbenchmarks ----
 
 // BenchmarkSweepEngine measures the sweep scheduler's per-job overhead

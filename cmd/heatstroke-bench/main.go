@@ -8,11 +8,12 @@
 //	heatstroke-bench -compare BENCH_baseline.json      # run and diff
 //	heatstroke-bench -bench 'ProfilePair' -benchtime 4x
 //
-// Recording runs `go test -run '^$' -bench <pattern> -benchmem` on the
-// benchmark-bearing packages and parses the standard output lines into
-// {name, iterations, ns_per_op, bytes_per_op, allocs_per_op} records
-// (the -N GOMAXPROCS suffix is stripped so names are stable across
-// machines).
+// Recording runs `go test -run '^$' -bench <pattern> -benchmem -cpu N`
+// on the benchmark-bearing packages, N being this process's GOMAXPROCS,
+// and parses the standard output lines into {name, iterations,
+// ns_per_op, bytes_per_op, allocs_per_op} records. go test appends
+// "-N" to every name unless N is 1; exactly that suffix is stripped,
+// so names are stable across machines.
 //
 // Comparing re-runs the same benchmarks and reports each one's ns/op,
 // B/op, and allocs/op against the baseline file. Time regressions
@@ -34,6 +35,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -64,13 +66,14 @@ type File struct {
 // interval's worth of thermal Euler substeps (the per-interval
 // constant every simulation pays), the warmup-snapshot-reuse
 // comparison (reuse vs cold sub-benchmarks), the fork-tree sweep
-// comparison (fork vs cold sub-benchmarks), and the fleet-throughput
+// comparison (fork vs cold sub-benchmarks), the whole-die warm-share
+// comparison (shared vs cold sub-benchmarks), and the fleet-throughput
 // comparison (1 vs 4 workers behind the coordinator; the absolute
 // jobs/sec is machine-bound, but a regression in either arm still
 // surfaces as ns/op growth), and the thermal-solver comparison (the
 // 27-node lumped network vs the 64x64 grid stencil over one sensor
 // interval, pinning the cost ratio the lumped fast path exists for).
-const defaultPattern = "^(BenchmarkProfileSolo|BenchmarkProfilePair|BenchmarkPipelineCycles|BenchmarkQuantumSimulation|BenchmarkThermalStep|BenchmarkGridThermalStep|BenchmarkWarmupReuse|BenchmarkForkSweep|BenchmarkFleetThroughput)$"
+const defaultPattern = "^(BenchmarkProfileSolo|BenchmarkProfilePair|BenchmarkPipelineCycles|BenchmarkQuantumSimulation|BenchmarkThermalStep|BenchmarkGridThermalStep|BenchmarkWarmupReuse|BenchmarkForkSweep|BenchmarkMultiWarmShare|BenchmarkFleetThroughput)$"
 
 // defaultPackages are the packages holding those benchmarks.
 var defaultPackages = []string{".", "./internal/experiment", "./internal/fleet", "./internal/thermal"}
@@ -90,7 +93,7 @@ func main() {
 	strict := flag.Bool("strict", false, "alias for -fail-on-regress")
 	flag.Parse()
 
-	results, err := runBenchmarks(*pattern, *benchtime, *count, strings.Split(*pkgs, ","))
+	results, err := runBenchmarks(*pattern, *benchtime, *count, runtime.GOMAXPROCS(0), strings.Split(*pkgs, ","))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -127,12 +130,41 @@ func main() {
 
 // benchLine matches `BenchmarkName-8  4  874652470 ns/op  93389022 B/op  2728139 allocs/op`
 // (the memory columns require -benchmem, which runBenchmarks passes).
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+// The name keeps any -N suffix; benchName strips the GOMAXPROCS one.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+
+// benchName strips the "-cpu" suffix go test appends to a benchmark's
+// name when it runs at GOMAXPROCS cpu (none when cpu is 1), and only
+// that suffix: a name that itself ends in -<digits> keeps it.
+func benchName(name string, cpu int) string {
+	if cpu == 1 {
+		return name
+	}
+	return strings.TrimSuffix(name, "-"+strconv.Itoa(cpu))
+}
+
+// parseBench parses one go test output line run at GOMAXPROCS cpu.
+func parseBench(line, pkg string, cpu int) (Benchmark, bool) {
+	m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
+	if m == nil {
+		return Benchmark{}, false
+	}
+	b := Benchmark{Name: benchName(m[1], cpu), Package: pkg}
+	b.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
+	b.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
+	if m[4] != "" {
+		b.BytesPerOp, _ = strconv.ParseInt(m[4], 10, 64)
+	}
+	if m[5] != "" {
+		b.AllocsPerOp, _ = strconv.ParseInt(m[5], 10, 64)
+	}
+	return b, true
+}
 
 // runBenchmarks shells out to go test and parses the result lines.
 // Packages run one at a time so a result can be attributed to its
 // package even though the text format does not repeat it per line.
-func runBenchmarks(pattern, benchtime string, count int, pkgs []string) ([]Benchmark, error) {
+func runBenchmarks(pattern, benchtime string, count, cpu int, pkgs []string) ([]Benchmark, error) {
 	var all []Benchmark
 	for _, pkg := range pkgs {
 		pkg = strings.TrimSpace(pkg)
@@ -140,7 +172,7 @@ func runBenchmarks(pattern, benchtime string, count int, pkgs []string) ([]Bench
 			continue
 		}
 		cmd := exec.Command("go", "test", "-run", "^$",
-			"-bench", pattern, "-benchmem",
+			"-bench", pattern, "-benchmem", "-cpu", strconv.Itoa(cpu),
 			"-benchtime", benchtime, "-count", strconv.Itoa(count), pkg)
 		cmd.Stderr = os.Stderr
 		outBytes, err := cmd.Output()
@@ -148,20 +180,9 @@ func runBenchmarks(pattern, benchtime string, count int, pkgs []string) ([]Bench
 			return nil, fmt.Errorf("go test -bench %s: %w", pkg, err)
 		}
 		for _, line := range strings.Split(string(outBytes), "\n") {
-			m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
-			if m == nil {
-				continue
+			if b, ok := parseBench(line, pkg, cpu); ok {
+				all = append(all, b)
 			}
-			b := Benchmark{Name: m[1], Package: pkg}
-			b.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
-			b.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
-			if m[4] != "" {
-				b.BytesPerOp, _ = strconv.ParseInt(m[4], 10, 64)
-			}
-			if m[5] != "" {
-				b.AllocsPerOp, _ = strconv.ParseInt(m[5], 10, 64)
-			}
-			all = append(all, b)
 		}
 	}
 	return all, nil

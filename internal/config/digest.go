@@ -44,8 +44,9 @@ func (c *Config) Digest() string {
 //
 // This is the key a fork-tree sweep shares warm prefixes under: a
 // threshold grid re-simulates its warmup once instead of once per grid
-// point. Soundness is enforced by TestWarmDigestInvariance, which
-// checks snapshot deep-equality across every excluded field.
+// point. Soundness is enforced by TestWarmDigestInvariance
+// (internal/sim), which finds every excluded field and checks warmup
+// snapshot deep-equality across it.
 func (c *Config) WarmDigest() string {
 	n := *c
 	n.Sedation.UpperK = 0

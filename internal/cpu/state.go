@@ -183,9 +183,41 @@ func toRefs(rs []ref) []Ref {
 	return out
 }
 
+// CompactState is a CoreState for holding a warmed core in memory:
+// the caches keep only their touched lines and each memory image only
+// its non-zero words (see mem.CompactCache), which cuts a warmed core
+// from several hundred KB to tens. Core carries everything else;
+// its Hier and every Threads[i].Mem stay zero.
+type CompactState struct {
+	Core CoreState
+	Hier mem.CompactHierarchy
+	Mem  []mem.CompactMemory
+}
+
 // Snapshot returns a deep copy of the core's state; the copy shares
 // nothing with the live core, so one snapshot can seed many clones.
 func (c *Core) Snapshot() CoreState {
+	st := c.snapshot()
+	st.Hier = c.hier.Snapshot()
+	for i, t := range c.threads {
+		st.Threads[i].Mem = t.mem.Snapshot()
+	}
+	return st
+}
+
+// CompactSnapshot is Snapshot in compact form, read straight from the
+// live caches and pages.
+func (c *Core) CompactSnapshot() CompactState {
+	st := CompactState{Core: c.snapshot(), Hier: c.hier.Compact(), Mem: make([]mem.CompactMemory, len(c.threads))}
+	for i, t := range c.threads {
+		st.Mem[i] = t.mem.Compact()
+	}
+	return st
+}
+
+// snapshot captures everything but the memory hierarchy and the
+// memory images.
+func (c *Core) snapshot() CoreState {
 	c.flushActivity() // fold pending deltas so Act captures exact counts
 	st := CoreState{
 		Cycle:         c.cycle,
@@ -203,7 +235,6 @@ func (c *Core) Snapshot() CoreState {
 		DispatchRR:    c.dispatchRR,
 		StalledCycles: c.stalledCycles,
 		Stats:         append([]ThreadStats(nil), c.stats...),
-		Hier:          c.hier.Snapshot(),
 		Act:           c.act.Snapshot(),
 		Threads:       make([]ThreadState, len(c.threads)),
 	}
@@ -256,7 +287,6 @@ func (c *Core) Snapshot() CoreState {
 		ts := ThreadState{
 			IRegs:          t.iregs,
 			FRegs:          t.fregs,
-			Mem:            t.mem.Snapshot(),
 			PC:             t.pc,
 			FetchEnabled:   t.fetchEnabled,
 			FetchResumeAt:  t.fetchResumeAt,
@@ -296,6 +326,37 @@ func (c *Core) Snapshot() CoreState {
 // enforces it with a digest). The state is copied, never aliased, so
 // the same CoreState can restore many cores.
 func (c *Core) Restore(st CoreState) error {
+	if err := c.restore(st); err != nil {
+		return err
+	}
+	for i, ts := range st.Threads {
+		if err := c.threads[i].mem.Restore(ts.Mem); err != nil {
+			return err
+		}
+	}
+	return c.hier.Restore(st.Hier)
+}
+
+// RestoreCompact is Restore from a CompactSnapshot, written straight
+// into the live caches and pages.
+func (c *Core) RestoreCompact(st CompactState) error {
+	if len(st.Mem) != len(c.threads) {
+		return fmt.Errorf("cpu: compact state has %d memory images, want %d", len(st.Mem), len(c.threads))
+	}
+	if err := c.restore(st.Core); err != nil {
+		return err
+	}
+	for i, m := range st.Mem {
+		if err := c.threads[i].mem.RestoreCompact(m); err != nil {
+			return err
+		}
+	}
+	return c.hier.RestoreCompact(st.Hier)
+}
+
+// restore loads everything but the memory hierarchy and the memory
+// images.
+func (c *Core) restore(st CoreState) error {
 	if len(st.Entries) != len(c.entries) {
 		return fmt.Errorf("cpu: state has %d pool entries, want %d", len(st.Entries), len(c.entries))
 	}
@@ -412,9 +473,6 @@ func (c *Core) Restore(st CoreState) error {
 		t := c.threads[i]
 		t.iregs = ts.IRegs
 		t.fregs = ts.FRegs
-		if err := t.mem.Restore(ts.Mem); err != nil {
-			return err
-		}
 		t.pc = ts.PC
 		t.fetchEnabled = ts.FetchEnabled
 		t.fetchResumeAt = ts.FetchResumeAt
@@ -438,9 +496,6 @@ func (c *Core) Restore(st CoreState) error {
 		t.inFlight = ts.InFlight
 	}
 
-	if err := c.hier.Restore(st.Hier); err != nil {
-		return err
-	}
 	// Snapshots carry exact counters (Snapshot flushes first), so any
 	// deltas batched since then belong to discarded execution.
 	for tid := range c.pend {

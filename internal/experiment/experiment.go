@@ -54,9 +54,11 @@ type Options struct {
 	// live consumers see the numbers the final Summary aggregates.
 	Progress func(p sweep.Progress)
 	// DisableWarmupReuse turns off warmup-snapshot sharing and runs
-	// every job's warmup from cold, as before PR 5. Results are
-	// identical either way (enforced by sim's restore-equivalence
-	// tests); the switch exists for benchmarking and debugging.
+	// every job's warmup from cold: single-core warm keys and fork
+	// trees, and the multi-core experiments' per-core and per-die warm
+	// share. Results are identical either way (enforced by sim's
+	// restore-equivalence tests); the switch exists for benchmarking
+	// and debugging.
 	DisableWarmupReuse bool
 	// ForkTree routes the experiment through the fork-tree scheduler
 	// (sweep.RunTree): jobs whose simulations share a warmup prefix —

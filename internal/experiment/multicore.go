@@ -9,12 +9,15 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 
 	"github.com/heatstroke-sim/heatstroke/internal/config"
 	"github.com/heatstroke-sim/heatstroke/internal/dtm"
 	"github.com/heatstroke-sim/heatstroke/internal/power"
 	"github.com/heatstroke-sim/heatstroke/internal/sim"
 	"github.com/heatstroke-sim/heatstroke/internal/sweep"
+	"github.com/heatstroke-sim/heatstroke/internal/thermal"
 )
 
 // multiTopology resolves the die topology a multi-core experiment
@@ -41,9 +44,8 @@ type multiJob struct {
 }
 
 // multiCoreJob builds a whole-die run: thread set per core, one DTM
-// scope/policy. Multi-core jobs always run cold — no warmup snapshot
-// sharing or fork-tree prefixes — so their results are trivially
-// byte-identical across -parallel and -fork settings.
+// scope/policy. Jobs of one run share warm state through a warmShare;
+// fork-tree prefixes do not apply to whole-die jobs.
 func multiCoreJob(o Options, key string, coreThreads [][]sim.Thread, scope dtm.Scope, policy dtm.Kind) multiJob {
 	cfg := *o.Config
 	cfg.Run.QuantumCycles = o.Quantum
@@ -63,22 +65,33 @@ func multiCoreJob(o Options, key string, coreThreads [][]sim.Thread, scope dtm.S
 }
 
 // runMultiSweep executes whole-die jobs through the sweep engine,
-// mirroring runSweep's fail-fast semantics and Summary metrics.
+// mirroring runSweep's fail-fast semantics and Summary metrics. Unless
+// DisableWarmupReuse is set, the jobs share warm state (see warmShare);
+// the Summary's WarmupRuns then counts jobs that simulated any core's
+// warmup and WarmupReused jobs that restored every core.
 func runMultiSweep(ctx context.Context, jobs []multiJob, o Options) (map[string]*sim.MultiResult, *sweep.Summary, error) {
 	if o.enumerate != nil {
-		// Multi-core jobs always run cold, so WarmKeys sees an empty
-		// job list: there are no warm snapshots to ship anywhere.
+		// The warm share lives in memory for one run only, so WarmKeys
+		// sees an empty job list: there are no warm snapshots to ship
+		// anywhere.
 		o.enumerate(o, nil)
 		return nil, nil, errEnumerated
 	}
+	var share *warmShare
+	if !o.DisableWarmupReuse {
+		share = newWarmShare(o, jobs)
+	}
 	sjobs := make([]sweep.Job[*sim.MultiResult], len(jobs))
 	for i, j := range jobs {
-		j := j
+		i, j := i, j
 		sjobs[i] = sweep.Job[*sim.MultiResult]{
 			Key: j.key,
 			Run: func(ctx context.Context) (*sim.MultiResult, error) {
 				m, err := sim.NewMulti(j.cfg, j.coreThreads, j.opts)
 				if err != nil {
+					return nil, err
+				}
+				if err := share.warm(m, i); err != nil {
 					return nil, err
 				}
 				return m.Run()
@@ -91,10 +104,164 @@ func runMultiSweep(ctx context.Context, jobs []multiJob, o Options) (map[string]
 		Metrics:     multiMetrics,
 		OnProgress:  o.Progress,
 	})
+	if share != nil {
+		res.Summary.WarmupRuns, res.Summary.WarmupReused = share.runs, share.reused
+	}
 	if err != nil {
 		return nil, &res.Summary, fmt.Errorf("experiment: %w", err)
 	}
 	return res.ByKey(), &res.Summary, nil
+}
+
+// warmShare lets the whole-die jobs of one run share warm state: each
+// core's post-warmup state under a per-core key, and the die's
+// post-warmup temperatures under a die key. A core warms alone, with no
+// thermal step, so its state depends on its own programs and the warm
+// configuration but not on the topology; the die's depends on the
+// configuration alone. Held states are compact (sim.CoreWarm), a job
+// stores one only while a later job still needs it, and each is
+// dropped after its last consumer. Jobs running concurrently may each
+// warm a key neither found stored; warm states are deterministic, so
+// the results are the same either way.
+type warmShare struct {
+	keys []dieKeys // per job
+
+	mu sync.Mutex
+	// left counts, per key, the jobs yet to consume it.
+	left  map[string]int
+	cores map[string]*sim.CoreWarm
+	dies  map[string]*thermal.SolverState
+	// runs counts jobs that simulated any core's warmup, reused jobs
+	// that restored every core.
+	runs, reused int
+}
+
+// dieKeys names a job's shareable warm state: one key per core and the
+// die's.
+type dieKeys struct {
+	cores []string
+	die   string
+}
+
+// newWarmShare keys every job and counts each key's consumers (a key
+// repeated inside one die counts once). It returns nil — every job
+// runs cold — when the jobs run no warmup.
+func newWarmShare(o Options, jobs []multiJob) *warmShare {
+	s := &warmShare{
+		keys:  make([]dieKeys, len(jobs)),
+		left:  make(map[string]int),
+		cores: make(map[string]*sim.CoreWarm),
+		dies:  make(map[string]*thermal.SolverState),
+	}
+	for i, j := range jobs {
+		if j.opts.WarmupCycles <= 0 {
+			return nil
+		}
+		s.keys[i] = dieKeys{cores: coreKeys(o, j), die: "die\x00" + j.cfg.WarmDigest()}
+		for _, k := range s.keys[i].distinct() {
+			s.left[k]++
+		}
+	}
+	return s
+}
+
+// coreKeys returns the per-core warm keys of a whole-die job: warmKey's
+// identity over the core's own threads, with the topology cleared.
+func coreKeys(o Options, j multiJob) []string {
+	cfg := j.cfg
+	cfg.Topology = config.Topology{}
+	wd := cfg.WarmDigest()
+	keys := make([]string, len(j.coreThreads))
+	for c, threads := range j.coreThreads {
+		keys[c] = warmKeyOf(o, wd, sim.ProgramsDigest(threads), j.opts.WarmupCycles, j.opts.DisableFastForward)
+	}
+	return keys
+}
+
+// distinct lists the job's keys once each, cores first, die last.
+func (k dieKeys) distinct() []string {
+	out := make([]string, 0, len(k.cores)+1)
+	for _, c := range k.cores {
+		if !slices.Contains(out, c) {
+			out = append(out, c)
+		}
+	}
+	return append(out, k.die)
+}
+
+// warm completes job i's warmup on m: cores and the die restore from
+// stored states where the share has them, the rest warm in place (a
+// key repeated inside the die warms once and is copied to the other
+// cores). It then stores what later jobs still need and drops what no
+// later job does. A nil share leaves m to warm up by itself.
+func (s *warmShare) warm(m *sim.MultiSimulator, i int) error {
+	if s == nil {
+		return nil
+	}
+	ks := s.keys[i]
+	stored := make(map[string]*sim.CoreWarm)
+	s.mu.Lock()
+	for _, k := range ks.cores {
+		if w := s.cores[k]; w != nil {
+			stored[k] = w
+		}
+	}
+	die := s.dies[ks.die]
+	s.mu.Unlock()
+
+	warmedAt := make(map[string]int) // key -> the core that warmed it here
+	for c, k := range ks.cores {
+		w := stored[k]
+		if w == nil {
+			src, ok := warmedAt[k]
+			if !ok {
+				if err := m.WarmCore(c); err != nil {
+					return err
+				}
+				warmedAt[k] = c
+				continue
+			}
+			w = m.CaptureCore(src)
+			stored[k] = w
+		}
+		if err := m.RestoreCore(c, w); err != nil {
+			return err
+		}
+	}
+	if err := m.FinishWarmup(die); err != nil {
+		return err
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(warmedAt) > 0 {
+		s.runs++
+	} else {
+		s.reused++
+	}
+	for _, k := range ks.distinct() {
+		s.left[k]--
+		switch {
+		case s.left[k] <= 0:
+			delete(s.left, k)
+			delete(s.cores, k)
+			delete(s.dies, k)
+		case k == ks.die:
+			if die == nil && s.dies[k] == nil {
+				st := m.Solver().State()
+				s.dies[k] = &st
+			}
+		case s.cores[k] == nil:
+			if c, ok := warmedAt[k]; ok {
+				if w := stored[k]; w != nil {
+					s.cores[k] = w
+				} else {
+					s.cores[k] = m.CaptureCore(c)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 func multiMetrics(r sweep.JobResult[*sim.MultiResult]) map[string]float64 {

@@ -34,12 +34,20 @@ type SnapshotStore interface {
 // snapshot format version and the caller's code version guard
 // persistent stores against stale entries.
 func warmKey(o Options, j job) string {
+	return warmKeyOf(o, j.cfg.WarmDigest(), sim.ProgramsDigest(j.threads), j.opts.WarmupCycles, j.opts.DisableFastForward)
+}
+
+// warmKeyOf hashes the identity of a warm state: the warm config
+// digest, the programs digest, the warmup length and fast-forward
+// switch, the snapshot format version and the caller's code version.
+// warmKey and the whole-die per-core key are both built with it.
+func warmKeyOf(o Options, warmDigest, progsDigest string, warmup int64, noFastForward bool) string {
 	h := sha256.New()
 	io.WriteString(h, "heatstroke-warm\x00")
-	io.WriteString(h, j.cfg.WarmDigest())
+	io.WriteString(h, warmDigest)
 	h.Write([]byte{0})
-	io.WriteString(h, sim.ProgramsDigest(j.threads))
-	fmt.Fprintf(h, "\x00%d\x00%d\x00%s\x00%t", j.opts.WarmupCycles, sim.StateVersion, o.CodeVersion, j.opts.DisableFastForward)
+	io.WriteString(h, progsDigest)
+	fmt.Fprintf(h, "\x00%d\x00%d\x00%s\x00%t", warmup, sim.StateVersion, o.CodeVersion, noFastForward)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -27,31 +27,15 @@ type record struct {
 	Error    string         `json:"error,omitempty"`
 }
 
-// persist writes a job's terminal state to the cache directory
-// (write-to-temp + rename, so readers never see a torn file). Without
-// a cache directory it is a no-op.
-func (s *Server) persist(e *jobEntry) {
+// persist writes a job's terminal record to the cache directory
+// (write-to-temp + rename, so readers never see a torn file), stamped
+// with the server's code version. Without a cache directory it is a
+// no-op.
+func (s *Server) persist(rec record) {
 	if s.opts.CacheDir == "" {
 		return
 	}
-	e.mu.Lock()
-	rec := record{
-		ID:       e.id,
-		Version:  s.opts.Version,
-		Request:  e.req,
-		Status:   e.status,
-		Progress: e.prog,
-		Table:    e.table,
-		Error:    "",
-	}
-	if e.err != nil {
-		rec.Error = e.err.Error()
-	}
-	if e.table == nil {
-		rec.Summary = e.partial
-	}
-	e.mu.Unlock()
-
+	rec.Version = s.opts.Version
 	if err := os.MkdirAll(s.opts.CacheDir, 0o755); err != nil {
 		s.log.Info("cache error", "err", err)
 		return

@@ -148,20 +148,20 @@ func (e *jobEntry) logAttrs() []any {
 }
 
 // finish records the terminal state, builds a partial summary when the
-// sweep did not complete, notifies SSE subscribers, and releases them.
-func (e *jobEntry) finish(st api.Status, table *sweep.Table, err error) {
+// sweep did not complete, hands the terminal record to persist, and
+// only then publishes the state: a reader who sees the job terminal
+// (status poll, SSE "done", Wait) finds its record already on disk.
+func (e *jobEntry) finish(st api.Status, table *sweep.Table, err error, persist func(record)) {
 	if e.span != nil {
 		e.span.SetAttr("status", string(st))
 		e.span.EndErr(err)
 	}
 	e.mu.Lock()
-	e.status = st
-	e.table = table
-	e.err = err
+	var partial *sweep.Summary
 	if table == nil && (e.okJobs > 0 || e.failed > 0 || e.prog.Total > 0) {
 		// The sweep was cut short: rebuild what the Summary would have
 		// aggregated from the progress events received so far.
-		e.partial = &sweep.Summary{
+		partial = &sweep.Summary{
 			Jobs:      e.prog.Total,
 			Succeeded: e.okJobs,
 			Failed:    e.failed,
@@ -169,6 +169,18 @@ func (e *jobEntry) finish(st api.Status, table *sweep.Table, err error) {
 			Metrics:   e.aggs,
 		}
 	}
+	rec := record{ID: e.id, Request: e.req, Status: st, Progress: e.prog, Table: table, Summary: partial}
+	if err != nil {
+		rec.Error = err.Error()
+	}
+	e.mu.Unlock()
+	persist(rec)
+
+	e.mu.Lock()
+	e.status = st
+	e.table = table
+	e.err = err
+	e.partial = partial
 	job := e.snapshotLocked()
 	e.broadcastLocked(api.Event{Type: "done", Job: &job})
 	for ch := range e.subs {

@@ -506,8 +506,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // execute runs one job through the bounded queue: acquire a run slot
-// (or observe shutdown), run the experiment sweep, record the outcome,
-// and persist it.
+// (or observe shutdown), run the experiment sweep, and persist and
+// publish the outcome.
 func (s *Server) execute(e *jobEntry) {
 	defer s.wg.Done()
 	defer e.cancel(nil)
@@ -519,8 +519,7 @@ func (s *Server) execute(e *jobEntry) {
 		s.mu.Lock()
 		s.queued--
 		s.mu.Unlock()
-		e.finish(api.StatusCanceled, nil, context.Cause(e.ctx))
-		s.persist(e)
+		e.finish(api.StatusCanceled, nil, context.Cause(e.ctx), s.persist)
 		return
 	}
 	s.mu.Lock()
@@ -556,22 +555,21 @@ func (s *Server) execute(e *jobEntry) {
 	elapsed := time.Since(start)
 	switch {
 	case err == nil:
-		e.finish(api.StatusDone, table, nil)
+		e.finish(api.StatusDone, table, nil, s.persist)
 		s.met.finishJob(api.StatusDone, elapsed.Seconds())
 		s.log.Info("job done",
 			append([]any{"job", shortID(e.id), "dur", elapsed.Round(time.Millisecond).String()}, e.logAttrs()...)...)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		e.finish(api.StatusCanceled, nil, err)
+		e.finish(api.StatusCanceled, nil, err, s.persist)
 		s.met.finishJob(api.StatusCanceled, elapsed.Seconds())
 		s.log.Info("job canceled",
 			append([]any{"job", shortID(e.id), "dur", elapsed.Round(time.Millisecond).String(), "err", err}, e.logAttrs()...)...)
 	default:
-		e.finish(api.StatusFailed, nil, err)
+		e.finish(api.StatusFailed, nil, err, s.persist)
 		s.met.finishJob(api.StatusFailed, elapsed.Seconds())
 		s.log.Info("job failed",
 			append([]any{"job", shortID(e.id), "err", err}, e.logAttrs()...)...)
 	}
-	s.persist(e)
 }
 
 // handleTrace serves every buffered span of one trace, addressed

@@ -715,3 +715,50 @@ func TestDeterministicResults(t *testing.T) {
 		t.Errorf("artifact: %s", a)
 	}
 }
+
+// TestDoneIsDurable: a job's record is on disk before anyone can see
+// the job terminal — at the instant a subscriber receives the "done"
+// event, and at the instant a status poll first reads done.
+func TestDoneIsDurable(t *testing.T) {
+	dir := t.TempDir()
+	entered := make(chan string, 1)
+	release := make(chan struct{})
+	s, ts := newTestServer(t, func(o *Options) {
+		o.CacheDir = dir
+		o.BeforeRun = func(id string) {
+			entered <- id
+			<-release
+		}
+	})
+	_, st := submit(t, ts, tinyRequest())
+	<-entered
+	ch := s.lookup(st.ID).subscribe()
+	close(release)
+	sawDone := false
+	for ev := range ch {
+		if ev.Type != "done" {
+			continue
+		}
+		sawDone = true
+		if _, err := os.Stat(filepath.Join(dir, st.ID+".json")); err != nil {
+			t.Fatalf("subscriber saw done before the record was on disk: %v", err)
+		}
+	}
+	if !sawDone {
+		t.Fatal("subscription closed without a done event")
+	}
+
+	req := tinyRequest()
+	req.Benchmarks = []string{"mcf"}
+	_, st = submit(t, ts, req)
+	<-entered // the gate is already open
+	deadline := time.Now().Add(60 * time.Second)
+	for !getJob(t, ts, st.ID).Status.Terminal() {
+		if time.Now().After(deadline) {
+			t.Fatal("job never finished")
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, st.ID+".json")); err != nil {
+		t.Fatalf("status poll read done before the record was on disk: %v", err)
+	}
+}

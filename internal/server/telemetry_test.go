@@ -148,7 +148,7 @@ func TestSSESlowSubscriber(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		e.onProgress(sweep.Progress{Completed: i, Total: 100})
 	}
-	e.finish(api.StatusDone, &sweep.Table{}, nil)
+	e.finish(api.StatusDone, &sweep.Table{}, nil, func(record) {})
 	close(gate)
 	select {
 	case <-served:

@@ -83,6 +83,15 @@ type MultiSimulator struct {
 	warmed  bool
 	started bool
 	mqr     *multiQuantumRun
+	// anchored records that the die sits at its steady operating point:
+	// set by the first anchor() and by any restore of the die's state.
+	// NewMulti leaves it false so a die whose post-warmup state is
+	// restored never pays for the initial relaxation.
+	anchored bool
+	// coresRestored records a RestoreCore since construction: the
+	// warmup's end then rebuilds the DTM policies over the restored
+	// cores.
+	coresRestored bool
 
 	// powersScratch holds the per-core power vectors handed to the
 	// solver each sensor interval, reused across intervals.
@@ -206,13 +215,31 @@ func NewMulti(cfg config.Config, coreThreads [][]Thread, opts MultiOptions) (*Mu
 	if err := m.buildPolicies(); err != nil {
 		return nil, err
 	}
+	return m, nil
+}
 
-	steady := make([][power.NumUnits]float64, k)
+// steadyPowers is every core's power vector at the typical activity
+// rates: the operating point the die is anchored at. It reads only the
+// power models' static parameters and supply voltage, never the
+// programs, so every die of one configuration anchors identically.
+func (m *MultiSimulator) steadyPowers() [][power.NumUnits]float64 {
+	steady := make([][power.NumUnits]float64, len(m.cores))
 	for c, cs := range m.cores {
 		steady[c] = cs.model.SteadyPowers(power.TypicalRates())
 	}
-	m.solver.InitSteadyCores(steady)
-	return m, nil
+	return steady
+}
+
+// anchor relaxes the die to its steady operating point from ambient,
+// once. It runs lazily, on the first warmup, BeginRun, Snapshot or
+// Solver call. The cores' warmup never touches the solver, so
+// anchoring before or after they warm gives the same bits.
+func (m *MultiSimulator) anchor() {
+	if m.anchored {
+		return
+	}
+	m.anchored = true
+	m.solver.InitSteadyCores(m.steadyPowers())
 }
 
 // buildPolicies constructs the DTM layer for the configured scope:
@@ -250,8 +277,12 @@ func (m *MultiSimulator) buildPolicies() error {
 // Cores returns the die's core count.
 func (m *MultiSimulator) Cores() int { return len(m.cores) }
 
-// Solver exposes the shared thermal substrate.
-func (m *MultiSimulator) Solver() thermal.Solver { return m.solver }
+// Solver exposes the shared thermal substrate, anchored at its steady
+// operating point.
+func (m *MultiSimulator) Solver() thermal.Solver {
+	m.anchor()
+	return m.solver
+}
 
 // Core exposes one core's pipeline (for tests).
 func (m *MultiSimulator) Core(c int) *cpu.Core { return m.cores[c].core }
@@ -261,22 +292,49 @@ func (m *MultiSimulator) ChipPolicy() dtm.ChipPolicy { return m.chip }
 
 // warmup mirrors the single-core warmup on every core, then re-anchors
 // the shared die at its steady operating point.
-func (m *MultiSimulator) warmup() {
+func (m *MultiSimulator) warmup() error {
 	if m.warmed {
-		return
+		return nil
 	}
+	if m.opts.WarmupCycles > 0 {
+		for _, cs := range m.cores {
+			cs.warm(m.opts.WarmupCycles)
+		}
+	}
+	return m.finishWarmup(nil)
+}
+
+// warm runs one core's share of the warmup. It never touches the die:
+// a core warms alone, with no thermal step, which is what makes its
+// post-warmup state shareable across dies.
+func (cs *coreSim) warm(cycles int64) {
+	cs.core.Run(cycles)
+	cs.model.Prime(cs.core.Activity())
+	cs.mon.Prime()
+}
+
+// finishWarmup closes the warmup: the die takes die's temperatures
+// when given, else it is anchored (if not yet) and re-anchored at the
+// steady operating point, as a cold warmup does.
+func (m *MultiSimulator) finishWarmup(die *thermal.SolverState) error {
 	m.warmed = true
-	if m.opts.WarmupCycles <= 0 {
-		return
+	if m.coresRestored {
+		// As the single-core warm-sentinel Restore does: policies start
+		// fresh over the restored cores and their supply voltages.
+		m.coresRestored = false
+		if err := m.buildPolicies(); err != nil {
+			return err
+		}
 	}
-	steady := make([][power.NumUnits]float64, len(m.cores))
-	for c, cs := range m.cores {
-		cs.core.Run(m.opts.WarmupCycles)
-		cs.model.Prime(cs.core.Activity())
-		cs.mon.Prime()
-		steady[c] = cs.model.SteadyPowers(power.TypicalRates())
+	if die != nil {
+		m.anchored = true
+		return m.solver.SetState(*die)
 	}
-	m.solver.InitSteadyCores(steady)
+	m.anchor()
+	if m.opts.WarmupCycles > 0 {
+		m.solver.InitSteadyCores(m.steadyPowers())
+	}
+	return nil
 }
 
 // Run simulates one OS quantum and returns whole-die measurements.
@@ -303,8 +361,10 @@ func (m *MultiSimulator) BeginRun(quantum int64) error {
 	if m.mqr != nil {
 		return fmt.Errorf("sim: a quantum is already in progress (%d of %d cycles done)", m.mqr.done, m.mqr.quantum)
 	}
+	if err := m.warmup(); err != nil {
+		return err
+	}
 	m.started = true
-	m.warmup()
 	m.events.Reset()
 
 	k := len(m.cores)

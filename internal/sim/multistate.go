@@ -153,6 +153,7 @@ func (m *MultiSimulator) policyLabel() dtm.Kind {
 // Snapshot captures the whole die's mutable state. The returned state
 // shares no memory with the simulator.
 func (m *MultiSimulator) Snapshot() (*MachineState, error) {
+	m.anchor()
 	coreThreads := make([][]Thread, len(m.cores))
 	for c, cs := range m.cores {
 		coreThreads[c] = cs.threads
@@ -296,6 +297,7 @@ func (m *MultiSimulator) Restore(ms *MachineState) error {
 	if err := m.solver.SetState(mst.Solver.Clone()); err != nil {
 		return err
 	}
+	m.anchored = true
 	if m.chip != nil {
 		if mst.Chip == nil {
 			return fmt.Errorf("sim: chip-scope snapshot missing chip policy state")
@@ -308,6 +310,7 @@ func (m *MultiSimulator) Restore(ms *MachineState) error {
 		m.events.Events = append(m.events.Events[:0], ms.Events...)
 	}
 	m.warmed = ms.Warmed
+	m.coresRestored = false
 	if q := mst.Quantum; q != nil {
 		k := len(m.cores)
 		if len(q.CoreAbove) != k || len(q.StartStalled) != k || len(q.StartStats) != k ||
@@ -356,6 +359,93 @@ func (m *MultiSimulator) Restore(ms *MachineState) error {
 		m.started = true
 	} else {
 		m.mqr = nil
+	}
+	return nil
+}
+
+// CoreWarm is one core's post-warmup state in the compact form a
+// whole-die sweep holds between jobs: pipeline, power model and
+// sedation monitor. It carries no DTM state (warmup never ticks a
+// policy) and no thermal state (a core warms alone, with no thermal
+// step), so it restores into any core running the same programs on a
+// machine of the same warm configuration, under any DTM scope or
+// policy, on a die of any size or grid resolution.
+type CoreWarm struct {
+	ProgsDigest string
+	Core        cpu.CompactState
+	Model       power.ModelState
+	Monitor     score.MonitorState
+}
+
+// WarmCore simulates core c's warmup in place. Together with
+// RestoreCore and FinishWarmup it assembles a warmup core by core:
+// each core is either warmed here or restored from a CoreWarm, then
+// FinishWarmup closes the warmup. Run performs the same steps on
+// every core itself when the caller assembles nothing.
+func (m *MultiSimulator) WarmCore(c int) error {
+	if err := m.checkWarmable(c); err != nil {
+		return err
+	}
+	m.cores[c].warm(m.opts.WarmupCycles)
+	return nil
+}
+
+// CaptureCore returns core c's state, typically right after WarmCore.
+// The state shares no memory with the simulator.
+func (m *MultiSimulator) CaptureCore(c int) *CoreWarm {
+	cs := m.cores[c]
+	return &CoreWarm{
+		ProgsDigest: ProgramsDigest(cs.threads),
+		Core:        cs.core.CompactSnapshot(),
+		Model:       cs.model.Snapshot(),
+		Monitor:     cs.mon.Snapshot(),
+	}
+}
+
+// RestoreCore loads w into core c in place of WarmCore; FinishWarmup
+// then rebuilds the DTM policies over the restored cores. w is
+// read-only and may be restored into many cores concurrently.
+func (m *MultiSimulator) RestoreCore(c int, w *CoreWarm) error {
+	if err := m.checkWarmable(c); err != nil {
+		return err
+	}
+	cs := m.cores[c]
+	if d := ProgramsDigest(cs.threads); w.ProgsDigest != d {
+		return fmt.Errorf("sim: core %d warm state built from programs %.12s.., core runs %.12s..", c, w.ProgsDigest, d)
+	}
+	if err := cs.core.RestoreCompact(w.Core); err != nil {
+		return fmt.Errorf("sim: core %d: %w", c, err)
+	}
+	if err := cs.model.Restore(w.Model); err != nil {
+		return fmt.Errorf("sim: core %d: %w", c, err)
+	}
+	if err := cs.mon.Restore(w.Monitor); err != nil {
+		return fmt.Errorf("sim: core %d: %w", c, err)
+	}
+	cs.reports = cs.reports[:0]
+	m.coresRestored = true
+	return nil
+}
+
+// FinishWarmup closes a warmup assembled by WarmCore and RestoreCore.
+// With die set, the die takes its temperatures: the Solver().State()
+// of another simulator of the same configuration right after its
+// warmup (the post-warmup die depends on the configuration alone, not
+// on the programs). Otherwise the die is anchored and re-anchored as a
+// cold warmup does.
+func (m *MultiSimulator) FinishWarmup(die *thermal.SolverState) error {
+	if m.warmed || m.started {
+		return fmt.Errorf("sim: warmup already finished")
+	}
+	return m.finishWarmup(die)
+}
+
+func (m *MultiSimulator) checkWarmable(c int) error {
+	if c < 0 || c >= len(m.cores) {
+		return fmt.Errorf("sim: core %d of %d", c, len(m.cores))
+	}
+	if m.warmed || m.started {
+		return fmt.Errorf("sim: core %d warmup after the warmup finished", c)
 	}
 	return nil
 }

@@ -271,7 +271,7 @@ func BenchmarkGridThermalStep(b *testing.B) {
 	burst := burstPowers(m)
 	interval := float64(cfg.Thermal.SensorIntervalCycles) / cfg.Power.FrequencyHz
 
-	b.Run("lumped-27", func(b *testing.B) {
+	b.Run("lumped27", func(b *testing.B) {
 		nw, err := New(floorplan.Default(), cfg.Thermal)
 		if err != nil {
 			b.Fatal(err)
@@ -283,7 +283,7 @@ func BenchmarkGridThermalStep(b *testing.B) {
 			nw.Step(burst, interval)
 		}
 	})
-	b.Run("grid-64", func(b *testing.B) {
+	b.Run("grid64", func(b *testing.B) {
 		g := newTestGrid(b, 1, 64, cfg.Thermal)
 		g.InitSteadyCores([][power.NumUnits]float64{steady})
 		p := [][power.NumUnits]float64{burst}
