@@ -137,7 +137,7 @@ func main() {
 			}
 			fmt.Fprintf(&b, "%-22s final IntReg=%.2fK IntExec=%.2fK IntQ=%.2fK sink=%.2fK sedations=%d\n",
 				label, res.FinalTemps[power.UnitIntReg], res.FinalTemps[power.UnitIntExec],
-				res.FinalTemps[power.UnitIntQ], s.Network().SinkTemp(), res.Sedation.Sedations)
+				res.FinalTemps[power.UnitIntQ], s.Solver().SinkTemp(), res.Sedation.Sedations)
 			return b.String(), nil
 		}
 	}

@@ -354,6 +354,109 @@ func (c *Core) RestoreCompact(st CompactState) error {
 	return c.hier.RestoreCompact(st.Hier)
 }
 
+// maxCounter bounds the cycle and dispatch round-robin counters a
+// snapshot may carry. Both grow by at most one per cycle and index the
+// contexts modulo their count; anything in [0, 2^62] is reachable and
+// cannot overflow into a negative index within a run.
+const maxCounter = 1 << 62
+
+// checkLinks verifies every entry index and register number the state
+// carries and that the lists the pipeline walks are well formed: a
+// decodable snapshot with one index out of range would otherwise
+// panic on the next cycle, and one with a cyclic list would hang it.
+// Negative links and refs mean "none", as in the live core.
+func (c *Core) checkLinks(st *CoreState) error {
+	n := int32(len(c.entries))
+	inPool := func(id int32) bool { return id < n }
+	isEntry := func(id int32) bool { return id >= 0 && id < n }
+	consumer := func(v int32) bool { return v < 0 || (v/4 < n && v%4 < 3) }
+
+	if st.Cycle < 0 || st.Cycle > maxCounter || st.DispatchRR < 0 || st.DispatchRR > maxCounter {
+		return fmt.Errorf("cpu: cycle %d or dispatch round-robin counter %d invalid", st.Cycle, st.DispatchRR)
+	}
+	free := 0
+	for i := range st.Entries {
+		es := &st.Entries[i]
+		if es.State == uint8(esFree) {
+			free++
+		}
+		ok := inPool(es.Prev) && inPool(es.Next) && consumer(es.ConsHead) && inPool(es.PrevProd.ID) &&
+			int(es.DstReg) < min(isa.NumIntRegs, isa.NumFPRegs)
+		for k := range es.Prod {
+			ok = ok && inPool(es.Prod[k].ID) && consumer(es.NextCons[k])
+		}
+		if !ok {
+			return fmt.Errorf("cpu: entry %d links or destination register out of range", i)
+		}
+	}
+	// The free list holds exactly the free entries, once each, so no
+	// entry can be allocated twice.
+	if len(st.Free) != free {
+		return fmt.Errorf("cpu: free list holds %d entries, %d are free", len(st.Free), free)
+	}
+	onFree := make([]bool, n)
+	for _, id := range st.Free {
+		if !isEntry(id) || onFree[id] || st.Entries[id].State != uint8(esFree) {
+			return fmt.Errorf("cpu: free list names entry %d twice, out of range or in use", id)
+		}
+		onFree[id] = true
+	}
+	for _, ev := range st.Events {
+		if !isEntry(ev.ID) {
+			return fmt.Errorf("cpu: writeback event names entry %d of %d", ev.ID, n)
+		}
+	}
+	for f, q := range st.ReadyQ {
+		for _, r := range q {
+			if !isEntry(r.ID) {
+				return fmt.Errorf("cpu: ready queue %d names entry %d of %d", f, r.ID, n)
+			}
+		}
+	}
+	for i := range st.Threads {
+		ts := &st.Threads[i]
+		ok := inPool(ts.Blocker.ID) && inPool(ts.ListHead) && inPool(ts.ListTail)
+		for _, r := range ts.RenInt {
+			ok = ok && inPool(r.ID)
+		}
+		for _, r := range ts.RenFP {
+			ok = ok && inPool(r.ID)
+		}
+		for _, r := range ts.Stores {
+			ok = ok && inPool(r.ID)
+		}
+		for k := 0; k < ts.IFQLen; k++ {
+			ok = ok && isEntry(ts.IFQ[(ts.IFQHead+k)%ifqDepth])
+		}
+		if !ok {
+			return fmt.Errorf("cpu: context %d names an entry out of range", i)
+		}
+		// The dispatch-order list runs head to tail by next, each entry
+		// pointing back by prev; commit walks it forward, a squash back.
+		prev, steps := int32(-1), int32(0)
+		for id := ts.ListHead; id >= 0; id = st.Entries[id].Next {
+			if steps++; steps > n || st.Entries[id].Prev != prev {
+				return fmt.Errorf("cpu: context %d dispatch list broken at entry %d", i, id)
+			}
+			prev = id
+		}
+		if prev != ts.ListTail && !(prev < 0 && ts.ListTail < 0) {
+			return fmt.Errorf("cpu: context %d dispatch list ends at %d, tail is %d", i, prev, ts.ListTail)
+		}
+	}
+	// Each (entry, operand slot) sits on at most one consumer chain, so
+	// a walk longer than 3n has looped.
+	for i := range st.Entries {
+		steps := int32(0)
+		for cur := st.Entries[i].ConsHead; cur >= 0; cur = st.Entries[cur/4].NextCons[cur%4] {
+			if steps++; steps > 3*n {
+				return fmt.Errorf("cpu: entry %d consumer chain loops", i)
+			}
+		}
+	}
+	return nil
+}
+
 // restore loads everything but the memory hierarchy and the memory
 // images.
 func (c *Core) restore(st CoreState) error {
@@ -400,6 +503,15 @@ func (c *Core) restore(st CoreState) error {
 		if ts.IFQLen < 0 || ts.IFQLen > ifqDepth || ts.IFQHead < 0 || ts.IFQHead >= ifqDepth {
 			return fmt.Errorf("cpu: context %d fetch queue head %d len %d invalid", i, ts.IFQHead, ts.IFQLen)
 		}
+		if t.prog != nil && (ts.PC < 0 || int(ts.PC) >= t.prog.Len()) {
+			return fmt.Errorf("cpu: context %d pc %d out of range", i, ts.PC)
+		}
+	}
+	if err := c.checkLinks(&st); err != nil {
+		return err
+	}
+	for i, ts := range st.Threads {
+		t := c.threads[i]
 		if t.prog != nil {
 			if err := bpred.Restore(t.pred, *ts.Pred); err != nil {
 				return err

@@ -87,16 +87,8 @@ type Options struct {
 	// OnRestore, when set, is called with each warm-state restore's
 	// duration in seconds (for telemetry histograms).
 	OnRestore func(seconds float64)
-	// DisableSimReuse turns off simulator recycling on the warm-restore
-	// path: every job constructs a fresh simulator, as before. Results
-	// are byte-identical either way (a warm restore overwrites all
-	// mutable state and rebuilds the policy; enforced by the dirty-reuse
-	// equivalence tests); the switch exists for benchmarking and
-	// debugging.
-	DisableSimReuse bool
-
 	// simPool recycles simulators across this run's warm-restore jobs
-	// (see sim.Pool); created by normalized() unless DisableSimReuse.
+	// (see sim.Pool); created by normalized().
 	simPool *sim.Pool
 
 	// enumerate, when set, intercepts runSweep before any simulation:
@@ -143,7 +135,7 @@ func (o Options) normalized() Options {
 	if o.Seed == 0 && !o.SeedSet {
 		o.Seed = o.Config.Run.Seed
 	}
-	if o.simPool == nil && !o.DisableSimReuse {
+	if o.simPool == nil {
 		o.simPool = sim.NewPool()
 	}
 	return o

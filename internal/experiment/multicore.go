@@ -40,7 +40,7 @@ type multiJob struct {
 	key         string
 	cfg         config.Config
 	coreThreads [][]sim.Thread
-	opts        sim.MultiOptions
+	opts        sim.Options
 }
 
 // multiCoreJob builds a whole-die run: thread set per core, one DTM
@@ -55,7 +55,7 @@ func multiCoreJob(o Options, key string, coreThreads [][]sim.Thread, scope dtm.S
 		key:         key,
 		cfg:         cfg,
 		coreThreads: coreThreads,
-		opts: sim.MultiOptions{
+		opts: sim.Options{
 			Scope:              scope,
 			Policy:             policy,
 			WarmupCycles:       o.Warmup,
@@ -64,12 +64,13 @@ func multiCoreJob(o Options, key string, coreThreads [][]sim.Thread, scope dtm.S
 	}
 }
 
-// runMultiSweep executes whole-die jobs through the sweep engine,
-// mirroring runSweep's fail-fast semantics and Summary metrics. Unless
-// DisableWarmupReuse is set, the jobs share warm state (see warmShare);
-// the Summary's WarmupRuns then counts jobs that simulated any core's
-// warmup and WarmupReused jobs that restored every core.
-func runMultiSweep(ctx context.Context, jobs []multiJob, o Options) (map[string]*sim.MultiResult, *sweep.Summary, error) {
+// runMultiSweep executes whole-die jobs through the sweep engine with
+// runSweep's options, so fail-fast semantics, Summary metrics and the
+// per-job sim.quantum span are the same. Unless DisableWarmupReuse is
+// set, the jobs share warm state (see warmShare); the Summary's
+// WarmupRuns then counts jobs that simulated any core's warmup and
+// WarmupReused jobs that restored every core.
+func runMultiSweep(ctx context.Context, jobs []multiJob, o Options) (map[string]*sim.Result, *sweep.Summary, error) {
 	if o.enumerate != nil {
 		// The warm share lives in memory for one run only, so WarmKeys
 		// sees an empty job list: there are no warm snapshots to ship
@@ -81,13 +82,14 @@ func runMultiSweep(ctx context.Context, jobs []multiJob, o Options) (map[string]
 	if !o.DisableWarmupReuse {
 		share = newWarmShare(o, jobs)
 	}
-	sjobs := make([]sweep.Job[*sim.MultiResult], len(jobs))
+	sjobs := make([]sweep.Job[*sim.Result], len(jobs))
 	for i, j := range jobs {
-		i, j := i, j
-		sjobs[i] = sweep.Job[*sim.MultiResult]{
+		sjobs[i] = sweep.Job[*sim.Result]{
 			Key: j.key,
-			Run: func(ctx context.Context) (*sim.MultiResult, error) {
-				m, err := sim.NewMulti(j.cfg, j.coreThreads, j.opts)
+			Run: func(ctx context.Context) (*sim.Result, error) {
+				opts := j.opts
+				traceSimOpts(ctx, &opts)
+				m, err := sim.NewMulti(j.cfg, j.coreThreads, opts)
 				if err != nil {
 					return nil, err
 				}
@@ -98,12 +100,7 @@ func runMultiSweep(ctx context.Context, jobs []multiJob, o Options) (map[string]
 			},
 		}
 	}
-	res, err := sweep.Run(ctx, sjobs, sweep.Options[*sim.MultiResult]{
-		Parallelism: o.Parallelism,
-		Policy:      sweep.FailFast,
-		Metrics:     multiMetrics,
-		OnProgress:  o.Progress,
-	})
+	res, err := sweep.Run(ctx, sjobs, sweepOptions(o))
 	if share != nil {
 		res.Summary.WarmupRuns, res.Summary.WarmupReused = share.runs, share.reused
 	}
@@ -194,7 +191,7 @@ func (k dieKeys) distinct() []string {
 // key repeated inside the die warms once and is copied to the other
 // cores). It then stores what later jobs still need and drops what no
 // later job does. A nil share leaves m to warm up by itself.
-func (s *warmShare) warm(m *sim.MultiSimulator, i int) error {
+func (s *warmShare) warm(m *sim.Simulator, i int) error {
 	if s == nil {
 		return nil
 	}
@@ -262,21 +259,6 @@ func (s *warmShare) warm(m *sim.MultiSimulator, i int) error {
 		}
 	}
 	return nil
-}
-
-func multiMetrics(r sweep.JobResult[*sim.MultiResult]) map[string]float64 {
-	if r.Value == nil {
-		return nil
-	}
-	m := map[string]float64{
-		sweep.MetricSimCycles:   float64(r.Value.Cycles),
-		sweep.MetricPeakTempK:   r.Value.PeakTemp,
-		sweep.MetricEmergencies: float64(r.Value.Emergencies),
-	}
-	if secs := r.Elapsed.Seconds(); secs > 0 {
-		m[sweep.MetricCyclesPerSec] = float64(r.Value.Cycles) / secs
-	}
-	return m
 }
 
 // neighborBenign is the benign co-resident the baseline rows run on

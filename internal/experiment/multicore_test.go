@@ -260,7 +260,7 @@ func TestCoreKeysIgnoreTopology(t *testing.T) {
 			ct[c] = []sim.Thread{gcc}
 		}
 		ct[0] = []sim.Thread{v2}
-		return coreKeys(o, multiJob{cfg: cfg, coreThreads: ct, opts: sim.MultiOptions{WarmupCycles: warmup}})
+		return coreKeys(o, multiJob{cfg: cfg, coreThreads: ct, opts: sim.Options{WarmupCycles: warmup}})
 	}
 	o := Options{CodeVersion: "a"}
 	want := key(o, 2, 32, 1000)

@@ -48,7 +48,7 @@ func stepOneInterval(t *testing.T, s *Simulator) func() {
 	interval := int64(s.cfg.Thermal.SensorIntervalCycles)
 	return func() {
 		done, _ := s.RunProgress()
-		if done+interval > s.qr.quantum {
+		if done+interval > s.qr.Quantum {
 			// Re-open a fresh quantum when the current one runs out.
 			if _, err := s.FinishRun(); err != nil {
 				t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 
 // warmParts warms a die cold, core by core, and returns every core's
 // captured state and the die's post-warmup temperatures.
-func warmParts(t *testing.T, cfg config.Config, coreThreads [][]Thread, mo MultiOptions) ([]*CoreWarm, thermal.SolverState) {
+func warmParts(t *testing.T, cfg config.Config, coreThreads [][]Thread, mo Options) ([]*CoreWarm, thermal.SolverState) {
 	t.Helper()
 	m, err := NewMulti(cfg, coreThreads, mo)
 	if err != nil {
@@ -37,13 +37,13 @@ func warmParts(t *testing.T, cfg config.Config, coreThreads [][]Thread, mo Multi
 // shared parts — every core and the die restored, or some cores warmed
 // in place next to restored ones — holds a machine state deep-equal to
 // the cold run's once its quantum opens, and measures a deep-equal
-// MultiResult, under every scope and policy.
+// Result, under every scope and policy.
 func TestMultiWarmRestoreEquivalence(t *testing.T) {
 	cfg := multiCfg(2)
 	quantum := cfg.Run.QuantumCycles
 	threads := attackVictimThreads(t)
-	parts, die := warmParts(t, cfg, threads, MultiOptions{WarmupCycles: 50_000})
-	for _, mo := range multiScopes() {
+	parts, die := warmParts(t, cfg, threads, Options{WarmupCycles: 50_000})
+	for _, mo := range scopeOptions() {
 		mo.WarmupCycles = 50_000
 		mo.CollectEvents = true
 		mo.TraceTemps = true
@@ -100,7 +100,7 @@ func TestMultiWarmRestoreEquivalence(t *testing.T) {
 			}
 			if st, err := m.Snapshot(); err != nil || !reflect.DeepEqual(st, wantState) {
 				t.Errorf("%s, %s: machine state at the quantum's start differs from the cold run's (%v)",
-					scopeLabel(mo), shape.name, err)
+					mo.Policy, shape.name, err)
 			}
 			if _, err := m.StepRun(quantum); err != nil {
 				t.Fatal(err)
@@ -110,7 +110,7 @@ func TestMultiWarmRestoreEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s, %s: result differs from the cold run", scopeLabel(mo), shape.name)
+				t.Errorf("%s, %s: result differs from the cold run", mo.Policy, shape.name)
 			}
 		}
 	}
@@ -133,7 +133,7 @@ func TestCoreWarmTopologyInvariance(t *testing.T) {
 			threads[c] = []Thread{v2}
 		}
 		threads[die.core] = []Thread{gcc}
-		m, err := NewMulti(cfg, threads, MultiOptions{WarmupCycles: 40_000})
+		m, err := NewMulti(cfg, threads, Options{WarmupCycles: 40_000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestCoreWarmTopologyInvariance(t *testing.T) {
 func TestMultiLazyAnchor(t *testing.T) {
 	cfg := multiCfg(2)
 	threads := attackVictimThreads(t)
-	a, err := NewMulti(cfg, threads, MultiOptions{WarmupCycles: 50_000})
+	a, err := NewMulti(cfg, threads, Options{WarmupCycles: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,15 +168,15 @@ func TestMultiLazyAnchor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewMulti(cfg, threads, MultiOptions{WarmupCycles: 50_000})
+	b, err := NewMulti(cfg, threads, Options{WarmupCycles: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(b.Solver().State(), ms.Multi.Solver) {
+	if !reflect.DeepEqual(b.Solver().State(), ms.Solver) {
 		t.Error("Solver and Snapshot anchor the die differently")
 	}
 	amb := cfg.Thermal.AmbientK
-	for _, temp := range ms.Multi.Solver.Temps {
+	for _, temp := range ms.Solver.Temps {
 		if temp <= amb {
 			t.Fatalf("anchored die holds a node at %v K, not above ambient %v K", temp, amb)
 		}
@@ -184,7 +184,7 @@ func TestMultiLazyAnchor(t *testing.T) {
 
 	// A cold warmup leaves the die relaxed twice — anchored from
 	// ambient, then re-anchored — as construction-time anchoring did.
-	_, die := warmParts(t, cfg, threads, MultiOptions{WarmupCycles: 50_000})
+	_, die := warmParts(t, cfg, threads, Options{WarmupCycles: 50_000})
 	ref, err := thermal.NewSolver(cfg.Topology, cfg.Thermal)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestMultiLazyAnchor(t *testing.T) {
 	if !reflect.DeepEqual(ref.State(), die) {
 		t.Error("the post-warmup die is not the anchored, re-anchored one")
 	}
-	c, err := NewMulti(cfg, threads, MultiOptions{WarmupCycles: 50_000})
+	c, err := NewMulti(cfg, threads, Options{WarmupCycles: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +209,8 @@ func TestMultiLazyAnchor(t *testing.T) {
 func TestMultiWarmErrors(t *testing.T) {
 	cfg := multiCfg(2)
 	threads := attackVictimThreads(t)
-	parts, _ := warmParts(t, cfg, threads, MultiOptions{WarmupCycles: 20_000})
-	m, err := NewMulti(cfg, threads, MultiOptions{Scope: dtm.ScopeChip, WarmupCycles: 20_000})
+	parts, _ := warmParts(t, cfg, threads, Options{WarmupCycles: 20_000})
+	m, err := NewMulti(cfg, threads, Options{Scope: dtm.ScopeChip, WarmupCycles: 20_000})
 	if err != nil {
 		t.Fatal(err)
 	}

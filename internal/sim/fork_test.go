@@ -8,53 +8,61 @@ import (
 	"github.com/heatstroke-sim/heatstroke/internal/dtm"
 )
 
+// forkSim builds machine m under o with every observation channel on.
+func forkSim(t *testing.T, m testMachine, o Options, ff bool) *Simulator {
+	t.Helper()
+	o.WarmupCycles = 60_000
+	o.TraceTemps = true
+	o.CollectEvents = true
+	o.DisableFastForward = !ff
+	return m.build(t, o)
+}
+
 // forkRef runs a fresh simulator straight through total cycles — the
 // cold reference every forked run must reproduce exactly.
-func forkRef(t *testing.T, policy dtm.Kind, ff bool, total int64) *Result {
+func forkRef(t *testing.T, m testMachine, o Options, ff bool, total int64) *Result {
 	t.Helper()
-	s := forkSim(t, policy, ff)
-	r, err := s.RunCycles(total)
+	r, err := forkSim(t, m, o, ff).RunCycles(total)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
 }
 
-func forkSim(t *testing.T, policy dtm.Kind, ff bool) *Simulator {
+// soloSim is forkSim on the single-core machine under one policy.
+func soloSim(t *testing.T, policy dtm.Kind, ff bool) *Simulator {
 	t.Helper()
-	cfg := quickCfg()
-	threads := []Thread{specThread(t, "crafty"), variantThread(t, 2)}
-	o := stateOptions(policy)
-	o.DisableFastForward = !ff
-	s, err := New(cfg, threads, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return forkSim(t, testMachines(t)[0], Options{Policy: policy}, ff)
 }
 
 // FuzzForkBoundary is the mid-run fork hook's acceptance fuzz: pause an
 // open quantum at a fuzz-chosen sensor boundary, snapshot, fork a child
 // from the in-memory state, and require the child's Result — and the
 // unforked original's — to be deep-equal to a cold straight-through
-// run. Fuzzed over the split point, the DTM policy, and the
-// fast-forward switch.
+// run. Fuzzed over the split point, the DTM scope and policy, the
+// fast-forward switch, and the machine (one core, or a 2-core die).
 func FuzzForkBoundary(f *testing.F) {
-	f.Add(uint8(3), uint8(1), true)
-	f.Add(uint8(0), uint8(4), false)
-	f.Add(uint8(7), uint8(2), true)
-	f.Add(uint8(5), uint8(0), false)
-	f.Fuzz(func(t *testing.T, splitSel, policySel uint8, ff bool) {
-		cfg := quickCfg()
-		sensor := int64(cfg.Thermal.SensorIntervalCycles)
+	f.Add(uint8(3), uint8(1), true, false)
+	f.Add(uint8(0), uint8(4), false, false)
+	f.Add(uint8(7), uint8(2), true, false)
+	f.Add(uint8(5), uint8(0), false, false)
+	f.Add(uint8(2), uint8(4), true, true)  // 2-core die, per-core sedation
+	f.Add(uint8(6), uint8(5), false, true) // 2-core die, chip scope
+	f.Fuzz(func(t *testing.T, splitSel, policySel uint8, ff, die bool) {
+		m := testMachines(t)[0]
+		if die {
+			m = testMachines(t)[1]
+		}
+		sensor := int64(m.cfg.Thermal.SensorIntervalCycles)
 		// Fork after 1..8 sensor intervals of a 10-interval quantum.
 		split := (1 + int64(splitSel)%8) * sensor
 		total := 10 * sensor
-		policy := dtm.Kinds()[int(policySel)%len(dtm.Kinds())]
+		o := scopeOptions()[int(policySel)%len(scopeOptions())]
+		label := m.name + "/" + string(o.Policy)
 
-		want := forkRef(t, policy, ff, total)
+		want := forkRef(t, m, o, ff, total)
 
-		orig := forkSim(t, policy, ff)
+		orig := forkSim(t, m, o, ff)
 		if err := orig.BeginRun(total); err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +80,7 @@ func FuzzForkBoundary(f *testing.F) {
 			t.Fatal("mid-quantum snapshot has no Quantum state")
 		}
 
-		child := forkSim(t, policy, ff)
+		child := forkSim(t, m, o, ff)
 		if err := child.Restore(ms); err != nil {
 			t.Fatal(err)
 		}
@@ -92,10 +100,10 @@ func FuzzForkBoundary(f *testing.F) {
 		childRes := finish(child)
 		origRes := finish(orig)
 		if !reflect.DeepEqual(childRes, want) {
-			t.Errorf("policy %s ff=%v split %d: forked child diverges from cold run", policy, ff, split)
+			t.Errorf("%s ff=%v split %d: forked child diverges from cold run", label, ff, split)
 		}
 		if !reflect.DeepEqual(origRes, want) {
-			t.Errorf("policy %s ff=%v split %d: unforked original diverges from cold run", policy, ff, split)
+			t.Errorf("%s ff=%v split %d: unforked original diverges from cold run", label, ff, split)
 		}
 	})
 }
@@ -105,13 +113,13 @@ func FuzzForkBoundary(f *testing.F) {
 // byte-identical and a sibling child's run unaffected.
 func TestForkChildMutationDoesNotAlias(t *testing.T) {
 	const policy = dtm.SelectiveSedation
-	cfg := quickCfg()
-	sensor := int64(cfg.Thermal.SensorIntervalCycles)
+	solo := testMachines(t)[0]
+	sensor := int64(solo.cfg.Thermal.SensorIntervalCycles)
 	split, total := 4*sensor, 10*sensor
 
-	want := forkRef(t, policy, true, total)
+	want := forkRef(t, solo, Options{Policy: policy}, true, total)
 
-	parent := forkSim(t, policy, true)
+	parent := soloSim(t, policy, true)
 	if err := parent.BeginRun(total); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +134,7 @@ func TestForkChildMutationDoesNotAlias(t *testing.T) {
 
 	// Child A restores and runs to completion — every mutation it makes
 	// must land in its own copies, never in ms.
-	childA := forkSim(t, policy, true)
+	childA := soloSim(t, policy, true)
 	if err := childA.Restore(ms); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +151,7 @@ func TestForkChildMutationDoesNotAlias(t *testing.T) {
 
 	// A sibling forked from the same (supposedly untouched) state must
 	// reproduce the cold run too.
-	childB := forkSim(t, policy, true)
+	childB := soloSim(t, policy, true)
 	if err := childB.Restore(ms); err != nil {
 		t.Fatal(err)
 	}
@@ -173,104 +181,140 @@ func TestForkChildMutationDoesNotAlias(t *testing.T) {
 	}
 }
 
-// TestMachineStateCloneIsDeep pokes representative slice-backed fields
-// of a clone and checks the original never moves — the in-memory
-// no-gob clone path must be as isolating as a gob round-trip.
-func TestMachineStateCloneIsDeep(t *testing.T) {
-	parent := forkSim(t, dtm.SelectiveSedation, true)
-	if err := parent.BeginRun(10 * int64(parent.cfg.Thermal.SensorIntervalCycles)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := parent.StepRun(3 * int64(parent.cfg.Thermal.SensorIntervalCycles)); err != nil {
-		t.Fatal(err)
-	}
-	ms, err := parent.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := ms.Clone()
-	if !reflect.DeepEqual(c, ms) {
-		t.Fatal("clone is not equal to its source")
-	}
-	before := ms.Clone()
+// TestMachineStateCloneIsDeep: the in-memory no-gob clone path must be
+// as isolating as a gob round-trip, on the single core.
+func TestMachineStateCloneIsDeep(t *testing.T) { checkCloneIsDeep(t, testMachines(t)[0]) }
 
-	// Mutate nested state across every subsystem of the clone.
-	c.Thermal.Temps[0] += 100
-	c.Monitor.EWMA[0][0] += 7
-	c.Core.Threads[0].PC += 4
-	c.Core.Stats[0].Committed += 9
-	c.Core.Act.PerThread[0][0] += 3
-	c.Core.Hier.L1D.Tags[0] ^= 0xff
-	if p := c.Core.Threads[0].Pred; p != nil && len(p.Bimodal) > 0 {
-		p.Bimodal[0] ^= 1
-	}
-	if c.Engine != nil {
-		c.Engine.AbsSedatedUntil[0] += 5
-	}
-	if c.Quantum == nil {
-		t.Fatal("mid-quantum snapshot has no Quantum state")
-	}
-	c.Quantum.StartStats[0].Committed += 11
-	c.Quantum.LastCommitted[0] += 2
-	if len(c.Quantum.RFTrace) > 0 {
-		c.Quantum.RFTrace[0] += 1.5
-	}
+// TestMultiCloneIsDeep is TestMachineStateCloneIsDeep on the 2-core die.
+func TestMultiCloneIsDeep(t *testing.T) { checkCloneIsDeep(t, testMachines(t)[1]) }
 
-	if !reflect.DeepEqual(ms, before) {
-		t.Fatal("mutating a clone's nested state reached the original")
+// checkCloneIsDeep pokes representative slice-backed fields of a clone
+// of m's mid-quantum snapshot, under both scopes, and checks the
+// original never moves.
+func checkCloneIsDeep(t *testing.T, m testMachine) {
+	t.Helper()
+	for _, o := range []Options{{Policy: dtm.SelectiveSedation}, {Scope: dtm.ScopeChip}} {
+		sensor := int64(m.cfg.Thermal.SensorIntervalCycles)
+		s := forkSim(t, m, o, true)
+		if err := s.BeginRun(10 * sensor); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.StepRun(3 * sensor); err != nil {
+			t.Fatal(err)
+		}
+		ms, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := ms.Clone()
+		if !reflect.DeepEqual(c, ms) {
+			t.Fatalf("%s: clone is not equal to its source", m.name)
+		}
+		before := ms.Clone()
+
+		// Mutate nested state across every subsystem of the clone.
+		c.Solver.Temps[0] += 100
+		for i := range c.Cores {
+			cs := &c.Cores[i]
+			cs.Monitor.EWMA[0][0] += 7
+			cs.Core.Threads[0].PC += 4
+			cs.Core.Stats[0].Committed += 9
+			cs.Core.Act.PerThread[0][0] += 3
+			cs.Core.Hier.L1D.Tags[0] ^= 0xff
+			if p := cs.Core.Threads[0].Pred; p != nil && len(p.Bimodal) > 0 {
+				p.Bimodal[0] ^= 1
+			}
+			if cs.Engine != nil {
+				cs.Engine.AbsSedatedUntil[0] += 5
+			}
+		}
+		if c.Chip != nil {
+			c.Chip.StopGo.Engagements = 99
+		}
+		if c.Quantum == nil {
+			t.Fatalf("%s: mid-quantum snapshot has no Quantum state", m.name)
+		}
+		for i := range c.Quantum.Cores {
+			cq := &c.Quantum.Cores[i]
+			cq.StartStats[0].Committed += 11
+			cq.StartRF[0] += 123456
+			cq.LastCommitted[0] += 2
+			cq.RFTrace[0] += 1.5
+		}
+
+		if !reflect.DeepEqual(ms, before) {
+			t.Fatalf("%s/%s: mutating a clone's nested state reached the original", m.name, o.Scope)
+		}
 	}
 }
 
-// TestMidQuantumSnapshotGobRoundTrip: a mid-quantum snapshot survives
-// the disk encoding — a decoded copy resumes to the same Result.
-func TestMidQuantumSnapshotGobRoundTrip(t *testing.T) {
-	const policy = dtm.DVS
-	cfg := quickCfg()
-	sensor := int64(cfg.Thermal.SensorIntervalCycles)
-	split, total := 5*sensor, 10*sensor
+// TestMidQuantumSnapshotGobRoundTrip: a mid-quantum snapshot of the
+// single core survives the disk encoding.
+func TestMidQuantumSnapshotGobRoundTrip(t *testing.T) { checkGobRoundTrip(t, testMachines(t)[0]) }
 
-	want := forkRef(t, policy, true, total)
+// TestMultiSnapshotGobRoundTrip is TestMidQuantumSnapshotGobRoundTrip
+// on the 2-core die.
+func TestMultiSnapshotGobRoundTrip(t *testing.T) { checkGobRoundTrip(t, testMachines(t)[1]) }
 
-	parent := forkSim(t, policy, true)
-	if err := parent.BeginRun(total); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := parent.StepRun(split); err != nil {
-		t.Fatal(err)
-	}
-	ms, err := parent.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+// checkGobRoundTrip writes and reads back a mid-quantum snapshot of m
+// under DVS, sedation and chip scope: its die-level sections decode
+// deep-equal and a decoded copy resumes to the cold run's Result.
+func checkGobRoundTrip(t *testing.T, m testMachine) {
+	t.Helper()
+	for _, o := range []Options{{Policy: dtm.DVS}, {Policy: dtm.SelectiveSedation}, {Scope: dtm.ScopeChip}} {
+		label := m.name + "/" + string(o.Policy) + string(o.Scope)
+		sensor := int64(m.cfg.Thermal.SensorIntervalCycles)
+		split, total := 5*sensor, 10*sensor
 
-	var buf bytes.Buffer
-	if err := WriteState(&buf, ms); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := ReadState(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+		want := forkRef(t, m, o, true, total)
 
-	child := forkSim(t, policy, true)
-	if err := child.Restore(decoded); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := child.StepRun(total); err != nil {
-		t.Fatal(err)
-	}
-	got, err := child.FinishRun()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("gob-round-tripped mid-quantum snapshot diverges from the cold run")
+		parent := forkSim(t, m, o, true)
+		if err := parent.BeginRun(total); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := parent.StepRun(split); err != nil {
+			t.Fatal(err)
+		}
+		ms, err := parent.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var buf bytes.Buffer
+		if err := WriteState(&buf, ms); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := ReadState(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The die-level sections round-trip exactly (cpu.CoreState is
+		// only continuation-equivalent through gob).
+		if !reflect.DeepEqual(ms.Solver, decoded.Solver) || !reflect.DeepEqual(ms.Chip, decoded.Chip) ||
+			!reflect.DeepEqual(ms.Quantum, decoded.Quantum) || ms.Scope != decoded.Scope {
+			t.Errorf("%s: die-level snapshot sections not deep-equal after gob round trip", label)
+		}
+
+		child := forkSim(t, m, o, true)
+		if err := child.Restore(decoded); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := child.StepRun(total); err != nil {
+			t.Fatal(err)
+		}
+		got, err := child.FinishRun()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: gob-round-tripped mid-quantum snapshot diverges from the cold run", label)
+		}
 	}
 }
 
 // TestBeginStepFinishMisuse locks in the quantum API's error paths.
 func TestBeginStepFinishMisuse(t *testing.T) {
-	s := forkSim(t, dtm.None, true)
+	s := soloSim(t, dtm.None, true)
 	if _, err := s.StepRun(1000); err == nil {
 		t.Error("StepRun before BeginRun should fail")
 	}

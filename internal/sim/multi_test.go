@@ -1,87 +1,13 @@
 package sim
 
 import (
-	"bytes"
-	"encoding/gob"
-	"reflect"
 	"testing"
 
 	"github.com/heatstroke-sim/heatstroke/internal/config"
 	"github.com/heatstroke-sim/heatstroke/internal/dtm"
 	"github.com/heatstroke-sim/heatstroke/internal/power"
+	"github.com/heatstroke-sim/heatstroke/internal/trace"
 )
-
-// multiCfg is a 2-core grid machine with a short quantum.
-func multiCfg(cores int) config.Config {
-	cfg := config.Default()
-	cfg.Run.QuantumCycles = 200_000
-	cfg.Topology = config.Topology{Cores: cores, Solver: config.SolverGrid, GridN: 16}
-	return cfg
-}
-
-// attackVictimThreads puts the attack variant alone on core 0 and a
-// benign benchmark alone on core 1 — the neighbor-heat shape.
-func attackVictimThreads(t *testing.T) [][]Thread {
-	t.Helper()
-	return [][]Thread{
-		{variantThread(t, 2)},
-		{specThread(t, "gcc")},
-	}
-}
-
-// multiScopes enumerates every policy/scope combination a MultiState
-// can carry: the five per-core kinds plus the chip scope.
-func multiScopes() []MultiOptions {
-	var out []MultiOptions
-	for _, k := range dtm.Kinds() {
-		out = append(out, MultiOptions{Scope: dtm.ScopePerCore, Policy: k})
-	}
-	out = append(out, MultiOptions{Scope: dtm.ScopeChip})
-	return out
-}
-
-func scopeLabel(o MultiOptions) string {
-	if o.Scope == dtm.ScopeChip {
-		return "chip/chip-rr"
-	}
-	return "per-core/" + string(o.Policy)
-}
-
-func TestMultiRunInvariants(t *testing.T) {
-	for _, mo := range multiScopes() {
-		mo.WarmupCycles = 50_000
-		cfg := multiCfg(2)
-		m, err := NewMulti(cfg, attackVictimThreads(t), mo)
-		if err != nil {
-			t.Fatalf("%s: %v", scopeLabel(mo), err)
-		}
-		res, err := m.Run()
-		if err != nil {
-			t.Fatalf("%s: %v", scopeLabel(mo), err)
-		}
-		if res.Cycles != cfg.Run.QuantumCycles {
-			t.Errorf("%s: cycles %d, want %d", scopeLabel(mo), res.Cycles, cfg.Run.QuantumCycles)
-		}
-		if len(res.Cores) != 2 {
-			t.Fatalf("%s: %d core results", scopeLabel(mo), len(res.Cores))
-		}
-		for c, cr := range res.Cores {
-			if len(cr.Threads) != 1 {
-				t.Fatalf("%s core %d: %d thread results", scopeLabel(mo), c, len(cr.Threads))
-			}
-			if cr.Threads[0].Breakdown.Total() != res.Cycles {
-				t.Errorf("%s core %d: breakdown total %d != %d", scopeLabel(mo), c,
-					cr.Threads[0].Breakdown.Total(), res.Cycles)
-			}
-			if cr.PeakTemp < cfg.Thermal.AmbientK {
-				t.Errorf("%s core %d: peak %f below ambient", scopeLabel(mo), c, cr.PeakTemp)
-			}
-		}
-		if res.PeakTemp < res.Cores[0].PeakTemp && res.PeakTemp < res.Cores[1].PeakTemp {
-			t.Errorf("%s: chip peak %f below both core peaks", scopeLabel(mo), res.PeakTemp)
-		}
-	}
-}
 
 // TestMultiNeighborHeating is the physics smoke test of the attack
 // channel at the simulator level: with DTM off, an attack variant on
@@ -95,7 +21,7 @@ func TestMultiNeighborHeating(t *testing.T) {
 		cfg.Thermal.Scale = 64
 		cfg.Run.QuantumCycles = 2_000_000
 		m, err := NewMulti(cfg, [][]Thread{{attacker}, {specThread(t, "gcc")}},
-			MultiOptions{Scope: dtm.ScopePerCore, Policy: dtm.None, WarmupCycles: 50_000})
+			Options{Scope: dtm.ScopePerCore, Policy: dtm.None, WarmupCycles: 50_000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,209 +40,11 @@ func TestMultiNeighborHeating(t *testing.T) {
 	}
 }
 
-// TestMultiRestoreEquivalence is the fork-correctness property for the
-// whole die, under every policy/scope combination and both execution
-// paths: snapshot mid-run, let the original finish, restore a fresh
-// simulator from the snapshot, and the two final MultiResults must be
-// deep-equal.
-func TestMultiRestoreEquivalence(t *testing.T) {
-	for _, ff := range []bool{false, true} {
-		for _, mo := range multiScopes() {
-			mo.WarmupCycles = 50_000
-			mo.DisableFastForward = ff
-			mo.CollectEvents = true
-			label := scopeLabel(mo)
-			cfg := multiCfg(2)
-			orig, err := NewMulti(cfg, attackVictimThreads(t), mo)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			// Run a partial quantum, snapshot mid-quantum, finish.
-			if err := orig.BeginRun(cfg.Run.QuantumCycles); err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if _, err := orig.StepRun(cfg.Run.QuantumCycles / 2); err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			ms, err := orig.Snapshot()
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if ms.Multi == nil || ms.Version != StateVersion {
-				t.Fatalf("%s: snapshot v%d Multi=%v", label, ms.Version, ms.Multi != nil)
-			}
-			if _, err := orig.StepRun(cfg.Run.QuantumCycles); err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			want, err := orig.FinishRun()
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-
-			fork, err := NewMulti(cfg, attackVictimThreads(t), mo)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if err := fork.Restore(ms); err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if _, err := fork.StepRun(cfg.Run.QuantumCycles); err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			got, err := fork.FinishRun()
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s (ff=%v): forked result differs from original", label, ff)
-			}
-		}
-	}
-}
-
-// TestMultiDeterminism: two independently built simulators produce
-// deep-equal results and snapshots.
-func TestMultiDeterminism(t *testing.T) {
-	mk := func() (*MultiSimulator, *MultiResult) {
-		cfg := multiCfg(2)
-		m, err := NewMulti(cfg, attackVictimThreads(t),
-			MultiOptions{Scope: dtm.ScopeChip, WarmupCycles: 50_000, CollectEvents: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := m.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m, res
-	}
-	m1, r1 := mk()
-	m2, r2 := mk()
-	if !reflect.DeepEqual(r1, r2) {
-		t.Error("identical multi runs returned different results")
-	}
-	s1, err := m1.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := m2.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s1, s2) {
-		t.Error("identical multi runs produced different snapshots")
-	}
-}
-
-// TestMultiSnapshotGobRoundTrip: a whole-die snapshot (including the
-// die geometry's solver state and a mid-quantum position) survives gob
-// and still restores into an equivalent continuation.
-func TestMultiSnapshotGobRoundTrip(t *testing.T) {
-	cfg := multiCfg(2)
-	mo := MultiOptions{Scope: dtm.ScopePerCore, Policy: dtm.SelectiveSedation,
-		WarmupCycles: 50_000, TraceTemps: true}
-	orig, err := NewMulti(cfg, attackVictimThreads(t), mo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := orig.BeginRun(cfg.Run.QuantumCycles); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := orig.StepRun(cfg.Run.QuantumCycles / 2); err != nil {
-		t.Fatal(err)
-	}
-	ms, err := orig.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ms); err != nil {
-		t.Fatal(err)
-	}
-	decoded := &MachineState{}
-	if err := gob.NewDecoder(&buf).Decode(decoded); err != nil {
-		t.Fatal(err)
-	}
-	// The die-level sections round-trip exactly (cpu.CoreState is only
-	// continuation-equivalent through gob, as in the single-core test).
-	if decoded.Multi == nil ||
-		!reflect.DeepEqual(ms.Multi.Solver, decoded.Multi.Solver) ||
-		!reflect.DeepEqual(ms.Multi.Chip, decoded.Multi.Chip) ||
-		!reflect.DeepEqual(ms.Multi.Quantum, decoded.Multi.Quantum) ||
-		ms.Multi.Scope != decoded.Multi.Scope {
-		t.Error("die-level snapshot sections not deep-equal after gob round trip")
-	}
-	if _, err := orig.StepRun(cfg.Run.QuantumCycles); err != nil {
-		t.Fatal(err)
-	}
-	want, err := orig.FinishRun()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fork, err := NewMulti(cfg, attackVictimThreads(t), mo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fork.Restore(decoded); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fork.StepRun(cfg.Run.QuantumCycles); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fork.FinishRun()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Error("gob-round-tripped fork diverged from the original")
-	}
-}
-
-// TestMultiCloneIsDeep: mutating a clone of a whole-die snapshot never
-// leaks into the original.
-func TestMultiCloneIsDeep(t *testing.T) {
-	cfg := multiCfg(2)
-	m, err := NewMulti(cfg, attackVictimThreads(t),
-		MultiOptions{Scope: dtm.ScopeChip, WarmupCycles: 20_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.BeginRun(cfg.Run.QuantumCycles); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.StepRun(cfg.Run.QuantumCycles / 4); err != nil {
-		t.Fatal(err)
-	}
-	ms, err := m.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone := ms.Clone()
-	if !reflect.DeepEqual(ms, clone) {
-		t.Fatal("clone not deep-equal")
-	}
-	clone.Multi.Solver.Temps[0] += 5
-	clone.Multi.Cores[0].Monitor = ms.Multi.Cores[0].Monitor.Clone()
-	clone.Multi.Chip.StopGo.Engagements = 99
-	clone.Multi.Quantum.StartRF[0][0] = 123456
-	if reflect.DeepEqual(ms.Multi.Solver.Temps, clone.Multi.Solver.Temps) ||
-		ms.Multi.Chip.StopGo.Engagements == 99 ||
-		ms.Multi.Quantum.StartRF[0][0] == 123456 {
-		t.Error("clone shares memory with the original")
-	}
-	if _, err := m.StepRun(cfg.Run.QuantumCycles); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.FinishRun(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestMultiRestoreRejectsMismatch: config, programs, scope, policy,
 // core-count, and single-core/multi mismatches are all refused.
 func TestMultiRestoreRejectsMismatch(t *testing.T) {
 	cfg := multiCfg(2)
-	mo := MultiOptions{Scope: dtm.ScopePerCore, Policy: dtm.StopAndGo, WarmupCycles: 20_000}
+	mo := Options{Scope: dtm.ScopePerCore, Policy: dtm.StopAndGo, WarmupCycles: 20_000}
 	m, err := NewMulti(cfg, attackVictimThreads(t), mo)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +54,7 @@ func TestMultiRestoreRejectsMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	check := func(name string, build func() (*MultiSimulator, error)) {
+	check := func(name string, build func() (*Simulator, error)) {
 		t.Helper()
 		other, err := build()
 		if err != nil {
@@ -336,45 +64,51 @@ func TestMultiRestoreRejectsMismatch(t *testing.T) {
 			t.Errorf("%s: mismatched restore accepted", name)
 		}
 	}
-	check("different config", func() (*MultiSimulator, error) {
+	check("different config", func() (*Simulator, error) {
 		c2 := cfg
 		c2.Thermal.EmergencyK += 1
 		return NewMulti(c2, attackVictimThreads(t), mo)
 	})
-	check("different programs", func() (*MultiSimulator, error) {
+	check("different programs", func() (*Simulator, error) {
 		return NewMulti(cfg, [][]Thread{{specThread(t, "art")}, {specThread(t, "gcc")}}, mo)
 	})
-	check("different policy", func() (*MultiSimulator, error) {
+	check("different policy", func() (*Simulator, error) {
 		o2 := mo
 		o2.Policy = dtm.DVS
 		return NewMulti(cfg, attackVictimThreads(t), o2)
 	})
-	check("different scope", func() (*MultiSimulator, error) {
+	check("different scope", func() (*Simulator, error) {
 		o2 := mo
 		o2.Scope, o2.Policy = dtm.ScopeChip, ""
 		return NewMulti(cfg, attackVictimThreads(t), o2)
 	})
-	check("different core count", func() (*MultiSimulator, error) {
+	check("different core count", func() (*Simulator, error) {
 		c4 := multiCfg(4)
 		return NewMulti(c4, [][]Thread{{variantThread(t, 2)}, {specThread(t, "gcc")},
 			{specThread(t, "art")}, {specThread(t, "mcf")}}, mo)
 	})
 
-	// A multi snapshot must not restore into a single-core simulator,
-	// nor a single-core snapshot into a multi one.
+	// A die's snapshot must not restore into a single-core simulator,
+	// nor a single-core snapshot into a die, nor a snapshot that lost a
+	// core into the die that took it.
 	solo, err := New(config.Default(), []Thread{specThread(t, "gcc")}, Options{Policy: dtm.StopAndGo})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := solo.Restore(ms); err == nil {
-		t.Error("multi snapshot restored into a single-core simulator")
+		t.Error("die snapshot restored into a single-core simulator")
 	}
 	soloState, err := solo.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Restore(soloState); err == nil {
-		t.Error("single-core snapshot restored into a multi simulator")
+		t.Error("single-core snapshot restored into a die")
+	}
+	short := ms.Clone()
+	short.Cores = short.Cores[:1]
+	if err := m.Restore(short); err == nil {
+		t.Error("snapshot with a core missing restored")
 	}
 }
 
@@ -382,9 +116,9 @@ func TestMultiRestoreRejectsMismatch(t *testing.T) {
 // the same threads grouped differently distinct.
 func TestMultiThreadGroupingDigest(t *testing.T) {
 	a, b := specThread(t, "gcc"), specThread(t, "art")
-	d1 := MultiProgramsDigest([][]Thread{{a, b}})
-	d2 := MultiProgramsDigest([][]Thread{{a}, {b}})
-	if d1 == d2 {
+	one := &Simulator{cores: []*coreSim{{threads: []Thread{a, b}}}}
+	two := &Simulator{cores: []*coreSim{{threads: []Thread{a}}, {threads: []Thread{b}}}}
+	if one.progsDigest() == two.progsDigest() {
 		t.Error("thread grouping does not affect the digest")
 	}
 }
@@ -395,7 +129,7 @@ func TestMultiThreadGroupingDigest(t *testing.T) {
 func TestMultiSedationLastThreadException(t *testing.T) {
 	cfg := multiCfg(2)
 	m, err := NewMulti(cfg, attackVictimThreads(t),
-		MultiOptions{Scope: dtm.ScopePerCore, Policy: dtm.SelectiveSedation, WarmupCycles: 50_000})
+		Options{Scope: dtm.ScopePerCore, Policy: dtm.SelectiveSedation, WarmupCycles: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,37 +145,41 @@ func TestMultiSedationLastThreadException(t *testing.T) {
 func TestMultiRejectsBadShapes(t *testing.T) {
 	cfg := multiCfg(2)
 	if _, err := NewMulti(cfg, [][]Thread{{specThread(t, "gcc")}},
-		MultiOptions{}); err == nil {
+		Options{}); err == nil {
 		t.Error("1 thread set for 2 cores accepted")
 	}
 	if _, err := NewMulti(cfg, [][]Thread{{specThread(t, "gcc")}, {}},
-		MultiOptions{}); err == nil {
+		Options{}); err == nil {
 		t.Error("empty core accepted")
 	}
 	if _, err := NewMulti(cfg, attackVictimThreads(t),
-		MultiOptions{Scope: dtm.ScopeChip, Policy: dtm.DVS}); err == nil {
+		Options{Scope: dtm.ScopeChip, Policy: dtm.DVS}); err == nil {
 		t.Error("chip scope with a per-core policy accepted")
 	}
 	if _, err := NewMulti(cfg, attackVictimThreads(t),
-		MultiOptions{Scope: "die"}); err == nil {
+		Options{Scope: "die"}); err == nil {
 		t.Error("unknown scope accepted")
 	}
 	bad := cfg
 	bad.Topology.Solver = config.SolverLumped
-	if _, err := NewMulti(bad, attackVictimThreads(t), MultiOptions{}); err == nil {
+	if _, err := NewMulti(bad, attackVictimThreads(t), Options{}); err == nil {
 		t.Error("2-core lumped accepted")
+	}
+	if _, err := NewMulti(cfg, attackVictimThreads(t), Options{Recorder: &trace.Recorder{}}); err == nil {
+		t.Error("recorder on a 2-core die accepted")
 	}
 }
 
 // TestMultiPowerDensityMatchesSingle: each core's power model is the
-// single-core model, so a 1-core grid die run through MultiSimulator
-// reproduces the single-core thermal envelope to within the documented
-// grid/lumped agreement bound.
+// single-core model, so a 1-core grid die reproduces the single-core
+// thermal envelope to within the documented grid/lumped agreement
+// bound, and reports it as one core's Result.
 func TestMultiPowerDensityMatchesSingle(t *testing.T) {
 	cfg := config.Default()
 	cfg.Run.QuantumCycles = 200_000
 	threads := []Thread{specThread(t, "gcc")}
-	solo, err := New(cfg, threads, Options{Policy: dtm.None, WarmupCycles: 50_000})
+	opts := Options{Policy: dtm.None, WarmupCycles: 50_000}
+	solo, err := New(cfg, threads, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,22 +190,24 @@ func TestMultiPowerDensityMatchesSingle(t *testing.T) {
 
 	gcfg := cfg
 	gcfg.Topology = config.Topology{Cores: 1, Solver: config.SolverGrid, GridN: 32}
-	m, err := NewMulti(gcfg, [][]Thread{threads},
-		MultiOptions{Scope: dtm.ScopePerCore, Policy: dtm.None, WarmupCycles: 50_000})
+	m, err := NewMulti(gcfg, [][]Thread{threads}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	multiRes, err := m.Run()
+	gridRes, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := multiRes.Cores[0].PeakTemp - soloRes.PeakTemp
+	if gridRes.Cores != nil {
+		t.Errorf("1-core die returned %d per-core results", len(gridRes.Cores))
+	}
+	d := gridRes.PeakTemp - soloRes.PeakTemp
 	if d < -3 || d > 3 {
 		t.Errorf("1-core grid peak %.3f K vs lumped %.3f K: outside the 3 K agreement bound",
-			multiRes.Cores[0].PeakTemp, soloRes.PeakTemp)
+			gridRes.PeakTemp, soloRes.PeakTemp)
 	}
-	if multiRes.Cores[0].Threads[0].Committed != soloRes.Threads[0].Committed {
+	if gridRes.Threads[0].Committed != soloRes.Threads[0].Committed {
 		t.Errorf("grid substrate changed committed instructions: %d vs %d",
-			multiRes.Cores[0].Threads[0].Committed, soloRes.Threads[0].Committed)
+			gridRes.Threads[0].Committed, soloRes.Threads[0].Committed)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"github.com/heatstroke-sim/heatstroke/internal/config"
-	"github.com/heatstroke-sim/heatstroke/internal/dtm"
 	"github.com/heatstroke-sim/heatstroke/internal/telemetry"
 )
 
@@ -92,8 +91,9 @@ func (p *Pool) Get(cfg config.Config, threads []Thread, opts Options) (*Simulato
 		fresh.poolKey = key
 		return fresh, nil
 	}
-	if opts.Policy == "" {
-		opts.Policy = dtm.StopAndGo
+	opts, err := normalizeOptions(opts)
+	if err != nil {
+		return nil, err
 	}
 	s.opts = opts
 	if opts.CollectEvents {
@@ -103,7 +103,7 @@ func (p *Pool) Get(cfg config.Config, threads []Thread, opts Options) (*Simulato
 	} else {
 		s.events = nil
 	}
-	if err := s.buildPolicy(); err != nil {
+	if err := s.buildPolicies(); err != nil {
 		return nil, err
 	}
 	return s, nil

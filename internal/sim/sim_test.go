@@ -36,40 +36,125 @@ func variantThread(t *testing.T, n int) Thread {
 	return Thread{Name: "variant", Prog: prog}
 }
 
-func TestRunInvariantsEveryPolicy(t *testing.T) {
-	for _, policy := range dtm.Kinds() {
-		cfg := quickCfg()
-		s, err := New(cfg, []Thread{specThread(t, "gcc"), variantThread(t, 2)},
-			Options{Policy: policy, WarmupCycles: 100_000})
+// multiCfg is a grid die of the given core count with a short quantum.
+func multiCfg(cores int) config.Config {
+	cfg := config.Default()
+	cfg.Run.QuantumCycles = 200_000
+	cfg.Topology = config.Topology{Cores: cores, Solver: config.SolverGrid, GridN: 16}
+	return cfg
+}
+
+// attackVictimThreads puts the attack variant alone on core 0 and a
+// benign benchmark alone on core 1 — the neighbor-heat shape.
+func attackVictimThreads(t *testing.T) [][]Thread {
+	t.Helper()
+	return [][]Thread{
+		{variantThread(t, 2)},
+		{specThread(t, "gcc")},
+	}
+}
+
+// testMachine is one machine the suites below run on.
+type testMachine struct {
+	name    string
+	cfg     config.Config
+	threads [][]Thread
+}
+
+// testMachines are the two machines every suite covers: the paper's
+// single core on the lumped network with the attack pair sharing it,
+// and a 2-core grid die with the attack on core 0 and the victim on
+// core 1.
+func testMachines(t *testing.T) []testMachine {
+	t.Helper()
+	return []testMachine{
+		{"1-core", quickCfg(), [][]Thread{{specThread(t, "crafty"), variantThread(t, 2)}}},
+		{"2-core", multiCfg(2), attackVictimThreads(t)},
+	}
+}
+
+func (m testMachine) build(t *testing.T, o Options) *Simulator {
+	t.Helper()
+	s, err := NewMulti(m.cfg, m.threads, o)
+	if err != nil {
+		t.Fatalf("%s: %v", m.name, err)
+	}
+	return s
+}
+
+// scopeOptions enumerates every scope and policy a simulator runs: the
+// five per-core kinds plus the chip scope.
+func scopeOptions() []Options {
+	var out []Options
+	for _, k := range dtm.Kinds() {
+		out = append(out, Options{Scope: dtm.ScopePerCore, Policy: k})
+	}
+	return append(out, Options{Scope: dtm.ScopeChip, Policy: dtm.ChipRoundRobin})
+}
+
+// coreResults returns a result's per-core results: the result itself
+// on one core.
+func coreResults(res *Result) []Result {
+	if res.Cores == nil {
+		return []Result{*res}
+	}
+	return res.Cores
+}
+
+// TestRunInvariantsEveryPolicy checks one quantum's bookkeeping on the
+// single core under every scope and policy.
+func TestRunInvariantsEveryPolicy(t *testing.T) { checkRunInvariants(t, testMachines(t)[0]) }
+
+// TestMultiRunInvariants is TestRunInvariantsEveryPolicy on the 2-core
+// die.
+func TestMultiRunInvariants(t *testing.T) { checkRunInvariants(t, testMachines(t)[1]) }
+
+// checkRunInvariants runs one quantum on m under every scope and
+// policy: each thread's stall breakdown sums to the quantum, IPC stays
+// in range, the chip's peak is its hottest core's, and power is
+// accounted.
+func checkRunInvariants(t *testing.T, m testMachine) {
+	t.Helper()
+	for _, o := range scopeOptions() {
+		o.WarmupCycles = 50_000
+		label := m.name + "/" + string(o.Policy)
+		res, err := m.build(t, o).Run()
 		if err != nil {
-			t.Fatalf("%s: %v", policy, err)
+			t.Fatalf("%s: %v", label, err)
 		}
-		res, err := s.Run()
-		if err != nil {
-			t.Fatalf("%s: %v", policy, err)
+		if res.Cycles != m.cfg.Run.QuantumCycles {
+			t.Errorf("%s: cycles %d, want %d", label, res.Cycles, m.cfg.Run.QuantumCycles)
 		}
-		if res.Cycles != cfg.Run.QuantumCycles {
-			t.Errorf("%s: cycles %d, want %d", policy, res.Cycles, cfg.Run.QuantumCycles)
+		cores := coreResults(res)
+		if len(cores) != len(m.threads) {
+			t.Fatalf("%s: %d core results", label, len(cores))
 		}
-		if len(res.Threads) != 2 {
-			t.Fatalf("%s: %d thread results", policy, len(res.Threads))
-		}
-		for i, tr := range res.Threads {
-			if tr.Breakdown.Total() != res.Cycles {
-				t.Errorf("%s thread %d: breakdown total %d != %d", policy, i, tr.Breakdown.Total(), res.Cycles)
+		peak := -1.0
+		for c, cr := range cores {
+			if len(cr.Threads) != len(m.threads[c]) {
+				t.Fatalf("%s core %d: %d thread results", label, c, len(cr.Threads))
 			}
-			if tr.IPC < 0 || tr.IPC > 8 {
-				t.Errorf("%s thread %d: IPC %f out of range", policy, i, tr.IPC)
+			for i, tr := range cr.Threads {
+				if tr.Breakdown.Total() != res.Cycles {
+					t.Errorf("%s core %d thread %d: breakdown total %d != %d", label, c, i, tr.Breakdown.Total(), res.Cycles)
+				}
+				if tr.IPC < 0 || tr.IPC > 8 {
+					t.Errorf("%s core %d thread %d: IPC %f out of range", label, c, i, tr.IPC)
+				}
+				if tr.Committed == 0 && o.Policy != dtm.StopAndGo && o.Policy != dtm.ChipRoundRobin {
+					t.Errorf("%s core %d thread %d: no progress", label, c, i)
+				}
 			}
-			if tr.Committed == 0 && policy != dtm.StopAndGo {
-				t.Errorf("%s thread %d: no progress", policy, i)
+			if cr.PeakTemp < m.cfg.Thermal.AmbientK {
+				t.Errorf("%s core %d: peak temp %f below ambient", label, c, cr.PeakTemp)
 			}
+			peak = max(peak, cr.PeakTemp)
 		}
-		if res.PeakTemp < cfg.Thermal.AmbientK && policy != dtm.None {
-			t.Errorf("%s: peak temp %f below ambient", policy, res.PeakTemp)
+		if res.PeakTemp != peak || cores[res.PeakCore].PeakTemp != peak {
+			t.Errorf("%s: chip peak %f on core %d, hottest core peaks at %f", label, res.PeakTemp, res.PeakCore, peak)
 		}
 		if res.TotalPowerW <= 0 {
-			t.Errorf("%s: total power %f", policy, res.TotalPowerW)
+			t.Errorf("%s: total power %f", label, res.TotalPowerW)
 		}
 	}
 }
@@ -236,7 +321,7 @@ func TestAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Core() == nil || s.Network() == nil || s.Monitor() == nil || s.Policy() == nil {
+	if s.Core() == nil || s.Solver() == nil || s.Monitor() == nil || s.Policy() == nil {
 		t.Error("accessors returned nil")
 	}
 	if s.Policy().Name() != dtm.SelectiveSedation {

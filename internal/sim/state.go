@@ -29,10 +29,13 @@ import (
 // identity) and Quantum (mid-quantum fork state).
 //
 // v3: MachineState gained Multi, the whole-die state of a multi-core
-// simulation: per-core machine states, the shared solver's kind-tagged
-// temperature field, and the DTM scope. Single-core snapshots are
-// unchanged apart from the version (Multi stays nil).
-const StateVersion = 3
+// simulation.
+//
+// v4: one layout for every die size. Per-core state moved into Cores,
+// the solver's kind-tagged temperatures into Solver, the chip policy
+// into Chip, and the DTM scope into Scope; QuantumState carries one
+// CoreQuantumState per core. The paper's machine is the K = 1 case.
+const StateVersion = 4
 
 // stateMagic prefixes on-disk snapshots so a wrong file fails fast with
 // a clear error instead of a gob panic deep in decode.
@@ -44,10 +47,11 @@ const stateMagic = "HEATSTROKE-SNAP\n"
 // self-contained (deep-copied on both snapshot and restore), so one
 // snapshot can seed any number of concurrently-running simulators.
 //
-// Policy records the producing simulator's DTM policy. The empty string
-// is the warmup sentinel: the snapshot carries no policy actuation
-// state (none existed — warmup never ticks the policy) and may be
-// restored into a simulator running any policy.
+// Policy records the producing simulator's DTM policy (dtm.ChipRoundRobin
+// under the chip scope). The empty string is the warmup sentinel: the
+// snapshot carries no policy actuation state (none existed — warmup
+// never ticks a policy) and may be restored into a simulator running
+// any scope and policy.
 type MachineState struct {
 	Version      int
 	ConfigDigest string
@@ -60,65 +64,100 @@ type MachineState struct {
 	WarmConfigDigest string
 	ProgsDigest      string
 	Policy           dtm.Kind
+	Scope            dtm.Scope
 	Warmed           bool
 
-	Core    cpu.CoreState
-	Model   power.ModelState
-	Thermal thermal.NetworkState
-	Monitor score.MonitorState
-	// Engine is non-nil only for Policy == dtm.SelectiveSedation.
-	Engine *score.EngineState
-	// DTM is nil for warmup snapshots (Policy == "").
-	DTM *dtm.State
-
-	Reports []score.Report
-	Events  []telemetry.Event
+	// Cores holds each core's private state, in core order.
+	Cores []CoreState
+	// Solver is the thermal substrate's node temperatures.
+	Solver thermal.SolverState
+	// Chip is non-nil only for chip-scope policy snapshots.
+	Chip   *dtm.ChipState
+	Events []telemetry.Event
 
 	// Quantum is non-nil when the snapshot was taken mid-quantum
 	// (between BeginRun and FinishRun): the loop position and partial
 	// accumulators needed to resume the measurement exactly where it
 	// paused. Restoring it re-opens the quantum in the target simulator.
 	Quantum *QuantumState
+}
 
-	// Multi is non-nil for snapshots of a MultiSimulator: the whole-die
-	// state. Multi-core snapshots leave the single-core fields above
-	// (Core, Model, Thermal, Monitor, ...) zero and restore only into a
-	// MultiSimulator of matching configuration.
-	Multi *MultiState
+// CoreState is one core's private state: pipeline, power model,
+// sedation monitor, and DTM policy.
+type CoreState struct {
+	Core    cpu.CoreState
+	Model   power.ModelState
+	Monitor score.MonitorState
+	// Engine is non-nil only for selective-sedation policy snapshots.
+	Engine *score.EngineState
+	// DTM is nil for warmup snapshots (Policy == "").
+	DTM     *dtm.State
+	Reports []score.Report
+}
+
+// Clone returns a deep copy.
+func (cs CoreState) Clone() CoreState {
+	out := cs
+	out.Core = cs.Core.Clone()
+	out.Monitor = cs.Monitor.Clone()
+	if cs.Engine != nil {
+		es := cs.Engine.Clone()
+		out.Engine = &es
+	}
+	if cs.DTM != nil {
+		ds := cs.DTM.Clone()
+		out.DTM = &ds
+	}
+	out.Reports = slices.Clone(cs.Reports)
+	return out
 }
 
 // QuantumState is the serializable state of a measurement quantum in
-// progress: everything quantumRun holds, so a mid-quantum fork's child
-// finishes with a Result deep-equal to the unforked original's.
+// progress, so a mid-quantum fork's child finishes with a Result
+// deep-equal to the unforked original's. The chip-wide accumulators
+// cover the whole die (on one core, the core itself).
 type QuantumState struct {
 	Quantum int64
 	Done    int64
 	Chunks  int64
 
+	StartCycle     int64
 	AboveEmergency bool
 	EnergyAccum    float64
-	EventsStart    int
+	PeakTemp       float64
+	PeakUnit       power.Unit
+	PeakCore       int
+	Emergencies    int
 
-	StartCycle    int64
+	// Cores holds each core's baselines and partial accumulators.
+	Cores []CoreQuantumState
+}
+
+// CoreQuantumState is one core's share of a quantum in progress.
+type CoreQuantumState struct {
 	StartStalled  uint64
 	StartStats    []cpu.ThreadStats
 	StartRF       []uint64
 	LastCommitted []uint64
 
-	// Partial Result accumulators.
-	PeakTemp    float64
-	PeakUnit    power.Unit
-	Emergencies int
-	RFTrace     []float64
+	AboveEmergency bool
+	PeakTemp       float64
+	PeakUnit       power.Unit
+	Emergencies    int
+	RFTrace        []float64
 }
 
 // Clone returns a deep copy of the quantum state.
 func (q QuantumState) Clone() QuantumState {
 	out := q
-	out.StartStats = slices.Clone(q.StartStats)
-	out.StartRF = slices.Clone(q.StartRF)
-	out.LastCommitted = slices.Clone(q.LastCommitted)
-	out.RFTrace = slices.Clone(q.RFTrace)
+	out.Cores = make([]CoreQuantumState, len(q.Cores))
+	for c, cq := range q.Cores {
+		cq.StartStats = slices.Clone(cq.StartStats)
+		cq.StartRF = slices.Clone(cq.StartRF)
+		cq.LastCommitted = slices.Clone(cq.LastCommitted)
+		cq.RFTrace = slices.Clone(cq.RFTrace)
+		out.Cores[c] = cq
+	}
 	return out
 }
 
@@ -129,34 +168,19 @@ func (q QuantumState) Clone() QuantumState {
 // tests).
 func (ms *MachineState) Clone() *MachineState {
 	out := *ms
-	if ms.Multi != nil {
-		// Whole-die snapshot: the single-core composites are zero values
-		// (cloning them would perturb their nil slices), all state lives
-		// under Multi.
-		out.Multi = ms.Multi.Clone()
-		out.Reports = slices.Clone(ms.Reports)
-		out.Events = slices.Clone(ms.Events)
-		return &out
+	out.Cores = make([]CoreState, len(ms.Cores))
+	for c, cs := range ms.Cores {
+		out.Cores[c] = cs.Clone()
 	}
-	out.Core = ms.Core.Clone()
-	out.Thermal = ms.Thermal.Clone()
-	out.Monitor = ms.Monitor.Clone()
-	if ms.Engine != nil {
-		es := ms.Engine.Clone()
-		out.Engine = &es
+	out.Solver = ms.Solver.Clone()
+	if ms.Chip != nil {
+		ch := ms.Chip.Clone()
+		out.Chip = &ch
 	}
-	if ms.DTM != nil {
-		ds := ms.DTM.Clone()
-		out.DTM = &ds
-	}
-	out.Reports = slices.Clone(ms.Reports)
 	out.Events = slices.Clone(ms.Events)
 	if ms.Quantum != nil {
 		qs := ms.Quantum.Clone()
 		out.Quantum = &qs
-	}
-	if ms.Multi != nil {
-		out.Multi = ms.Multi.Clone()
 	}
 	return &out
 }
@@ -198,55 +222,67 @@ func ProgramsDigest(threads []Thread) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// progsDigest hashes every core's thread identity, core order
+// included, so a snapshot can prove it was built from the same
+// per-core programs it is being restored into. A core-boundary marker
+// thread keeps {[A B]} and {[A] [B]} distinct.
+func (s *Simulator) progsDigest() string {
+	var all []Thread
+	for _, cs := range s.cores {
+		all = append(all, Thread{Name: "\x00core"})
+		all = append(all, cs.threads...)
+	}
+	return ProgramsDigest(all)
+}
+
 // Snapshot captures the simulator's complete mutable state. The
 // returned state shares no memory with the simulator; both sides may
 // continue (or restore) independently.
 func (s *Simulator) Snapshot() (*MachineState, error) {
+	s.anchor()
 	ms := &MachineState{
 		Version:          StateVersion,
 		ConfigDigest:     s.cfg.Digest(),
 		WarmConfigDigest: s.cfg.WarmDigest(),
-		ProgsDigest:      ProgramsDigest(s.threads),
+		ProgsDigest:      s.progsDigest(),
 		Policy:           s.opts.Policy,
+		Scope:            s.opts.Scope,
 		Warmed:           s.warmed,
-		Core:             s.core.Snapshot(),
-		Model:            s.model.Snapshot(),
-		Thermal:          s.net.Snapshot(),
-		Monitor:          s.mon.Snapshot(),
+		Cores:            make([]CoreState, len(s.cores)),
+		Solver:           s.solver.State(),
 	}
-	ds, err := dtm.Snapshot(s.policy)
-	if err != nil {
-		return nil, err
+	for c, cs := range s.cores {
+		st := CoreState{
+			Core:    cs.core.Snapshot(),
+			Model:   cs.model.Snapshot(),
+			Monitor: cs.mon.Snapshot(),
+		}
+		if len(cs.reports) > 0 {
+			st.Reports = slices.Clone(cs.reports)
+		}
+		ds, err := dtm.Snapshot(cs.policy)
+		if err != nil {
+			return nil, err
+		}
+		st.DTM = &ds
+		if eng := cs.policy.Engine(); eng != nil {
+			es := eng.Snapshot()
+			st.Engine = &es
+		}
+		ms.Cores[c] = st
 	}
-	ms.DTM = &ds
-	if eng := s.policy.Engine(); eng != nil {
-		es := eng.Snapshot()
-		ms.Engine = &es
-	}
-	if len(s.reports) > 0 {
-		ms.Reports = append([]score.Report(nil), s.reports...)
+	if s.chip != nil {
+		ch, err := dtm.SnapshotChip(s.chip)
+		if err != nil {
+			return nil, err
+		}
+		ms.Chip = &ch
 	}
 	if s.events != nil && len(s.events.Events) > 0 {
-		ms.Events = append([]telemetry.Event(nil), s.events.Events...)
+		ms.Events = slices.Clone(s.events.Events)
 	}
-	if qr := s.qr; qr != nil {
-		qs := QuantumState{
-			Quantum:        qr.quantum,
-			Done:           qr.done,
-			Chunks:         qr.chunks,
-			AboveEmergency: qr.aboveEmergency,
-			EnergyAccum:    qr.energyAccum,
-			EventsStart:    qr.eventsStart,
-			StartCycle:     qr.startCycle,
-			StartStalled:   qr.startStalled,
-			StartStats:     slices.Clone(qr.startStats),
-			StartRF:        slices.Clone(qr.startRF),
-			LastCommitted:  slices.Clone(qr.lastCommitted),
-			PeakTemp:       qr.res.PeakTemp,
-			PeakUnit:       qr.res.PeakUnit,
-			Emergencies:    qr.res.Emergencies,
-			RFTrace:        slices.Clone(qr.res.RFTrace),
-		}
+	if s.qr != nil {
+		qs := s.qr.QuantumState.Clone()
 		ms.Quantum = &qs
 	}
 	return ms, nil
@@ -254,34 +290,109 @@ func (s *Simulator) Snapshot() (*MachineState, error) {
 
 // WarmupSnapshot runs the warmup phase (if not yet run) and captures
 // the machine state it established, tagged policy-agnostic: warmup
-// never ticks the DTM policy, so the state is identical under every
-// policy and the snapshot restores into a simulator running any of
-// them. It must be called before any measurement (RunCycles).
+// never ticks a DTM policy, so the state is identical under every
+// scope and policy and the snapshot restores into a simulator running
+// any of them. It must be called before any measurement (RunCycles).
 func (s *Simulator) WarmupSnapshot() (*MachineState, error) {
 	if s.started {
 		return nil, fmt.Errorf("sim: warmup snapshot requested after measurement started")
 	}
-	s.warmup()
+	if err := s.warmup(); err != nil {
+		return nil, err
+	}
 	ms, err := s.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	ms.Policy = ""
-	ms.DTM = nil
-	ms.Engine = nil
+	ms.Policy, ms.Scope, ms.Chip = "", "", nil
+	for c := range ms.Cores {
+		ms.Cores[c].DTM = nil
+		ms.Cores[c].Engine = nil
+	}
 	return ms, nil
 }
 
 // Restore loads ms into s, which must have been built from the same
-// configuration and threads (enforced by digest) and — unless ms is a
-// policy-agnostic warmup snapshot — the same DTM policy. After Restore,
-// continuing s is deep-equal-indistinguishable from continuing the
-// simulator that produced ms. The state is copied, never aliased.
+// configuration and per-core threads (enforced by digest) and — unless
+// ms is a policy-agnostic warmup snapshot — the same DTM scope and
+// policy. After Restore, continuing s is deep-equal-indistinguishable
+// from continuing the simulator that produced ms. The state is copied,
+// never aliased. The identity, shape and quantum checks run before
+// anything is mutated; a component that rejects its part leaves s
+// partly restored, to be discarded or restored again.
 func (s *Simulator) Restore(ms *MachineState) error {
+	if err := s.checkState(ms); err != nil {
+		return err
+	}
+	warm := ms.Policy == ""
+	for c, cs := range s.cores {
+		st := &ms.Cores[c]
+		if err := cs.core.Restore(st.Core); err != nil {
+			return fmt.Errorf("sim: core %d: %w", c, err)
+		}
+		if err := cs.model.Restore(st.Model); err != nil {
+			return fmt.Errorf("sim: core %d: %w", c, err)
+		}
+		if err := cs.mon.Restore(st.Monitor); err != nil {
+			return fmt.Errorf("sim: core %d: %w", c, err)
+		}
+		if !warm {
+			if err := dtm.Restore(cs.policy, *st.DTM); err != nil {
+				return fmt.Errorf("sim: core %d: %w", c, err)
+			}
+			if eng := cs.policy.Engine(); eng != nil {
+				if err := eng.Restore(*st.Engine); err != nil {
+					return fmt.Errorf("sim: core %d: %w", c, err)
+				}
+			}
+		}
+		cs.reports = append(cs.reports[:0], st.Reports...)
+	}
+	if err := s.solver.SetState(ms.Solver); err != nil {
+		return err
+	}
+	s.anchored = true
+	if warm {
+		// A warmup snapshot carries no policy state because none existed
+		// when it was taken. Rebuild the policies from scratch (after the
+		// model restores above, so DVS captures the nominal supply
+		// voltage) so that restoring into a previously-run simulator is
+		// indistinguishable from restoring into a new one — the
+		// precondition for recycling simulators through a Pool.
+		if err := s.buildPolicies(); err != nil {
+			return err
+		}
+	} else if s.chip != nil {
+		if err := dtm.RestoreChip(s.chip, *ms.Chip); err != nil {
+			return err
+		}
+	}
+	if s.events != nil {
+		s.events.Events = append(s.events.Events[:0], ms.Events...)
+	}
+	s.warmed = ms.Warmed
+	s.coresRestored = false
+	s.qr = nil
+	if ms.Quantum != nil {
+		s.qr = &quantumRun{QuantumState: ms.Quantum.Clone()}
+		s.started = true
+	} else if warm {
+		// A policy-agnostic snapshot precedes measurement by definition;
+		// restoring one re-arms WarmupSnapshot exactly as on a freshly
+		// built simulator.
+		s.started = false
+	}
+	return nil
+}
+
+// checkState verifies that ms belongs to s: format, identity, shape,
+// and the mid-quantum position.
+func (s *Simulator) checkState(ms *MachineState) error {
 	if ms.Version != StateVersion {
 		return fmt.Errorf("sim: snapshot format v%d, this build reads v%d", ms.Version, StateVersion)
 	}
-	if ms.Policy == "" {
+	warm := ms.Policy == ""
+	if warm {
 		// Warmup snapshots are identical under every value of the
 		// warmup-invariant fields (thresholds, ablation switches, the
 		// quantum length), so they restore across configs agreeing on
@@ -292,92 +403,129 @@ func (s *Simulator) Restore(ms *MachineState) error {
 	} else if d := s.cfg.Digest(); ms.ConfigDigest != d {
 		return fmt.Errorf("sim: snapshot built from config %.12s.., simulator runs %.12s..", ms.ConfigDigest, d)
 	}
-	if d := ProgramsDigest(s.threads); ms.ProgsDigest != d {
+	if d := s.progsDigest(); ms.ProgsDigest != d {
 		return fmt.Errorf("sim: snapshot built from programs %.12s.., simulator runs %.12s..", ms.ProgsDigest, d)
 	}
-	if ms.Policy != "" && ms.Policy != s.opts.Policy {
-		return fmt.Errorf("sim: snapshot carries %q policy state, simulator runs %q", ms.Policy, s.opts.Policy)
+	if !warm && (ms.Scope != s.opts.Scope || ms.Policy != s.opts.Policy) {
+		return fmt.Errorf("sim: snapshot carries %s/%s DTM state, simulator runs %s/%s",
+			ms.Scope, ms.Policy, s.opts.Scope, s.opts.Policy)
 	}
-	if err := s.core.Restore(ms.Core); err != nil {
-		return err
+	if len(ms.Cores) != len(s.cores) {
+		return fmt.Errorf("sim: snapshot has %d cores, simulator %d", len(ms.Cores), len(s.cores))
 	}
-	if err := s.model.Restore(ms.Model); err != nil {
-		return err
-	}
-	if err := s.net.Restore(ms.Thermal); err != nil {
-		return err
-	}
-	if err := s.mon.Restore(ms.Monitor); err != nil {
-		return err
-	}
-	if ms.Policy != "" {
-		if ms.DTM == nil {
-			return fmt.Errorf("sim: %q snapshot missing policy state", ms.Policy)
-		}
-		if err := dtm.Restore(s.policy, *ms.DTM); err != nil {
-			return err
-		}
-		if eng := s.policy.Engine(); eng != nil {
-			if ms.Engine == nil {
-				return fmt.Errorf("sim: sedation snapshot missing engine state")
-			}
-			if err := eng.Restore(*ms.Engine); err != nil {
-				return err
+	if !warm {
+		for c, cs := range s.cores {
+			if ms.Cores[c].DTM == nil || (cs.policy.Engine() != nil && ms.Cores[c].Engine == nil) {
+				return fmt.Errorf("sim: core %d snapshot missing %q policy state", c, ms.Policy)
 			}
 		}
-	} else {
-		// A warmup snapshot carries no policy state because none existed
-		// when it was taken. Rebuild the policy and engine from scratch
-		// (after the model restore above, so DVS captures the nominal
-		// supply voltage) so that restoring into a previously-run
-		// simulator is indistinguishable from restoring into a new one —
-		// the precondition for recycling simulators through a Pool.
-		if err := s.buildPolicy(); err != nil {
-			return err
+		if s.chip != nil && ms.Chip == nil {
+			return fmt.Errorf("sim: chip-scope snapshot missing chip policy state")
 		}
 	}
-	s.reports = append(s.reports[:0], ms.Reports...)
-	if s.events != nil {
-		s.events.Events = append(s.events.Events[:0], ms.Events...)
+	q := ms.Quantum
+	if q == nil {
+		return nil
 	}
-	s.warmed = ms.Warmed
-	if q := ms.Quantum; q != nil {
-		n := len(s.threads)
-		if len(q.StartStats) != n || len(q.StartRF) != n || len(q.LastCommitted) != n {
-			return fmt.Errorf("sim: quantum state has %d/%d/%d contexts, want %d",
-				len(q.StartStats), len(q.StartRF), len(q.LastCommitted), n)
+	if q.Quantum <= 0 || q.Done < 0 || q.Chunks < 0 {
+		return fmt.Errorf("sim: quantum state position %d/%d (chunks %d) invalid", q.Done, q.Quantum, q.Chunks)
+	}
+	if len(q.Cores) != len(s.cores) {
+		return fmt.Errorf("sim: quantum state has %d cores, simulator %d", len(q.Cores), len(s.cores))
+	}
+	for c, cs := range s.cores {
+		cq, n := &q.Cores[c], len(cs.threads)
+		if len(cq.StartStats) != n || len(cq.StartRF) != n || len(cq.LastCommitted) != n {
+			return fmt.Errorf("sim: quantum state has %d/%d/%d contexts for core %d, want %d",
+				len(cq.StartStats), len(cq.StartRF), len(cq.LastCommitted), c, n)
 		}
-		if q.Quantum <= 0 || q.Done < 0 || q.Chunks < 0 {
-			return fmt.Errorf("sim: quantum state position %d/%d (chunks %d) invalid", q.Done, q.Quantum, q.Chunks)
-		}
-		s.qr = &quantumRun{
-			quantum: q.Quantum,
-			done:    q.Done,
-			chunks:  q.Chunks,
-			res: &Result{
-				PeakTemp:    q.PeakTemp,
-				PeakUnit:    q.PeakUnit,
-				Emergencies: q.Emergencies,
-				RFTrace:     slices.Clone(q.RFTrace),
-			},
-			aboveEmergency: q.AboveEmergency,
-			energyAccum:    q.EnergyAccum,
-			eventsStart:    q.EventsStart,
-			startCycle:     q.StartCycle,
-			startStalled:   q.StartStalled,
-			startStats:     slices.Clone(q.StartStats),
-			startRF:        slices.Clone(q.StartRF),
-			lastCommitted:  slices.Clone(q.LastCommitted),
-		}
-		s.started = true
-	} else {
-		s.qr = nil
-		if ms.Policy == "" {
-			// A policy-agnostic snapshot precedes measurement by
-			// definition; restoring one re-arms WarmupSnapshot exactly as
-			// on a freshly built simulator.
-			s.started = false
-		}
+	}
+	return nil
+}
+
+// CoreWarm is one core's post-warmup state in the compact form a
+// whole-die sweep holds between jobs: pipeline, power model and
+// sedation monitor. It carries no DTM state (warmup never ticks a
+// policy) and no thermal state (a core warms alone, with no thermal
+// step), so it restores into any core running the same programs on a
+// machine of the same warm configuration, under any DTM scope or
+// policy, on a die of any size or grid resolution.
+type CoreWarm struct {
+	ProgsDigest string
+	Core        cpu.CompactState
+	Model       power.ModelState
+	Monitor     score.MonitorState
+}
+
+// WarmCore simulates core c's warmup in place. Together with
+// RestoreCore and FinishWarmup it assembles a warmup core by core:
+// each core is either warmed here or restored from a CoreWarm, then
+// FinishWarmup closes the warmup. Run performs the same steps on
+// every core itself when the caller assembles nothing.
+func (s *Simulator) WarmCore(c int) error {
+	if err := s.checkWarmable(c); err != nil {
+		return err
+	}
+	s.cores[c].warm(s.opts.WarmupCycles)
+	return nil
+}
+
+// CaptureCore returns core c's state, typically right after WarmCore.
+// The state shares no memory with the simulator.
+func (s *Simulator) CaptureCore(c int) *CoreWarm {
+	cs := s.cores[c]
+	return &CoreWarm{
+		ProgsDigest: ProgramsDigest(cs.threads),
+		Core:        cs.core.CompactSnapshot(),
+		Model:       cs.model.Snapshot(),
+		Monitor:     cs.mon.Snapshot(),
+	}
+}
+
+// RestoreCore loads w into core c in place of WarmCore; FinishWarmup
+// then rebuilds the DTM policies over the restored cores. w is
+// read-only and may be restored into many cores concurrently.
+func (s *Simulator) RestoreCore(c int, w *CoreWarm) error {
+	if err := s.checkWarmable(c); err != nil {
+		return err
+	}
+	cs := s.cores[c]
+	if d := ProgramsDigest(cs.threads); w.ProgsDigest != d {
+		return fmt.Errorf("sim: core %d warm state built from programs %.12s.., core runs %.12s..", c, w.ProgsDigest, d)
+	}
+	if err := cs.core.RestoreCompact(w.Core); err != nil {
+		return fmt.Errorf("sim: core %d: %w", c, err)
+	}
+	if err := cs.model.Restore(w.Model); err != nil {
+		return fmt.Errorf("sim: core %d: %w", c, err)
+	}
+	if err := cs.mon.Restore(w.Monitor); err != nil {
+		return fmt.Errorf("sim: core %d: %w", c, err)
+	}
+	cs.reports = cs.reports[:0]
+	s.coresRestored = true
+	return nil
+}
+
+// FinishWarmup closes a warmup assembled by WarmCore and RestoreCore.
+// With die set, the die takes its temperatures: the Solver().State()
+// of another simulator of the same configuration right after its
+// warmup (the post-warmup die depends on the configuration alone, not
+// on the programs). Otherwise the die is anchored and re-anchored as a
+// cold warmup does.
+func (s *Simulator) FinishWarmup(die *thermal.SolverState) error {
+	if s.warmed || s.started {
+		return fmt.Errorf("sim: warmup already finished")
+	}
+	return s.finishWarmup(die)
+}
+
+func (s *Simulator) checkWarmable(c int) error {
+	if c < 0 || c >= len(s.cores) {
+		return fmt.Errorf("sim: core %d of %d", c, len(s.cores))
+	}
+	if s.warmed || s.started {
+		return fmt.Errorf("sim: core %d warmup after the warmup finished", c)
 	}
 	return nil
 }

@@ -23,54 +23,59 @@ func stateOptions(policy dtm.Kind) Options {
 }
 
 // TestRestoreEquivalence locks in the tentpole invariant: snapshot
-// mid-run, restore into a fresh simulator, continue — and the
-// continuation must be deep-equal to the original simulator continuing
-// straight through. Checked for every DTM policy with the fast-forward
-// both enabled and disabled (the same discipline as
+// mid-quantum (after a full quantum has run), restore into a fresh
+// simulator, continue — and the continuation must be deep-equal to the
+// original simulator continuing straight through. Checked on both
+// machines under every scope and policy, with the fast-forward both
+// enabled and disabled (the same discipline as
 // TestFastForwardEquivalence).
 func TestRestoreEquivalence(t *testing.T) {
 	const quantum = 120_000
-	for _, policy := range dtm.Kinds() {
+	machines := testMachines(t)
+	for _, o := range scopeOptions() {
 		for _, ff := range []bool{true, false} {
-			policy, ff := policy, ff
-			name := string(policy) + "/ff=on"
+			name := string(o.Policy) + "/ff=on"
 			if !ff {
-				name = string(policy) + "/ff=off"
+				name = string(o.Policy) + "/ff=off"
 			}
 			t.Run(name, func(t *testing.T) {
-				cfg := quickCfg()
-				threads := []Thread{specThread(t, "crafty"), variantThread(t, 2)}
-				a, err := New(cfg, threads, stateOptions(policy))
-				if err != nil {
-					t.Fatal(err)
-				}
-				a.Core().SetFastForward(ff)
-				if _, err := a.RunCycles(quantum); err != nil {
-					t.Fatal(err)
-				}
-				ms, err := a.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				straight, err := a.RunCycles(quantum)
-				if err != nil {
-					t.Fatal(err)
-				}
+				for _, m := range machines {
+					a := forkSim(t, m, o, ff)
+					if _, err := a.RunCycles(quantum); err != nil {
+						t.Fatal(err)
+					}
+					if err := a.BeginRun(quantum); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := a.StepRun(quantum / 2); err != nil {
+						t.Fatal(err)
+					}
+					ms, err := a.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := a.StepRun(quantum); err != nil {
+						t.Fatal(err)
+					}
+					straight, err := a.FinishRun()
+					if err != nil {
+						t.Fatal(err)
+					}
 
-				b, err := New(cfg, threads, stateOptions(policy))
-				if err != nil {
-					t.Fatal(err)
-				}
-				b.Core().SetFastForward(ff)
-				if err := b.Restore(ms); err != nil {
-					t.Fatal(err)
-				}
-				restored, err := b.RunCycles(quantum)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(straight, restored) {
-					t.Errorf("continuations diverge:\nstraight: %+v\nrestored: %+v", straight, restored)
+					b := forkSim(t, m, o, ff)
+					if err := b.Restore(ms); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := b.StepRun(quantum); err != nil {
+						t.Fatal(err)
+					}
+					restored, err := b.FinishRun()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(straight, restored) {
+						t.Errorf("%s: continuations diverge:\nstraight: %+v\nrestored: %+v", m.name, straight, restored)
+					}
 				}
 			})
 		}
@@ -140,52 +145,48 @@ func TestRestoreRoundTripsState(t *testing.T) {
 }
 
 // TestWarmupSnapshotEquivalence proves warmup-snapshot reuse is exact
-// for every policy: restoring a policy-agnostic warmup snapshot (built
-// under dtm.None) into a fresh simulator must reproduce, deep-equally,
-// the result of that simulator running its own warmup.
+// on both machines for every scope and policy: restoring a
+// policy-agnostic warmup snapshot (built under dtm.None) into a fresh
+// simulator must reproduce, deep-equally, the result of that simulator
+// running its own warmup.
 func TestWarmupSnapshotEquivalence(t *testing.T) {
 	const quantum = 150_000
-	cfg := quickCfg()
-	threads := []Thread{specThread(t, "crafty"), variantThread(t, 2)}
-
-	warm, err := New(cfg, threads, Options{Policy: dtm.None, WarmupCycles: 60_000})
-	if err != nil {
-		t.Fatal(err)
+	machines := testMachines(t)
+	warm := make([]*MachineState, len(machines))
+	for i, m := range machines {
+		ms, err := m.build(t, Options{Policy: dtm.None, WarmupCycles: 60_000}).WarmupSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ms.Policy != "" || ms.Scope != "" || ms.Chip != nil {
+			t.Fatalf("%s: warmup snapshot carries policy state: policy=%q scope=%q", m.name, ms.Policy, ms.Scope)
+		}
+		for c, cs := range ms.Cores {
+			if cs.DTM != nil || cs.Engine != nil {
+				t.Fatalf("%s core %d: warmup snapshot carries policy state", m.name, c)
+			}
+		}
+		warm[i] = ms
 	}
-	ms, err := warm.WarmupSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms.Policy != "" || ms.DTM != nil || ms.Engine != nil {
-		t.Fatalf("warmup snapshot carries policy state: policy=%q dtm=%v engine=%v",
-			ms.Policy, ms.DTM, ms.Engine)
-	}
 
-	for _, policy := range dtm.Kinds() {
-		policy := policy
-		t.Run(string(policy), func(t *testing.T) {
-			cold, err := New(cfg, threads, stateOptions(policy))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := cold.RunCycles(quantum)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			reused, err := New(cfg, threads, stateOptions(policy))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := reused.Restore(ms); err != nil {
-				t.Fatal(err)
-			}
-			got, err := reused.RunCycles(quantum)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("warmup reuse diverges from cold warmup:\ncold:   %+v\nreused: %+v", want, got)
+	for _, o := range scopeOptions() {
+		t.Run(string(o.Policy), func(t *testing.T) {
+			for i, m := range machines {
+				want, err := forkSim(t, m, o, true).RunCycles(quantum)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reused := forkSim(t, m, o, true)
+				if err := reused.Restore(warm[i]); err != nil {
+					t.Fatal(err)
+				}
+				got, err := reused.RunCycles(quantum)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("%s: warmup reuse diverges from cold warmup:\ncold:   %+v\nreused: %+v", m.name, want, got)
+				}
 			}
 		})
 	}
@@ -207,7 +208,8 @@ func TestWarmupSnapshotAfterStart(t *testing.T) {
 }
 
 // TestRestoreRejectsMismatch covers the identity checks: wrong config,
-// wrong programs, wrong policy, wrong version.
+// wrong programs, wrong policy, and a format version other than v4 —
+// the v3 layout included, which is rejected, not migrated.
 func TestRestoreRejectsMismatch(t *testing.T) {
 	cfg := quickCfg()
 	threads := []Thread{specThread(t, "crafty"), variantThread(t, 2)}
@@ -241,12 +243,21 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 		t.Error("restore of stopgo state into dvs should fail")
 	}
 
-	bad := *ms
-	bad.Version = StateVersion + 1
-	if b, err := New(cfg, threads, stateOptions(dtm.StopAndGo)); err != nil {
-		t.Fatal(err)
-	} else if err := b.Restore(&bad); err == nil {
-		t.Error("restore of a future format version should fail")
+	for _, v := range []int{3, StateVersion + 1} {
+		bad := *ms
+		bad.Version = v
+		if b, err := New(cfg, threads, stateOptions(dtm.StopAndGo)); err != nil {
+			t.Fatal(err)
+		} else if err := b.Restore(&bad); err == nil {
+			t.Errorf("restore of format v%d should fail", v)
+		}
+		var buf bytes.Buffer
+		if err := WriteState(&buf, &bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadState(&buf); err == nil {
+			t.Errorf("reading a v%d snapshot should fail", v)
+		}
 	}
 }
 
@@ -300,9 +311,9 @@ func TestStateFileRoundTrip(t *testing.T) {
 
 // FuzzSnapshotContinuation snapshots at a fuzz-chosen sensor boundary
 // mid-attack (with a gob round-trip thrown in) and checks continuation
-// equality under a fuzz-chosen policy — on the single-core lumped
-// machine and, when gridSel selects it, on a 2-core grid die with a
-// fuzz-chosen mesh resolution (exercising the solver's snapshot
+// equality under a fuzz-chosen scope and policy — on the single-core
+// lumped machine and, when gridSel selects it, on a 2-core grid die
+// with a fuzz-chosen mesh resolution (exercising the solver's snapshot
 // boundaries and the chip DTM scope).
 func FuzzSnapshotContinuation(f *testing.F) {
 	f.Add(uint8(3), uint8(1), uint8(0))
@@ -316,68 +327,17 @@ func FuzzSnapshotContinuation(f *testing.F) {
 		// Snapshot after 1..8 sensor intervals, continue to a fixed total.
 		split := (1 + int64(splitSel)%8) * sensor
 		total := 10 * sensor
-		kinds := append(dtm.Kinds(), dtm.ChipRoundRobin)
-		policy := kinds[int(policySel)%len(kinds)]
-		threads := []Thread{specThread(t, "crafty"), variantThread(t, 2)}
-
+		o := scopeOptions()[int(policySel)%len(scopeOptions())]
+		threads := [][]Thread{{specThread(t, "crafty"), variantThread(t, 2)}}
 		if gridSel != 0 {
-			// Multi-core grid path: the attack pair split across two cores.
+			// The attack pair split across a 2-core grid die.
 			cfg.Topology = config.Topology{Cores: 2, Solver: config.SolverGrid,
 				GridN: 8 * (1 + int(gridSel)%3)}
-			mo := MultiOptions{WarmupCycles: 60_000, TraceTemps: true, CollectEvents: true}
-			if policy == dtm.ChipRoundRobin {
-				mo.Scope = dtm.ScopeChip
-			} else {
-				mo.Scope, mo.Policy = dtm.ScopePerCore, policy
-			}
-			coreThreads := [][]Thread{{threads[1]}, {threads[0]}}
-			a, err := NewMulti(cfg, coreThreads, mo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := a.RunCycles(split); err != nil {
-				t.Fatal(err)
-			}
-			ms, err := a.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			straight, err := a.RunCycles(total - split)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := WriteState(&buf, ms); err != nil {
-				t.Fatal(err)
-			}
-			decoded, err := ReadState(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := NewMulti(cfg, coreThreads, mo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := b.Restore(decoded); err != nil {
-				t.Fatal(err)
-			}
-			restored, err := b.RunCycles(total - split)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(straight, restored) {
-				t.Errorf("grid %s split %d: continuation diverges after gob round-trip", policy, split)
-			}
-			return
+			threads = [][]Thread{{threads[0][1]}, {threads[0][0]}}
 		}
-		if policy == dtm.ChipRoundRobin {
-			policy = dtm.StopAndGo // chip scope has no single-core form
-		}
+		m := testMachine{name: cfg.Topology.Solver, cfg: cfg, threads: threads}
 
-		a, err := New(cfg, threads, stateOptions(policy))
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := forkSim(t, m, o, true)
 		if _, err := a.RunCycles(split); err != nil {
 			t.Fatal(err)
 		}
@@ -399,10 +359,7 @@ func FuzzSnapshotContinuation(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		b, err := New(cfg, threads, stateOptions(policy))
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := forkSim(t, m, o, true)
 		if err := b.Restore(decoded); err != nil {
 			t.Fatal(err)
 		}
@@ -411,7 +368,7 @@ func FuzzSnapshotContinuation(f *testing.F) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(straight, restored) {
-			t.Errorf("policy %s split %d: continuation diverges after gob round-trip", policy, split)
+			t.Errorf("%s %s split %d: continuation diverges after gob round-trip", m.name, o.Policy, split)
 		}
 	})
 }

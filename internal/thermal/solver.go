@@ -30,6 +30,8 @@ type Solver interface {
 	CoreUnitTemp(core int, u power.Unit) float64
 	// CoreMaxUnit returns the hottest unit of one core.
 	CoreMaxUnit(core int) (power.Unit, float64)
+	// SinkTemp returns the heat-sink node temperature.
+	SinkTemp() float64
 	// Ideal reports whether the substrate models an infinite heat sink.
 	Ideal() bool
 	// State and SetState snapshot/restore the mutable state (node
