@@ -13,7 +13,9 @@
 // and parses the standard output lines into {name, iterations,
 // ns_per_op, bytes_per_op, allocs_per_op} records. go test appends
 // "-N" to every name unless N is 1; exactly that suffix is stripped,
-// so names are stable across machines.
+// so names are stable across machines. The artifact's env records the
+// host (nproc, GOMAXPROCS, CPU model, Go version), as perfbench's env
+// line does.
 //
 // Comparing re-runs the same benchmarks and reports each one's ns/op,
 // B/op, and allocs/op against the baseline file. Time regressions
@@ -24,7 +26,9 @@
 // noisy for a hard time gate; the warnings make a genuine regression
 // visible in the job log without blocking merges on scheduler jitter.
 // -fail-on-regress (alias -strict) upgrades warnings to a non-zero
-// exit for local use on a quiet machine.
+// exit for local use on a quiet machine. A baseline recorded on
+// another host draws a warning on standard error, never a failure:
+// its deltas compare machines as well as code.
 package main
 
 import (
@@ -50,14 +54,43 @@ type Benchmark struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// File is the artifact schema. Previous, when present, holds earlier
-// recordings of the same baseline (newest first) so the committed file
-// carries the performance trajectory, not just the latest point; the
-// tool reads and compares against the top-level rows only.
+// File is the artifact schema. Env names the host the rows were
+// recorded on. Previous, when present, holds earlier recordings of the
+// same baseline (newest first) so the committed file carries the
+// performance trajectory, not just the latest point; the tool reads
+// and compares against the top-level rows only.
 type File struct {
 	Benchtime  string      `json:"benchtime"`
+	Env        *Env        `json:"env,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 	Previous   []File      `json:"previous,omitempty"`
+}
+
+// Env records what a run's figures depend on besides the code, the
+// fields of perfbench's env line that describe the host.
+type Env struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPUModel   string `json:"cpu_model"`
+	GoVersion  string `json:"go_version"`
+}
+
+func hostEnv() Env {
+	env := Env{
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPUModel:   "unknown",
+		GoVersion:  runtime.Version(),
+	}
+	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(b), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				env.CPUModel = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return env
 }
 
 // defaultPattern covers the simulator-speed benchmarks the committed
@@ -72,8 +105,10 @@ type File struct {
 // jobs/sec is machine-bound, but a regression in either arm still
 // surfaces as ns/op growth), and the thermal-solver comparison (the
 // 27-node lumped network vs the 64x64 grid stencil over one sensor
-// interval, pinning the cost ratio the lumped fast path exists for).
-const defaultPattern = "^(BenchmarkProfileSolo|BenchmarkProfilePair|BenchmarkPipelineCycles|BenchmarkQuantumSimulation|BenchmarkThermalStep|BenchmarkGridThermalStep|BenchmarkWarmupReuse|BenchmarkForkSweep|BenchmarkMultiWarmShare|BenchmarkFleetThroughput)$"
+// interval, pinning the cost ratio the lumped fast path exists for),
+// and the grid's steady-state solve (one from-ambient anchor of a
+// 2-core and a 4-core die, which every cold whole-die job pays).
+const defaultPattern = "^(BenchmarkProfileSolo|BenchmarkProfilePair|BenchmarkPipelineCycles|BenchmarkQuantumSimulation|BenchmarkThermalStep|BenchmarkGridThermalStep|BenchmarkGridSteady|BenchmarkWarmupReuse|BenchmarkForkSweep|BenchmarkMultiWarmShare|BenchmarkFleetThroughput)$"
 
 // defaultPackages are the packages holding those benchmarks.
 var defaultPackages = []string{".", "./internal/experiment", "./internal/fleet", "./internal/thermal"}
@@ -100,12 +135,16 @@ func main() {
 	if len(results) == 0 {
 		log.Fatalf("no benchmarks matched %q", *pattern)
 	}
-	artifact := File{Benchtime: *benchtime, Benchmarks: results}
+	env := hostEnv()
+	artifact := File{Benchtime: *benchtime, Env: &env, Benchmarks: results}
 
 	if *compare != "" {
 		base, err := readBaseline(*compare)
 		if err != nil {
 			log.Fatal(err)
+		}
+		if base.Env != nil && *base.Env != env {
+			log.Printf("warning: this host %+v differs from the baseline's %+v; the deltas compare hosts as well as code", env, *base.Env)
 		}
 		if regressed := diff(base, artifact, *threshold, *allocThreshold); regressed && (*failOnRegress || *strict) {
 			os.Exit(1)

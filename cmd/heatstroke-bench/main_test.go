@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 // TestParseBenchNames: a sub-benchmark name ending in -<digits> keeps
 // it on every host shape, and only the GOMAXPROCS suffix go test
@@ -38,5 +42,26 @@ func TestParseBenchNames(t *testing.T) {
 		if _, ok := parseBench(line, ".", 2); ok {
 			t.Errorf("%q parsed as a result", line)
 		}
+	}
+}
+
+// TestBaselineEnv: a recording names its host, and a baseline from
+// before env was recorded reads back with none, so -compare has no
+// host to warn about.
+func TestBaselineEnv(t *testing.T) {
+	env := hostEnv()
+	if env.NProc < 1 || env.GOMAXPROCS < 1 || env.GoVersion == "" || env.CPUModel == "" {
+		t.Errorf("incomplete host: %+v", env)
+	}
+	path := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(path, []byte(`{"benchtime": "1x", "benchmarks": []}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := readBaseline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Env != nil {
+		t.Errorf("a baseline without env read back with %+v", *f.Env)
 	}
 }

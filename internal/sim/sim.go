@@ -43,9 +43,9 @@ type Options struct {
 	// sensor interval into its Result.RFTrace.
 	TraceTemps bool
 	// WarmupCycles runs every core this long before measurement begins:
-	// caches fill, predictors train, and the die is then re-anchored at
-	// its steady operating point. Warmup activity is excluded from
-	// every reported statistic.
+	// caches fill and predictors train while the die holds its steady
+	// operating point. Warmup activity is excluded from every reported
+	// statistic.
 	WarmupCycles int64
 	// Recorder, when set, receives one trace.Sample per sensor interval
 	// (temperatures, power, stall state, per-thread interval IPC). It
@@ -476,8 +476,9 @@ func (cs *coreSim) warm(cycles int64) {
 }
 
 // finishWarmup closes the warmup: the die takes die's temperatures
-// when given, else it is anchored (if not yet) and, after a warmup,
-// re-anchored at the steady operating point.
+// when given, else it is anchored (if not yet). Both solvers' steady
+// states are exact, so a die anchored before the warmup needs no
+// second anchor after it.
 func (s *Simulator) finishWarmup(die *thermal.SolverState) error {
 	s.warmed = true
 	if s.coresRestored {
@@ -493,9 +494,6 @@ func (s *Simulator) finishWarmup(die *thermal.SolverState) error {
 		return s.solver.SetState(*die)
 	}
 	s.anchor()
-	if s.opts.WarmupCycles > 0 {
-		s.solver.InitSteadyCores(s.steadyPowers())
-	}
 	return nil
 }
 

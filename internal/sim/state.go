@@ -511,8 +511,8 @@ func (s *Simulator) RestoreCore(c int, w *CoreWarm) error {
 // With die set, the die takes its temperatures: the Solver().State()
 // of another simulator of the same configuration right after its
 // warmup (the post-warmup die depends on the configuration alone, not
-// on the programs). Otherwise the die is anchored and re-anchored as a
-// cold warmup does.
+// on the programs). Otherwise the die is anchored, as a cold warmup
+// does.
 func (s *Simulator) FinishWarmup(die *thermal.SolverState) error {
 	if s.warmed || s.started {
 		return fmt.Errorf("sim: warmup already finished")

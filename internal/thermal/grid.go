@@ -53,6 +53,14 @@ type Grid struct {
 	ideal                  bool
 	dtMax                  float64
 
+	// diag is the diagonal of the mesh's conductance matrix, each
+	// node's total conductance: it sets the Euler stability bound and
+	// preconditions the steady-state solve. cgR, cgD and cgQ are that
+	// solve's residual, search direction and matrix product, allocated
+	// on the first anchor.
+	diag          []float64
+	cgR, cgD, cgQ []float64
+
 	// blockCells maps each die block onto its cells; blockPower and
 	// cellPower are scatter scratch.
 	blockCells [][]cellFrac
@@ -173,10 +181,13 @@ func NewGrid(die *floorplan.Die, t config.Thermal, gridN int) (*Grid, error) {
 		}
 	}
 
-	// Stability bound: the stiffest node limits the Euler substep,
-	// with the same tau/4 margin the lumped network uses.
+	// Each node's total conductance, and the stability bound: the
+	// stiffest node limits the Euler substep, with the same tau/4
+	// margin the lumped network uses.
+	g.diag = make([]float64, 2*nc+1)
 	g.dtMax = math.Inf(1)
-	consider := func(cap, gSum float64) {
+	consider := func(n int, cap, gSum float64) {
+		g.diag[n] = gSum
 		if tau := cap / gSum; tau/4 < g.dtMax {
 			g.dtMax = tau / 4
 		}
@@ -200,15 +211,15 @@ func NewGrid(die *floorplan.Die, t config.Thermal, gridN int) (*Grid, error) {
 				}
 				return s
 			}
-			consider(g.capDie, lat(g.gxDie, g.gyDie)+g.gVert)
-			consider(g.capSp, lat(g.gxSp, g.gySp)+g.gVert+g.gSinkCell[c])
+			consider(c, g.capDie, lat(g.gxDie, g.gyDie)+g.gVert)
+			consider(nc+c, g.capSp, lat(g.gxSp, g.gySp)+g.gVert+g.gSinkCell[c])
 		}
 	}
 	var gSinkSum float64
 	for _, gs := range g.gSinkCell {
 		gSinkSum += gs
 	}
-	consider(g.capSink, gSinkSum+g.gAmb)
+	consider(g.sink, g.capSink, gSinkSum+g.gAmb)
 
 	init := t.AmbientK
 	if t.InitialK > 0 {
@@ -347,90 +358,148 @@ func (g *Grid) plan(seconds float64) (int, float64) {
 	return g.planSteps, g.planDt
 }
 
-// InitSteadyCores relaxes the mesh to the steady state for the given
-// per-core power vectors by SOR iteration (a dense direct solve at
-// thousands of nodes would dominate run setup). The sweep order and
-// relaxation factor are fixed, so the result is deterministic.
+// steadyTol is where the steady-state solve stops, in kelvin: every
+// node's residual heat flow over its total conductance, the correction
+// one Jacobi sweep would still make, is at most this. Rounding floors
+// that figure near 1e-13 K at operating temperatures.
+const steadyTol = 1e-10
+
+// InitSteadyCores sets the mesh to the steady state for the given
+// per-core power vectors.
 func (g *Grid) InitSteadyCores(p [][power.NumUnits]float64) {
 	g.powersToCells(p)
-	const (
-		omega   = 1.8
-		tol     = 1e-8 // kelvin, max per-sweep displacement
-		maxIter = 200_000
-	)
-	T := g.temps
-	nx, ny, nc := g.nx, g.ny, g.nc
-	for iter := 0; iter < maxIter; iter++ {
-		var maxDelta float64
-		relax := func(c int, num, den float64) {
-			nt := (1-omega)*T[c] + omega*num/den
-			if d := math.Abs(nt - T[c]); d > maxDelta {
-				maxDelta = d
-			}
-			T[c] = nt
+	g.solveSteady()
+}
+
+// solveSteady solves A·T = b for the temperatures and returns the
+// iteration count. A is the conductance matrix substep integrates
+// (die layer, spreader layer, one sink row) and b the cell powers plus
+// the sink's draw from ambient. A is symmetric, and positive definite
+// because the sink conducts to ambient (gAmb > 0), so conjugate
+// gradients preconditioned by A's diagonal converge, in exact
+// arithmetic within one iteration per node: that caps the loop. The
+// solve starts from the current temperatures and runs serially in a
+// fixed order, so it is deterministic. It stops only on a recomputed
+// residual, so a solve from its own result makes no iteration and
+// leaves every bit in place.
+func (g *Grid) solveSteady() int {
+	if g.cgR == nil {
+		g.cgR = make([]float64, len(g.temps))
+		g.cgD = make([]float64, len(g.temps))
+		g.cgQ = make([]float64, len(g.temps))
+	}
+	T, r, d, q, diag := g.temps, g.cgR, g.cgD, g.cgQ, g.diag
+	// restart sets r to the true residual b − A·T and d to the
+	// preconditioned residual, and returns r·d.
+	restart := func() float64 {
+		g.mulA(r, T)
+		for c := 0; c < g.nc; c++ {
+			r[c] = g.cellPower[c] - r[c]
 		}
-		for j := 0; j < ny; j++ {
-			row := j * nx
-			for i := 0; i < nx; i++ {
-				c := row + i
-				num := g.cellPower[c] + g.gVert*T[nc+c]
-				den := g.gVert
-				if i > 0 {
-					num += g.gxDie * T[c-1]
-					den += g.gxDie
-				}
-				if i < nx-1 {
-					num += g.gxDie * T[c+1]
-					den += g.gxDie
-				}
-				if j > 0 {
-					num += g.gyDie * T[c-nx]
-					den += g.gyDie
-				}
-				if j < ny-1 {
-					num += g.gyDie * T[c+nx]
-					den += g.gyDie
-				}
-				relax(c, num, den)
-			}
+		for n := g.nc; n < g.sink; n++ {
+			r[n] = -r[n]
 		}
-		for j := 0; j < ny; j++ {
-			row := j * nx
-			for i := 0; i < nx; i++ {
-				c := row + i
-				n := nc + c
-				num := g.gVert*T[c] + g.gSinkCell[c]*T[g.sink]
-				den := g.gVert + g.gSinkCell[c]
-				if i > 0 {
-					num += g.gxSp * T[n-1]
-					den += g.gxSp
-				}
-				if i < nx-1 {
-					num += g.gxSp * T[n+1]
-					den += g.gxSp
-				}
-				if j > 0 {
-					num += g.gySp * T[n-nx]
-					den += g.gySp
-				}
-				if j < ny-1 {
-					num += g.gySp * T[n+nx]
-					den += g.gySp
-				}
-				relax(n, num, den)
+		r[g.sink] = g.gAmb*g.amb - r[g.sink]
+		var rz float64
+		for i := range r {
+			d[i] = r[i] / diag[i]
+			rz += r[i] * d[i]
+		}
+		return rz
+	}
+	converged := func() bool {
+		for i, ri := range r {
+			if math.Abs(ri) > steadyTol*diag[i] {
+				return false
 			}
 		}
-		num := g.gAmb * g.amb
-		den := g.gAmb
-		for c := 0; c < nc; c++ {
-			num += g.gSinkCell[c] * T[nc+c]
-			den += g.gSinkCell[c]
+		return true
+	}
+	rz := restart()
+	iter := 0
+	for ; iter < len(T); iter++ {
+		if converged() {
+			// r is updated by recurrence, and rounding drifts it from
+			// b − A·T: confirm on the true residual, and restart from
+			// it if that has not converged.
+			if rz = restart(); converged() {
+				break
+			}
 		}
-		relax(g.sink, num, den)
-		if maxDelta < tol {
-			return
+		g.mulA(q, d)
+		var dq float64
+		for i := range d {
+			dq += d[i] * q[i]
+		}
+		alpha := rz / dq
+		var rzNext float64
+		for i := range T {
+			T[i] += alpha * d[i]
+			r[i] -= alpha * q[i]
+			rzNext += r[i] * r[i] / diag[i]
+		}
+		beta := rzNext / rz
+		rz = rzNext
+		for i := range d {
+			d[i] = r[i]/diag[i] + beta*d[i]
 		}
 	}
+	return iter
+}
+
+// mulA sets y = A·x over the stencil substep integrates, every term a
+// conductance times a difference, so a uniform field draws only the
+// sink's flow to ambient.
+func (g *Grid) mulA(y, x []float64) {
+	nx, ny, nc := g.nx, g.ny, g.nc
+	for j := 0; j < ny; j++ {
+		row := j * nx
+		for i := 0; i < nx; i++ {
+			c := row + i
+			t := x[c]
+			acc := g.gVert * (t - x[nc+c])
+			if i > 0 {
+				acc += g.gxDie * (t - x[c-1])
+			}
+			if i < nx-1 {
+				acc += g.gxDie * (t - x[c+1])
+			}
+			if j > 0 {
+				acc += g.gyDie * (t - x[c-nx])
+			}
+			if j < ny-1 {
+				acc += g.gyDie * (t - x[c+nx])
+			}
+			y[c] = acc
+		}
+	}
+	sinkX := x[g.sink]
+	var sinkAcc float64
+	for j := 0; j < ny; j++ {
+		row := j * nx
+		for i := 0; i < nx; i++ {
+			c := row + i
+			n := nc + c
+			t := x[n]
+			acc := g.gVert * (t - x[c])
+			if i > 0 {
+				acc += g.gxSp * (t - x[n-1])
+			}
+			if i < nx-1 {
+				acc += g.gxSp * (t - x[n+1])
+			}
+			if j > 0 {
+				acc += g.gySp * (t - x[n-nx])
+			}
+			if j < ny-1 {
+				acc += g.gySp * (t - x[n+nx])
+			}
+			acc += g.gSinkCell[c] * (t - sinkX)
+			sinkAcc += g.gSinkCell[c] * (sinkX - t)
+			y[n] = acc
+		}
+	}
+	y[g.sink] = sinkAcc + g.gAmb*sinkX
 }
 
 // CoreUnitTemp reads the sensor of unit u on the given core: the

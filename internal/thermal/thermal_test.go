@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -29,19 +30,57 @@ func uniformPower(p float64) [power.NumUnits]float64 {
 	return out
 }
 
+// steadySolver is one solver under the steady-state invariant tests.
+type steadySolver struct {
+	name string
+	s    Solver
+}
+
+// steadySolvers returns both solvers: the lumped network and the grid
+// at 1, 2 and 4 cores, at GridN 16 to keep the tests quick.
+func steadySolvers(t *testing.T, th config.Thermal) []steadySolver {
+	t.Helper()
+	out := []steadySolver{{"lumped", Lumped{netWith(t, th)}}}
+	for _, k := range []int{1, 2, 4} {
+		out = append(out, steadySolver{fmt.Sprintf("grid/%d-core", k), newTestGrid(t, k, 16, th)})
+	}
+	return out
+}
+
 func TestSteadyStateSinkBalance(t *testing.T) {
 	th := defaultThermal()
-	nw := netWith(t, th)
-	p := uniformPower(2) // 24 W total
-	nw.InitSteady(p)
-	// In steady state all heat leaves through the convection resistance:
-	// T_sink - T_amb = P_total * R_conv.
-	want := th.AmbientK + TotalPower(p)*th.ConvectionRes
-	if got := nw.SinkTemp(); math.Abs(got-want) > 1e-6 {
-		t.Errorf("sink temp %.4f, want %.4f", got, want)
+	for _, c := range steadySolvers(t, th) {
+		t.Run(c.name, func(t *testing.T) {
+			k := c.s.Cores()
+			p := make([][power.NumUnits]float64, k)
+			var total float64
+			for core := range p {
+				p[core] = uniformPower(2 + float64(core)) // 24 W on core 0
+				total += TotalPower(p[core])
+			}
+			c.s.InitSteadyCores(p)
+			// In steady state all heat leaves through the convection
+			// resistance, provisioned per core on a die:
+			// T_sink - T_amb = P_total * R_conv / K.
+			want := th.AmbientK + total*th.ConvectionRes/float64(k)
+			sink := c.s.SinkTemp()
+			t.Logf("sink balance off by %.3g K", sink-want)
+			if math.Abs(sink-want) > 1e-6 {
+				t.Errorf("sink temp %.9f, want %.9f", sink, want)
+			}
+			// Every source sits on the die, so no node is cooler than
+			// the sink.
+			for i, temp := range c.s.State().Temps {
+				if temp < sink {
+					t.Fatalf("node %d at %.6f K, below the sink's %.6f K", i, temp, sink)
+				}
+			}
+		})
 	}
-	// Die blocks sit above their spreader sections, which sit above the
-	// sink.
+	// Lumped die blocks sit above their spreader sections, which sit
+	// above the sink.
+	nw := netWith(t, th)
+	nw.InitSteady(uniformPower(2))
 	for u := power.Unit(0); u < power.NumUnits; u++ {
 		i := nw.Floorplan().BlockFor(u)
 		if nw.BlockTemp(i) <= nw.SpreaderTemp(i) || nw.SpreaderTemp(i) <= nw.SinkTemp() {
@@ -51,17 +90,31 @@ func TestSteadyStateSinkBalance(t *testing.T) {
 	}
 }
 
+// TestSteadyStateIsStepFixedPoint: stepping from a steady state under
+// the same power moves no node. Both solves are exact to rounding, so
+// the bound is tight.
 func TestSteadyStateIsStepFixedPoint(t *testing.T) {
 	th := defaultThermal()
-	nw := netWith(t, th)
-	p := uniformPower(1.5)
-	nw.InitSteady(p)
-	before := nw.UnitTemp(power.UnitIntReg)
-	for i := 0; i < 100; i++ {
-		nw.Step(p, 5e-6)
-	}
-	if after := nw.UnitTemp(power.UnitIntReg); math.Abs(after-before) > 0.01 {
-		t.Errorf("steady state drifted: %.4f -> %.4f", before, after)
+	for _, c := range steadySolvers(t, th) {
+		t.Run(c.name, func(t *testing.T) {
+			p := make([][power.NumUnits]float64, c.s.Cores())
+			for core := range p {
+				p[core] = uniformPower(1.5 - 0.25*float64(core))
+			}
+			c.s.InitSteadyCores(p)
+			before := c.s.State().Temps
+			for i := 0; i < 100; i++ {
+				c.s.StepCores(p, 5e-6)
+			}
+			var drift float64
+			for i, temp := range c.s.State().Temps {
+				drift = max(drift, math.Abs(temp-before[i]))
+			}
+			t.Logf("largest drift %.3g K", drift)
+			if drift > 1e-6 {
+				t.Errorf("steady state drifted %.3g K", drift)
+			}
+		})
 	}
 }
 
