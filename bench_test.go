@@ -203,15 +203,16 @@ func BenchmarkForkSweep(b *testing.B) {
 	b.Run("cold", run(false))
 }
 
-// BenchmarkMultiWarmShare measures what the whole-die warm share buys
-// on the multi-core experiments: dtm-scope (three DTM scopes over one
-// thread set per victim) and neighbor-heat (a benign and a trojan
-// neighbour per victim) on a 2-core grid die. The shared arm warms each
-// distinct core program and the die once per experiment run and
-// restores them into every later job; the cold arm
-// (DisableWarmupReuse) simulates every core's warmup and relaxes every
-// die from ambient. The measured quantum is short, so warmup and die
-// initialisation dominate a job, as they do in the multi-core sweeps.
+// BenchmarkMultiWarmShare measures what warm-state sharing buys on the
+// multi-core experiments: dtm-scope (three DTM scopes over one thread
+// set per victim) and neighbor-heat (a benign and a trojan neighbour
+// per victim) on a 2-core grid die. The shared arm keeps per-core and
+// per-die warm records in the run's warm store, so each distinct core
+// program warms and the die anchors once per experiment run, and each
+// warm identity is restored into every job sharing it; the cold arm
+// (DisableWarmupReuse) simulates every core's warmup and anchors every
+// die. The measured quantum is short, so warmup and die initialisation
+// dominate a job, as they do in the multi-core sweeps.
 func BenchmarkMultiWarmShare(b *testing.B) {
 	run := func(disable bool) func(*testing.B) {
 		return func(b *testing.B) {

@@ -99,7 +99,7 @@ func hostEnv() Env {
 // interval's worth of thermal Euler substeps (the per-interval
 // constant every simulation pays), the warmup-snapshot-reuse
 // comparison (reuse vs cold sub-benchmarks), the fork-tree sweep
-// comparison (fork vs cold sub-benchmarks), the whole-die warm-share
+// comparison (fork vs cold sub-benchmarks), the multi-core warm-sharing
 // comparison (shared vs cold sub-benchmarks), and the fleet-throughput
 // comparison (1 vs 4 workers behind the coordinator; the absolute
 // jobs/sec is machine-bound, but a regression in either arm still

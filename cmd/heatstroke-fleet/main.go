@@ -72,7 +72,7 @@ func run(args []string, ready func(addr string)) error {
 	hedgeAfter := fs.Duration("hedge-after", 30*time.Second, "duplicate a still-running job onto a second replica after this long (0 = never hedge)")
 	pollInterval := fs.Duration("poll-interval", 2*time.Second, "worker health/stats poll cadence")
 	fleetToken := fs.String("fleet-token", "", "bearer token sent to workers (must match their -fleet-token)")
-	snapshotDir := fs.String("snapshot-dir", "", "local directory of {key}.snap warmup snapshots to ship from when no worker holds a key")
+	snapshotDir := fs.String("snapshot-dir", "", "local directory of {key}.warm warm records to ship from when no worker holds a key")
 	noWarmShip := fs.Bool("no-warm-ship", false, "disable pre-dispatch warmup-snapshot shipping")
 	scale := fs.Float64("scale", 0, "base thermal scale factor (default: config's; must match the workers')")
 	quantum := fs.Int64("quantum", 0, "base cycles per OS quantum (default: config's; must match the workers')")

@@ -83,7 +83,7 @@ func run() int {
 	solver := flag.String("solver", "", "thermal solver: lumped or grid (default: lumped, grid when -cores > 1)")
 	seed := flag.Int64("seed", 0, "workload generation seed (default: config)")
 	parallel := flag.Int("parallel", 0, "max concurrent simulations (default: GOMAXPROCS)")
-	fork := flag.Bool("fork", false, "fork-tree mode: simulate shared warmup prefixes once and fork variants from in-memory snapshots (byte-identical tables)")
+	fork := flag.Bool("fork", false, "fork-tree mode: simulate shared warmup prefixes once and fork variants from the in-memory warm state (byte-identical tables)")
 	format := flag.String("format", "table", "artifact format: table, json, or csv")
 	out := flag.String("out", "", "write artifacts to this file (one experiment) or directory (default: stdout)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")

@@ -61,14 +61,14 @@ func run(args []string, ready func(addr string)) error {
 	fs := flag.NewFlagSet("heatstroked", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	cacheDir := fs.String("cache-dir", "", "persist completed results to this directory")
-	warmupCacheDir := fs.String("warmup-cache-dir", "", "persist warmup snapshots to this directory (skips warmup for repeated configurations)")
+	warmupCacheDir := fs.String("warmup-cache-dir", "", "persist warm records to this directory (skips warmup for repeated cores and dies)")
 	advertise := fs.String("advertise", "", "address fleet peers should reach this daemon at (reported in /v1/stats)")
-	fleetToken := fs.String("fleet-token", "", "bearer token gating the /v1/warm snapshot-transfer endpoints (empty = open)")
+	fleetToken := fs.String("fleet-token", "", "bearer token gating the /v1/warm record-transfer endpoints (empty = open)")
 	maxConcurrent := fs.Int("max-concurrent", 2, "maximum sweeps running at once")
 	maxQueue := fs.Int("max-queue", 16, "maximum queued jobs before 429 backpressure")
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job deadline (0 = none)")
 	parallel := fs.Int("parallel", 0, "per-sweep worker bound (default: GOMAXPROCS)")
-	fork := fs.Bool("fork", false, "fork-tree sweep mode: simulate shared warmup prefixes once per sweep and fork variants from in-memory snapshots")
+	fork := fs.Bool("fork", false, "fork-tree sweep mode: simulate shared warmup prefixes once per sweep and fork variants from the in-memory warm state")
 	scale := fs.Float64("scale", 0, "base thermal scale factor (default: config's)")
 	quantum := fs.Int64("quantum", 0, "base cycles per OS quantum (default: config's)")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "shutdown drain deadline")

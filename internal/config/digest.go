@@ -33,14 +33,18 @@ func (c *Config) Digest() string {
 // warmup-invariant field normalized away. Warmup runs the pipeline
 // under no DTM policy and never reads a temperature threshold: the
 // post-warmup machine state (core, caches, predictors, activity
-// counters, sedation-monitor averages, thermal network) depends only
-// on the architectural, power, thermal, and sampling parameters. The
+// counters, sedation-monitor state, thermal network) depends only on
+// the architectural, power, thermal, and sampling parameters. The
 // sedation *decision* knobs — thresholds, the re-examination window,
 // the ablation switches — and the measurement quantum length are
-// consumed strictly after warmup, so two Configs with equal WarmDigest
-// produce deep-equal warmup snapshots and may share one. The monitor's
-// own parameters (SampleIntervalCycles, EWMAShift) DO shape warm state
-// (the primed averages) and stay in the digest.
+// consumed strictly after warmup, and the seed is read only by
+// workload generation, whose programs warm keys name separately; so
+// two Configs with equal WarmDigest produce deep-equal warmup
+// snapshots for the same programs and may share one.
+// SampleIntervalCycles shapes warm state and stays in the digest.
+// EWMAShift stays too, although it does not shape warm state today
+// (priming the monitor zeroes its averages): keeping a monitor
+// parameter keyed costs little and stays sound if priming changes.
 //
 // This is the key a fork-tree sweep shares warm prefixes under: a
 // threshold grid re-simulates its warmup once instead of once per grid
@@ -56,5 +60,6 @@ func (c *Config) WarmDigest() string {
 	n.Sedation.UseFlatAverage = false
 	n.Sedation.AbsoluteEWMAThreshold = 0
 	n.Run.QuantumCycles = 0
+	n.Run.Seed = 0
 	return n.Digest()
 }

@@ -56,9 +56,13 @@ func TestDigestSensitivity(t *testing.T) {
 func TestWarmDigestIgnoresEngineFields(t *testing.T) {
 	base := Default()
 	bd := base.WarmDigest()
-	// Fields consumed only after warmup: varying them must not change
-	// the warm key, so a threshold grid shares one warmup.
+	// Fields consumed only after warmup, and the seed (which reaches
+	// warm state only through the programs it generates, keyed
+	// separately): varying them must not change the warm key, so a
+	// threshold grid shares one warmup and seeds share whatever their
+	// programs share.
 	invariant := map[string]func(*Config){
+		"seed":         func(c *Config) { c.Run.Seed++ },
 		"upper":        func(c *Config) { c.Sedation.UpperK = 357.0 },
 		"lower":        func(c *Config) { c.Sedation.LowerK = 354.5 },
 		"reexamine":    func(c *Config) { c.Sedation.ReexamineFactor = 3 },
@@ -79,7 +83,6 @@ func TestWarmDigestIgnoresEngineFields(t *testing.T) {
 	}
 	// Everything that does shape warm state must still be keyed.
 	sensitive := map[string]func(*Config){
-		"seed":            func(c *Config) { c.Run.Seed++ },
 		"scale":           func(c *Config) { c.Thermal.Scale *= 2 },
 		"sample interval": func(c *Config) { c.Sedation.SampleIntervalCycles *= 2 },
 		"ewma shift":      func(c *Config) { c.Sedation.EWMAShift++ },

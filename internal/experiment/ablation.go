@@ -168,7 +168,7 @@ func AblationMultiCulprit(ctx context.Context, o Options) (*Table, error) {
 		// re-crossed first at this thermal scale, so the second-culprit
 		// path would be exercised only by the unit tests.
 		j.cfg.Sedation.ExpectedCoolingCycles = 250_000
-		j.threads = append(j.threads, tb, v2a, v2b)
+		j.cores[0] = append(j.cores[0], tb, v2a, v2b)
 		return j
 	}
 	results, sum, err := runSweep(ctx, []job{

@@ -31,8 +31,8 @@ type Options struct {
 	Quantum int64
 	// Warmup is the unmeasured warmup prefix (default
 	// DefaultWarmupCycles). Every simulation of every experiment gets
-	// it: all jobs are built by the soloJob/pairJob helpers, which are
-	// the only place sim.Options.WarmupCycles is set.
+	// it: all jobs are built by the soloJob/pairJob/dieJob helpers,
+	// which are the only places sim.Options.WarmupCycles is set.
 	Warmup int64
 	// Parallelism bounds concurrent simulations (default GOMAXPROCS).
 	// Results are bit-for-bit identical at any parallelism: jobs are
@@ -53,10 +53,9 @@ type Options struct {
 	// metrics — simulated cycles, cycles/sec, peak temperature — so
 	// live consumers see the numbers the final Summary aggregates.
 	Progress func(p sweep.Progress)
-	// DisableWarmupReuse turns off warmup-snapshot sharing and runs
-	// every job's warmup from cold: single-core warm keys and fork
-	// trees, and the multi-core experiments' per-core and per-die warm
-	// share. Results are identical either way (enforced by sim's
+	// DisableWarmupReuse turns off warm-state sharing and runs every
+	// job's warmup from cold: no warm keys, stores or fork trees.
+	// Results are identical either way (enforced by sim's
 	// restore-equivalence tests); the switch exists for benchmarking
 	// and debugging.
 	DisableWarmupReuse bool
@@ -76,20 +75,18 @@ type Options struct {
 	// differential suites use it to prove fork-tree equivalence holds
 	// on both code paths.
 	DisableFastForward bool
-	// WarmupCache, when set, persists warmup snapshots across
-	// experiment runs under their warm keys. Within one run the sweep
-	// engine already shares warmups; the cache extends that across
-	// runs (e.g. the daemon's on-disk store).
-	WarmupCache SnapshotStore
+	// WarmupCache holds the warm records (each core's and each die's
+	// post-warmup state) jobs share under their warm keys. Set, it
+	// extends the sharing across runs (e.g. the daemon's on-disk
+	// store); unset, normalized() installs an in-memory store that
+	// lives for the one run.
+	WarmupCache WarmStore
 	// CodeVersion tags warm keys so a persistent WarmupCache never
 	// serves snapshots produced by a different simulator build.
 	CodeVersion string
 	// OnRestore, when set, is called with each warm-state restore's
 	// duration in seconds (for telemetry histograms).
 	OnRestore func(seconds float64)
-	// simPool recycles simulators across this run's warm-restore jobs
-	// (see sim.Pool); created by normalized().
-	simPool *sim.Pool
 
 	// enumerate, when set, intercepts runSweep before any simulation:
 	// it receives the experiment's fully built job list (and the
@@ -135,8 +132,8 @@ func (o Options) normalized() Options {
 	if o.Seed == 0 && !o.SeedSet {
 		o.Seed = o.Config.Run.Seed
 	}
-	if o.simPool == nil {
-		o.simPool = sim.NewPool()
+	if o.WarmupCache == nil {
+		o.WarmupCache = &memStore{m: make(map[string]*sim.WarmRecord)}
 	}
 	return o
 }
@@ -160,43 +157,40 @@ func variantThread(n int, scale float64) (sim.Thread, error) {
 	return sim.Thread{Name: fmt.Sprintf("variant%d", n), Prog: prog}, nil
 }
 
-// job is one independent simulation.
+// job is one independent simulation: one thread set per core of the
+// die cfg.Topology names. The paper's machine is the one-core case.
 type job struct {
-	key     string
-	cfg     config.Config
-	threads []sim.Thread
-	opts    sim.Options
+	key   string
+	cfg   config.Config
+	cores [][]sim.Thread
+	opts  sim.Options
 }
 
 // runSweep executes jobs through the sweep engine with fail-fast
-// semantics and returns results by key plus the sweep Summary. Unlike
-// the old runJobs helper, cancellation stops unstarted jobs from
-// burning worker slots, completed results are never discarded (the
-// Summary accounts for every job), and each job's wall time, simulated
-// cycles/sec, and peak temperature are aggregated.
+// semantics and returns results by key plus the sweep Summary.
+// Cancellation stops unstarted jobs from burning worker slots,
+// completed results are never discarded (the Summary accounts for
+// every job), and each job's wall time, simulated cycles/sec, and peak
+// temperature are aggregated. Unless DisableWarmupReuse is set, jobs
+// share warm state under their warm keys (see warm.go): through the
+// flat sweep's warm hooks, or as the fork tree's prefixes under
+// ForkTree.
 func runSweep(ctx context.Context, jobs []job, o Options) (map[string]*sim.Result, *sweep.Summary, error) {
 	if o.enumerate != nil {
 		o.enumerate(o, jobs)
 		return nil, nil, errEnumerated
 	}
+	var res *sweep.Result[*sim.Result]
+	var err error
 	if o.ForkTree && !o.DisableWarmupReuse {
-		return runForkSweep(ctx, jobs, o)
+		res, err = sweep.RunTree(ctx, forkTree(jobs, o), sweepOptions(o))
+	} else {
+		res, err = sweep.Run(ctx, flatJobs(jobs, o), sweepOptions(o))
 	}
-	sjobs := make([]sweep.Job[*sim.Result], len(jobs))
-	for i, j := range jobs {
-		j := j
-		sjobs[i] = sweep.Job[*sim.Result]{
-			Key: j.key,
-			Run: func(ctx context.Context) (*sim.Result, error) {
-				return runCold(ctx, j)
-			},
-		}
-		if j.opts.WarmupCycles > 0 && !o.DisableWarmupReuse {
-			warmJob(o, j, &sjobs[i])
-		}
-	}
-	res, err := sweep.Run(ctx, sjobs, sweepOptions(o))
 	if err != nil {
+		if res == nil {
+			return nil, nil, fmt.Errorf("experiment: %w", err)
+		}
 		return nil, &res.Summary, fmt.Errorf("experiment: %w", err)
 	}
 	return res.ByKey(), &res.Summary, nil
@@ -335,7 +329,7 @@ var registry = []Info{
 
 func init() {
 	// Every experiment that simulates warms up, and by the same default:
-	// all jobs flow through soloJob/pairJob. Table 1 renders static
+	// all jobs flow through soloJob/pairJob/dieJob. Table 1 renders static
 	// configuration and runs nothing.
 	for i := range registry {
 		if registry[i].Name != NameTable1 {

@@ -32,19 +32,18 @@ func TestFastForwardEquivalence(t *testing.T) {
 			// The pair on one core, and split across a 2-core die; the
 			// chip scope runs on the die only.
 			scope := dtm.ScopePerCore
-			var jobs []multiJob
+			var jobs []job
 			if policy == dtm.ChipRoundRobin {
 				scope = dtm.ScopeChip
 			} else {
-				j := pairJob(o, "1-core", spec, vt, policy, false)
-				jobs = append(jobs, multiJob{key: j.key, cfg: j.cfg, coreThreads: [][]sim.Thread{j.threads}, opts: j.opts})
+				jobs = append(jobs, pairJob(o, "1-core", spec, vt, policy, false))
 			}
-			jobs = append(jobs, multiCoreJob(o, "2-core", [][]sim.Thread{{vt}, {spec}}, scope, policy))
+			jobs = append(jobs, dieJob(o, "2-core", [][]sim.Thread{{vt}, {spec}}, scope, policy))
 			for _, j := range jobs {
 				run := func(fastForward bool) *sim.Result {
 					opts := j.opts
 					opts.TraceTemps, opts.DisableFastForward = true, !fastForward
-					s, err := sim.NewMulti(j.cfg, j.coreThreads, opts)
+					s, err := sim.NewMulti(j.cfg, j.cores, opts)
 					if err != nil {
 						t.Fatal(err)
 					}

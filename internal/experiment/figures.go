@@ -2,9 +2,9 @@ package experiment
 
 import (
 	"context"
-
 	"fmt"
 
+	"github.com/heatstroke-sim/heatstroke/internal/config"
 	"github.com/heatstroke-sim/heatstroke/internal/dtm"
 	"github.com/heatstroke-sim/heatstroke/internal/sim"
 )
@@ -224,23 +224,26 @@ func Figure6(ctx context.Context, o Options) (*Table, error) {
 	return table, nil
 }
 
-// soloJob builds a one-thread run.
+// soloJob builds a one-thread run on the paper's machine: one core on
+// the lumped network, whatever die the configuration names (as sim.New
+// runs it).
 func soloJob(o Options, key string, t sim.Thread, policy dtm.Kind, ideal bool) job {
 	cfg := *o.Config
 	cfg.Run.QuantumCycles = o.Quantum
 	cfg.Run.Seed = o.Seed
 	cfg.Thermal.IdealSink = ideal
+	cfg.Topology = config.Default().Topology
 	return job{
-		key:     key,
-		cfg:     cfg,
-		threads: []sim.Thread{t},
-		opts:    sim.Options{Policy: policy, WarmupCycles: o.Warmup, DisableFastForward: o.DisableFastForward},
+		key:   key,
+		cfg:   cfg,
+		cores: [][]sim.Thread{{t}},
+		opts:  sim.Options{Policy: policy, WarmupCycles: o.Warmup, DisableFastForward: o.DisableFastForward},
 	}
 }
 
 // pairJob builds a two-thread run (benchmark first, attacker second).
 func pairJob(o Options, key string, a, b sim.Thread, policy dtm.Kind, ideal bool) job {
 	j := soloJob(o, key, a, policy, ideal)
-	j.threads = append(j.threads, b)
+	j.cores[0] = append(j.cores[0], b)
 	return j
 }

@@ -8,11 +8,10 @@ import (
 	"github.com/heatstroke-sim/heatstroke/internal/sweep"
 )
 
-// runForkSweep executes an experiment's jobs as a fork-tree sweep:
-// jobs sharing a warm key become leaves under one prefix node whose
-// Prefix simulates the shared warmup once and hands the in-memory
-// snapshot to every leaf (copy-on-fork: sim.Restore copies, never
-// aliases, so concurrent leaves and the parent state never interfere).
+// forkTree arranges an experiment's jobs as a fork tree: jobs sharing a
+// warm identity become leaves under one prefix node whose Prefix
+// assembles the shared warm state once and hands it to every leaf
+// (restores copy, never alias, so concurrent leaves never interfere).
 // Jobs with no warmup become leaf roots. Grouping follows first
 // appearance in input order, so the tree's DFS leaf order — and with
 // it result indexing — is the input order of the flat sweep.
@@ -20,11 +19,10 @@ import (
 // The rendered tables are byte-identical to runSweep's flat and cold
 // paths (enforced by the differential equivalence suite); only the
 // Summary's fork counters and timing fields differ.
-func runForkSweep(ctx context.Context, jobs []job, o Options) (map[string]*sim.Result, *sweep.Summary, error) {
+func forkTree(jobs []job, o Options) []*sweep.ForkNode[*sim.Result] {
 	var roots []*sweep.ForkNode[*sim.Result]
 	groups := make(map[string]*sweep.ForkNode[*sim.Result])
 	for _, j := range jobs {
-		j := j
 		leaf := sweep.LeafNode(j.key, func(ctx context.Context, parent any) (*sim.Result, error) {
 			if parent == nil {
 				return runCold(ctx, j)
@@ -35,13 +33,14 @@ func runForkSweep(ctx context.Context, jobs []job, o Options) (map[string]*sim.R
 			roots = append(roots, leaf)
 			continue
 		}
-		key := warmKey(o, j)
+		k := keysOf(o, j)
+		key := k.job()
 		p, ok := groups[key]
 		if !ok {
 			p = sweep.PrefixNode[*sim.Result](
 				fmt.Sprintf("warm:%s:%s", j.key, key[:12]),
 				func(ctx context.Context, _ any) (any, error) {
-					return buildWarm(ctx, o, j, key)
+					return buildWarm(ctx, o, j, k)
 				},
 			)
 			groups[key] = p
@@ -49,12 +48,5 @@ func runForkSweep(ctx context.Context, jobs []job, o Options) (map[string]*sim.R
 		}
 		p.Children = append(p.Children, leaf)
 	}
-	res, err := sweep.RunTree(ctx, roots, sweepOptions(o))
-	if err != nil {
-		if res == nil {
-			return nil, nil, fmt.Errorf("experiment: %w", err)
-		}
-		return nil, &res.Summary, fmt.Errorf("experiment: %w", err)
-	}
-	return res.ByKey(), &res.Summary, nil
+	return roots
 }

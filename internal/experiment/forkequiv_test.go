@@ -23,18 +23,26 @@ func forkEquivOptions(benches ...string) Options {
 // replaces. The policies experiment covers all five DTM kinds; the
 // fast-forward switch is exercised on both settings for the threshold
 // and policy sweeps, so equivalence is proven on both simulator code
-// paths. Gated in CI by the standard test job.
+// paths. Both multi-core experiments fork their dies too. Gated in CI
+// by the standard test job.
 func TestForkTreeEquivalence(t *testing.T) {
 	cases := []struct {
 		experiment string
 		opts       Options
 		noFF       []bool
+		// unshared marks an experiment whose jobs all differ in warm
+		// identity: neighbor-heat's two dies differ in core 0's
+		// program, so each is its own prefix (they share the victim
+		// core and the die through the warm store instead).
+		unshared bool
 	}{
-		{NameThresholds, forkEquivOptions(), []bool{false, true}},
-		{NamePolicies, forkEquivOptions(), []bool{false, true}},
-		{NameThresholdsDense, forkEquivOptions("crafty"), []bool{false}},
-		{NameFlatAvg, forkEquivOptions(), []bool{false}},
-		{NameAbsThresh, forkEquivOptions(), []bool{false}},
+		{NameThresholds, forkEquivOptions(), []bool{false, true}, false},
+		{NamePolicies, forkEquivOptions(), []bool{false, true}, false},
+		{NameThresholdsDense, forkEquivOptions("crafty"), []bool{false}, false},
+		{NameFlatAvg, forkEquivOptions(), []bool{false}, false},
+		{NameAbsThresh, forkEquivOptions(), []bool{false}, false},
+		{NameNeighborHeat, forkEquivOptions("crafty"), []bool{false}, true},
+		{NameDTMScope, forkEquivOptions("crafty"), []bool{false}, false},
 	}
 	for _, tc := range cases {
 		for _, noFF := range tc.noFF {
@@ -63,13 +71,19 @@ func TestForkTreeEquivalence(t *testing.T) {
 					t.Errorf("fork-tree table differs from cold run:\n--- cold\n%s\n--- fork\n%s",
 						coldTb.String(), forkTb.String())
 				}
-				if forkTb.Summary.ForkPrefixes == 0 || forkTb.Summary.ForkReused == 0 {
+				sum := forkTb.Summary
+				switch {
+				case tc.unshared:
+					if sum.ForkPrefixes != sum.Jobs {
+						t.Errorf("fork tree ran %d prefixes for %d jobs of distinct warm identities",
+							sum.ForkPrefixes, sum.Jobs)
+					}
+				case sum.ForkPrefixes == 0 || sum.ForkReused == 0:
 					t.Errorf("fork tree shared nothing: %d prefixes, %d reused",
-						forkTb.Summary.ForkPrefixes, forkTb.Summary.ForkReused)
-				}
-				if forkTb.Summary.ForkPrefixes >= forkTb.Summary.Jobs {
+						sum.ForkPrefixes, sum.ForkReused)
+				case sum.ForkPrefixes >= sum.Jobs:
 					t.Errorf("fork tree ran %d prefixes for %d jobs — no sharing",
-						forkTb.Summary.ForkPrefixes, forkTb.Summary.Jobs)
+						sum.ForkPrefixes, sum.Jobs)
 				}
 				if coldTb.Summary.ForkPrefixes != 0 || coldTb.Summary.WarmupRuns != 0 {
 					t.Errorf("cold run reported sharing: %+v", coldTb.Summary)

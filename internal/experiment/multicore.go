@@ -3,21 +3,18 @@
 // comparison (per-core policies vs the chip-wide round-robin). Both
 // run on the grid thermal solver over a NewDie(K) floorplan; they are
 // the only experiments that do, so every single-core experiment stays
-// on the lumped fast path byte-identically.
+// on the lumped fast path byte-identically. Their jobs run through the
+// same runSweep, warm keys and warm store as every other experiment's.
 package experiment
 
 import (
 	"context"
 	"fmt"
-	"slices"
-	"sync"
 
 	"github.com/heatstroke-sim/heatstroke/internal/config"
 	"github.com/heatstroke-sim/heatstroke/internal/dtm"
 	"github.com/heatstroke-sim/heatstroke/internal/power"
 	"github.com/heatstroke-sim/heatstroke/internal/sim"
-	"github.com/heatstroke-sim/heatstroke/internal/sweep"
-	"github.com/heatstroke-sim/heatstroke/internal/thermal"
 )
 
 // multiTopology resolves the die topology a multi-core experiment
@@ -35,26 +32,17 @@ func (o Options) multiTopology() config.Topology {
 	return top
 }
 
-// multiJob is one independent whole-die simulation.
-type multiJob struct {
-	key         string
-	cfg         config.Config
-	coreThreads [][]sim.Thread
-	opts        sim.Options
-}
-
-// multiCoreJob builds a whole-die run: thread set per core, one DTM
-// scope/policy. Jobs of one run share warm state through a warmShare;
-// fork-tree prefixes do not apply to whole-die jobs.
-func multiCoreJob(o Options, key string, coreThreads [][]sim.Thread, scope dtm.Scope, policy dtm.Kind) multiJob {
+// dieJob builds a whole-die run: one thread set per core, one DTM
+// scope and policy.
+func dieJob(o Options, key string, cores [][]sim.Thread, scope dtm.Scope, policy dtm.Kind) job {
 	cfg := *o.Config
 	cfg.Run.QuantumCycles = o.Quantum
 	cfg.Run.Seed = o.Seed
 	cfg.Topology = o.multiTopology()
-	return multiJob{
-		key:         key,
-		cfg:         cfg,
-		coreThreads: coreThreads,
+	return job{
+		key:   key,
+		cfg:   cfg,
+		cores: cores,
 		opts: sim.Options{
 			Scope:              scope,
 			Policy:             policy,
@@ -62,203 +50,6 @@ func multiCoreJob(o Options, key string, coreThreads [][]sim.Thread, scope dtm.S
 			DisableFastForward: o.DisableFastForward,
 		},
 	}
-}
-
-// runMultiSweep executes whole-die jobs through the sweep engine with
-// runSweep's options, so fail-fast semantics, Summary metrics and the
-// per-job sim.quantum span are the same. Unless DisableWarmupReuse is
-// set, the jobs share warm state (see warmShare); the Summary's
-// WarmupRuns then counts jobs that simulated any core's warmup and
-// WarmupReused jobs that restored every core.
-func runMultiSweep(ctx context.Context, jobs []multiJob, o Options) (map[string]*sim.Result, *sweep.Summary, error) {
-	if o.enumerate != nil {
-		// The warm share lives in memory for one run only, so WarmKeys
-		// sees an empty job list: there are no warm snapshots to ship
-		// anywhere.
-		o.enumerate(o, nil)
-		return nil, nil, errEnumerated
-	}
-	var share *warmShare
-	if !o.DisableWarmupReuse {
-		share = newWarmShare(o, jobs)
-	}
-	sjobs := make([]sweep.Job[*sim.Result], len(jobs))
-	for i, j := range jobs {
-		sjobs[i] = sweep.Job[*sim.Result]{
-			Key: j.key,
-			Run: func(ctx context.Context) (*sim.Result, error) {
-				opts := j.opts
-				traceSimOpts(ctx, &opts)
-				m, err := sim.NewMulti(j.cfg, j.coreThreads, opts)
-				if err != nil {
-					return nil, err
-				}
-				if err := share.warm(m, i); err != nil {
-					return nil, err
-				}
-				return m.Run()
-			},
-		}
-	}
-	res, err := sweep.Run(ctx, sjobs, sweepOptions(o))
-	if share != nil {
-		res.Summary.WarmupRuns, res.Summary.WarmupReused = share.runs, share.reused
-	}
-	if err != nil {
-		return nil, &res.Summary, fmt.Errorf("experiment: %w", err)
-	}
-	return res.ByKey(), &res.Summary, nil
-}
-
-// warmShare lets the whole-die jobs of one run share warm state: each
-// core's post-warmup state under a per-core key, and the die's
-// post-warmup temperatures under a die key. A core warms alone, with no
-// thermal step, so its state depends on its own programs and the warm
-// configuration but not on the topology; the die's depends on the
-// configuration alone. Held states are compact (sim.CoreWarm), a job
-// stores one only while a later job still needs it, and each is
-// dropped after its last consumer. Jobs running concurrently may each
-// warm a key neither found stored; warm states are deterministic, so
-// the results are the same either way.
-type warmShare struct {
-	keys []dieKeys // per job
-
-	mu sync.Mutex
-	// left counts, per key, the jobs yet to consume it.
-	left  map[string]int
-	cores map[string]*sim.CoreWarm
-	dies  map[string]*thermal.SolverState
-	// runs counts jobs that simulated any core's warmup, reused jobs
-	// that restored every core.
-	runs, reused int
-}
-
-// dieKeys names a job's shareable warm state: one key per core and the
-// die's.
-type dieKeys struct {
-	cores []string
-	die   string
-}
-
-// newWarmShare keys every job and counts each key's consumers (a key
-// repeated inside one die counts once). It returns nil — every job
-// runs cold — when the jobs run no warmup.
-func newWarmShare(o Options, jobs []multiJob) *warmShare {
-	s := &warmShare{
-		keys:  make([]dieKeys, len(jobs)),
-		left:  make(map[string]int),
-		cores: make(map[string]*sim.CoreWarm),
-		dies:  make(map[string]*thermal.SolverState),
-	}
-	for i, j := range jobs {
-		if j.opts.WarmupCycles <= 0 {
-			return nil
-		}
-		s.keys[i] = dieKeys{cores: coreKeys(o, j), die: "die\x00" + j.cfg.WarmDigest()}
-		for _, k := range s.keys[i].distinct() {
-			s.left[k]++
-		}
-	}
-	return s
-}
-
-// coreKeys returns the per-core warm keys of a whole-die job: warmKey's
-// identity over the core's own threads, with the topology cleared.
-func coreKeys(o Options, j multiJob) []string {
-	cfg := j.cfg
-	cfg.Topology = config.Topology{}
-	wd := cfg.WarmDigest()
-	keys := make([]string, len(j.coreThreads))
-	for c, threads := range j.coreThreads {
-		keys[c] = warmKeyOf(o, wd, sim.ProgramsDigest(threads), j.opts.WarmupCycles, j.opts.DisableFastForward)
-	}
-	return keys
-}
-
-// distinct lists the job's keys once each, cores first, die last.
-func (k dieKeys) distinct() []string {
-	out := make([]string, 0, len(k.cores)+1)
-	for _, c := range k.cores {
-		if !slices.Contains(out, c) {
-			out = append(out, c)
-		}
-	}
-	return append(out, k.die)
-}
-
-// warm completes job i's warmup on m: cores and the die restore from
-// stored states where the share has them, the rest warm in place (a
-// key repeated inside the die warms once and is copied to the other
-// cores). It then stores what later jobs still need and drops what no
-// later job does. A nil share leaves m to warm up by itself.
-func (s *warmShare) warm(m *sim.Simulator, i int) error {
-	if s == nil {
-		return nil
-	}
-	ks := s.keys[i]
-	stored := make(map[string]*sim.CoreWarm)
-	s.mu.Lock()
-	for _, k := range ks.cores {
-		if w := s.cores[k]; w != nil {
-			stored[k] = w
-		}
-	}
-	die := s.dies[ks.die]
-	s.mu.Unlock()
-
-	warmedAt := make(map[string]int) // key -> the core that warmed it here
-	for c, k := range ks.cores {
-		w := stored[k]
-		if w == nil {
-			src, ok := warmedAt[k]
-			if !ok {
-				if err := m.WarmCore(c); err != nil {
-					return err
-				}
-				warmedAt[k] = c
-				continue
-			}
-			w = m.CaptureCore(src)
-			stored[k] = w
-		}
-		if err := m.RestoreCore(c, w); err != nil {
-			return err
-		}
-	}
-	if err := m.FinishWarmup(die); err != nil {
-		return err
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(warmedAt) > 0 {
-		s.runs++
-	} else {
-		s.reused++
-	}
-	for _, k := range ks.distinct() {
-		s.left[k]--
-		switch {
-		case s.left[k] <= 0:
-			delete(s.left, k)
-			delete(s.cores, k)
-			delete(s.dies, k)
-		case k == ks.die:
-			if die == nil && s.dies[k] == nil {
-				st := m.Solver().State()
-				s.dies[k] = &st
-			}
-		case s.cores[k] == nil:
-			if c, ok := warmedAt[k]; ok {
-				if w := stored[k]; w != nil {
-					s.cores[k] = w
-				} else {
-					s.cores[k] = m.CaptureCore(c)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // neighborBenign is the benign co-resident the baseline rows run on
@@ -285,7 +76,7 @@ func NeighborHeat(ctx context.Context, o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var jobs []multiJob
+	var jobs []job
 	for _, b := range o.Benchmarks {
 		victim, err := specThread(b, o.Seed)
 		if err != nil {
@@ -304,11 +95,11 @@ func NeighborHeat(ctx context.Context, o Options) (*Table, error) {
 			return ct
 		}
 		jobs = append(jobs,
-			multiCoreJob(o, b+"/benign", mk(benign), dtm.ScopePerCore, dtm.SelectiveSedation),
-			multiCoreJob(o, b+"/trojan", mk(v2), dtm.ScopePerCore, dtm.SelectiveSedation),
+			dieJob(o, b+"/benign", mk(benign), dtm.ScopePerCore, dtm.SelectiveSedation),
+			dieJob(o, b+"/trojan", mk(v2), dtm.ScopePerCore, dtm.SelectiveSedation),
 		)
 	}
-	results, sum, err := runMultiSweep(ctx, jobs, o)
+	results, sum, err := runSweep(ctx, jobs, o)
 	if err != nil {
 		return nil, err
 	}
@@ -371,7 +162,7 @@ func DTMScope(ctx context.Context, o Options) (*Table, error) {
 		{"sedation", dtm.ScopePerCore, dtm.SelectiveSedation},
 		{"chip-rr", dtm.ScopeChip, dtm.ChipRoundRobin},
 	}
-	var jobs []multiJob
+	var jobs []job
 	for _, b := range o.Benchmarks {
 		victim, err := specThread(b, o.Seed)
 		if err != nil {
@@ -384,10 +175,10 @@ func DTMScope(ctx context.Context, o Options) (*Table, error) {
 			ct[c] = []sim.Thread{benign}
 		}
 		for _, sc := range scopes {
-			jobs = append(jobs, multiCoreJob(o, b+"/"+sc.key, ct, sc.scope, sc.policy))
+			jobs = append(jobs, dieJob(o, b+"/"+sc.key, ct, sc.scope, sc.policy))
 		}
 	}
-	results, sum, err := runMultiSweep(ctx, jobs, o)
+	results, sum, err := runSweep(ctx, jobs, o)
 	if err != nil {
 		return nil, err
 	}

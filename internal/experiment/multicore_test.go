@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/heatstroke-sim/heatstroke/internal/config"
+	"github.com/heatstroke-sim/heatstroke/internal/dtm"
 	"github.com/heatstroke-sim/heatstroke/internal/sim"
 	"github.com/heatstroke-sim/heatstroke/internal/sweep"
 )
@@ -118,10 +119,10 @@ func TestDTMScopeSmoke(t *testing.T) {
 // TestMultiExperimentDeterminism checks both multi-core experiments
 // render byte-identically whether whole-die jobs share warm state or
 // run cold (DisableWarmupReuse), at parallelism 1 and 4, with the
-// stall fast-forward on and off, and with and without the fork-tree
-// flag. Under parallelism, jobs race to warm a key; the tables must
-// not notice. The jobs' peak temperatures, which tables round, must
-// agree to the last bit. A 4-core neighbor-heat run covers a program
+// stall fast-forward on and off, and flat or as a fork tree. Under
+// parallelism, jobs race to warm a core key; the tables must not
+// notice. The jobs' peak temperatures, which tables round, must agree
+// to the last bit. A 4-core neighbor-heat run covers a program
 // repeated inside one die (the benign neighbour on cores 2 and 3).
 func TestMultiExperimentDeterminism(t *testing.T) {
 	type variant struct {
@@ -140,10 +141,11 @@ func TestMultiExperimentDeterminism(t *testing.T) {
 		sub, name string
 		cores     int
 		variants  []variant
-		// wantRuns is the serial shared run's WarmupRuns: only jobs
-		// meeting a new core program warm. neighbor-heat's trojan job
-		// brings Variant2; every dtm-scope job after the first restores
-		// every core.
+		// wantRuns is the serial shared run's count of warm states
+		// assembled (WarmupRuns flat, ForkPrefixes as a fork tree): one
+		// per distinct warm identity. neighbor-heat's benign and trojan
+		// jobs differ in core 0's program; dtm-scope's three jobs run
+		// one die under three policies.
 		wantRuns int
 	}{
 		{NameNeighborHeat, NameNeighborHeat, 2, full, 2},
@@ -183,11 +185,15 @@ func TestMultiExperimentDeterminism(t *testing.T) {
 				if a, b := sum.Metrics[sweep.MetricPeakTempK], wantSum.Metrics[sweep.MetricPeakTempK]; a != b {
 					t.Errorf("%+v: peak temperatures %+v, cold run %+v", v, a, b)
 				}
-				if !v.cold && sum.WarmupRuns+sum.WarmupReused != sum.Jobs {
-					t.Errorf("%+v: %d warmup runs + %d reused for %d jobs", v, sum.WarmupRuns, sum.WarmupReused, sum.Jobs)
+				runs, reused := sum.WarmupRuns, sum.WarmupReused
+				if v.fork {
+					runs, reused = sum.ForkPrefixes, sum.ForkReused
 				}
-				if !v.cold && v.par == 1 && sum.WarmupRuns != tc.wantRuns {
-					t.Errorf("%+v: %d jobs warmed a core, want %d", v, sum.WarmupRuns, tc.wantRuns)
+				if !v.cold && runs+reused != sum.Jobs {
+					t.Errorf("%+v: %d warm states built + %d reused for %d jobs", v, runs, reused, sum.Jobs)
+				}
+				if !v.cold && v.par == 1 && runs != tc.wantRuns {
+					t.Errorf("%+v: %d warm states built, want %d", v, runs, tc.wantRuns)
 				}
 			}
 		})
@@ -218,31 +224,43 @@ func TestMultiExperimentRegistry(t *testing.T) {
 	}
 }
 
-// TestMultiExperimentWarmKeys: multi-core jobs share warm state only
-// in memory, within one run, so WarmKeys must report nothing to ship —
-// and must not simulate (the options here carry the full default
-// 500M-cycle quantum; enumeration returning quickly is itself the
-// proof).
+// TestMultiExperimentWarmKeys: whole-die jobs list their core keys
+// and their die key like every other job, so a fleet can ship a die's
+// warm records — and enumeration must not simulate (the options here
+// carry the full default 500M-cycle quantum; enumeration returning
+// quickly is itself the proof).
 func TestMultiExperimentWarmKeys(t *testing.T) {
 	cfg := config.Default()
 	o := Options{Config: &cfg, Benchmarks: []string{"gcc", "mcf"}}
-	for _, name := range []string{NameNeighborHeat, NameDTMScope} {
-		keys, err := WarmKeys(context.Background(), name, o)
+	for _, tc := range []struct {
+		name string
+		// want counts the distinct keys: neighbor-heat's dies run art
+		// or Variant2 next to gcc or mcf, dtm-scope's Variant2 next to
+		// gcc or mcf, and every die is alike.
+		want int
+	}{{NameNeighborHeat, 5}, {NameDTMScope, 4}} {
+		keys, err := WarmKeys(context.Background(), tc.name, o)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if len(keys) != 0 {
-			t.Errorf("%s: warm keys %v, want none", name, keys)
+		if len(keys) != tc.want {
+			t.Errorf("%s: %d warm keys %v, want %d", tc.name, len(keys), keys, tc.want)
+		}
+		for _, k := range keys {
+			if len(k) != 64 || strings.Trim(k, "0123456789abcdef") != "" {
+				t.Errorf("%s: warm key %q is not a sha256 hex digest", tc.name, k)
+			}
 		}
 	}
 }
 
-// TestCoreKeysIgnoreTopology: a whole-die job's per-core warm key names
-// the core's programs and the warm configuration but not the die, so
-// the same program keys alike on a 2-core and a 4-core die and at any
-// grid resolution (TestCoreWarmTopologyInvariance in internal/sim
-// proves the warm states equal), while a different program, warmup
-// length or code version keys apart.
+// TestCoreKeysIgnoreTopology: a job's per-core warm key names the
+// core's programs and the warm configuration but not the die, so the
+// same program keys alike on the paper's single core, on a 2-core and
+// a 4-core die and at any grid resolution (TestCoreWarmTopologyInvariance
+// in internal/sim proves the warm states equal), while a different
+// program, warmup length or code version keys apart. The die key does
+// name the topology.
 func TestCoreKeysIgnoreTopology(t *testing.T) {
 	gcc, err := specThread("gcc", 1)
 	if err != nil {
@@ -260,7 +278,7 @@ func TestCoreKeysIgnoreTopology(t *testing.T) {
 			ct[c] = []sim.Thread{gcc}
 		}
 		ct[0] = []sim.Thread{v2}
-		return coreKeys(o, multiJob{cfg: cfg, coreThreads: ct, opts: sim.Options{WarmupCycles: warmup}})
+		return keysOf(o, job{cfg: cfg, cores: ct, opts: sim.Options{WarmupCycles: warmup}}).cores
 	}
 	o := Options{CodeVersion: "a"}
 	want := key(o, 2, 32, 1000)
@@ -277,5 +295,20 @@ func TestCoreKeysIgnoreTopology(t *testing.T) {
 	}
 	if key(Options{CodeVersion: "b"}, 2, 32, 1000)[1] == want[1] {
 		t.Error("code version not keyed")
+	}
+	cfg0 := config.Default()
+	solo := soloJob(Options{Config: &cfg0, Quantum: 1, Seed: 1, Warmup: 1000}, "solo", gcc, dtm.StopAndGo, false)
+	if got := keysOf(o, solo).cores; got[0] != want[1] {
+		t.Errorf("gcc keys %s on one core, %s on a die", got[0], want[1])
+	}
+	dies := make(map[string]bool)
+	for _, gridN := range []int{32, 64} {
+		cfg := config.Default()
+		cfg.Topology = config.Topology{Cores: 2, Solver: config.SolverGrid, GridN: gridN}
+		dies[keysOf(o, job{cfg: cfg, cores: [][]sim.Thread{{v2}, {gcc}}, opts: sim.Options{WarmupCycles: 1000}}).die] = true
+	}
+	dies[keysOf(o, solo).die] = true
+	if len(dies) != 3 {
+		t.Errorf("%d distinct die keys over three topologies", len(dies))
 	}
 }

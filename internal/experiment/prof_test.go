@@ -19,7 +19,7 @@ func benchRun(b *testing.B, pair bool) {
 			j = soloJob(o, "s", spec, dtm.StopAndGo, false)
 		}
 		j.cfg.Run.QuantumCycles = 2_000_000
-		s, err := sim.New(j.cfg, j.threads, j.opts)
+		s, err := sim.NewMulti(j.cfg, j.cores, j.opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -95,8 +95,8 @@ func TestDieResultAccountsPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := multiCoreJob(o, "die", [][]sim.Thread{{gcc}, {gcc}}, dtm.ScopePerCore, dtm.StopAndGo)
-	res, _, err := runMultiSweep(context.Background(), []multiJob{j}, o)
+	j := dieJob(o, "die", [][]sim.Thread{{gcc}, {gcc}}, dtm.ScopePerCore, dtm.StopAndGo)
+	res, _, err := runSweep(context.Background(), []job{j}, o)
 	if err != nil {
 		t.Fatal(err)
 	}

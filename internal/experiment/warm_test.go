@@ -45,9 +45,9 @@ func TestSweepWarmupReuse(t *testing.T) {
 	if len(jobs) < 8 {
 		t.Fatalf("only %d jobs", len(jobs))
 	}
-	key := warmKey(o, jobs[0])
+	key := keysOf(o, jobs[0]).job()
 	for _, j := range jobs[1:] {
-		if warmKey(o, j) != key {
+		if keysOf(o, j).job() != key {
 			t.Fatalf("job %s has a different warm key", j.key)
 		}
 	}
@@ -91,58 +91,59 @@ func TestSweepWarmupReuse(t *testing.T) {
 func TestWarmKeySeparates(t *testing.T) {
 	o := tinyOptions().normalized()
 	jobs := warmJobs(t, o)
-	base := warmKey(o, jobs[0])
+	base := keysOf(o, jobs[0]).job()
 
 	ideal := jobs[0]
 	ideal.cfg.Thermal.IdealSink = true
-	if warmKey(o, ideal) == base {
+	if keysOf(o, ideal).job() == base {
 		t.Error("ideal-sink config shares the real-sink key")
 	}
 
 	solo := jobs[0]
-	solo.threads = solo.threads[:1]
-	if warmKey(o, solo) == base {
+	solo.cores = [][]sim.Thread{solo.cores[0][:1]}
+	if keysOf(o, solo).job() == base {
 		t.Error("different threads share a key")
 	}
 
 	longer := jobs[0]
 	longer.opts.WarmupCycles++
-	if warmKey(o, longer) == base {
+	if keysOf(o, longer).job() == base {
 		t.Error("different warmup lengths share a key")
 	}
 
 	ov := o
 	ov.CodeVersion = "other"
-	if warmKey(ov, jobs[0]) == base {
+	if keysOf(ov, jobs[0]).job() == base {
 		t.Error("different code versions share a key")
 	}
 }
 
-// memStore is an in-memory SnapshotStore.
-type memStore struct {
+// countingStore is an in-memory WarmStore that counts its hits and
+// puts.
+type countingStore struct {
 	mu   sync.Mutex
-	m    map[string]*sim.MachineState
+	m    map[string]*sim.WarmRecord
 	hits int
 	puts int
 }
 
-func (s *memStore) Get(key string) (*sim.MachineState, bool) {
+func (s *countingStore) Get(key string) (*sim.WarmRecord, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ms, ok := s.m[key]
+	rec, ok := s.m[key]
 	if ok {
 		s.hits++
 	}
-	return ms, ok
+	return rec, ok
 }
 
-func (s *memStore) Put(key string, ms *sim.MachineState) {
+func (s *countingStore) Put(key string, rec *sim.WarmRecord) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.m == nil {
-		s.m = make(map[string]*sim.MachineState)
+		s.m = make(map[string]*sim.WarmRecord)
 	}
-	s.m[key] = ms
+	s.m[key] = rec
 	s.puts++
 }
 
@@ -151,7 +152,7 @@ func (s *memStore) Put(key string, ms *sim.MachineState) {
 func TestWarmupCacheAcrossRuns(t *testing.T) {
 	o := tinyOptions().normalized()
 	o.Parallelism = 2
-	store := &memStore{}
+	store := &countingStore{}
 	o.WarmupCache = store
 	jobs := warmJobs(t, o)[:4]
 
@@ -159,8 +160,9 @@ func TestWarmupCacheAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if store.puts != 1 {
-		t.Fatalf("first run put %d snapshots, want 1", store.puts)
+	// One record for the pair's core, one for the die.
+	if store.puts != 2 {
+		t.Fatalf("first run put %d records, want 2", store.puts)
 	}
 	if sum1.WarmupRuns != 1 {
 		t.Fatalf("first run warmups = %d", sum1.WarmupRuns)
@@ -173,8 +175,8 @@ func TestWarmupCacheAcrossRuns(t *testing.T) {
 	if store.hits == 0 {
 		t.Fatal("second run never hit the cache")
 	}
-	if store.puts != 1 {
-		t.Fatalf("second run re-put the snapshot (%d puts)", store.puts)
+	if store.puts != 2 {
+		t.Fatalf("second run re-put a record (%d puts)", store.puts)
 	}
 	// The cache-served warm state still counts as this sweep's one
 	// warmup execution slot; no extra warmups run.

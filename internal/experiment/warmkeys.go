@@ -10,14 +10,15 @@ import (
 // recognizes the sentinel as success.
 var errEnumerated = errors.New("experiment: job list enumerated, sweep skipped")
 
-// WarmKeys lists the warmup-snapshot keys the named experiment would
-// share warm state under, without running any simulation. The keys are
-// exactly those the run itself derives (same warmKey function on the
-// same built job list), deduplicated in first-appearance order — so a
-// fleet coordinator can decide, before dispatching a job to a worker,
-// which snapshots to ship there (see internal/fleet). Options follow
-// the same normalization as a real run; CodeVersion must match the
-// executing side for the keys to alias its cache.
+// WarmKeys lists the keys of every warm record the named experiment
+// would look up — each job's core keys, then its die key — without
+// running any simulation. The keys are exactly those the run itself
+// derives (same keysOf on the same built job list), deduplicated in
+// first-appearance order, so a fleet coordinator can decide, before
+// dispatching a job to a worker, which records to ship there (see
+// internal/fleet). Options follow the same normalization as a real
+// run; CodeVersion must match the executing side for the keys to alias
+// its store.
 //
 // Cost: job construction only — workload/program generation and config
 // digests, no cycles simulated. Experiments that run no simulations
@@ -30,10 +31,12 @@ func WarmKeys(ctx context.Context, name string, o Options) ([]string, error) {
 			if j.opts.WarmupCycles <= 0 {
 				continue
 			}
-			k := warmKey(eo, j)
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
+			k := keysOf(eo, j)
+			for _, key := range append(k.cores, k.die) {
+				if !seen[key] {
+					seen[key] = true
+					keys = append(keys, key)
+				}
 			}
 		}
 	}

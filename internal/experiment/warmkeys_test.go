@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -10,15 +11,15 @@ import (
 	"github.com/heatstroke-sim/heatstroke/internal/sim"
 )
 
-// recordingStore is a SnapshotStore that misses on every Get and
-// records every Put, capturing the warm keys a real run derives.
+// recordingStore is a WarmStore that misses on every Get and records
+// every Put, capturing the warm keys a real run derives.
 type recordingStore struct {
 	mu   sync.Mutex
 	puts map[string]bool
 }
 
-func (r *recordingStore) Get(string) (*sim.MachineState, bool) { return nil, false }
-func (r *recordingStore) Put(key string, _ *sim.MachineState) {
+func (r *recordingStore) Get(string) (*sim.WarmRecord, bool) { return nil, false }
+func (r *recordingStore) Put(key string, _ *sim.WarmRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.puts == nil {
@@ -54,9 +55,10 @@ func warmKeysOpts() Options {
 // TestWarmKeysMatchExecution is the contract the fleet coordinator
 // depends on: the keys WarmKeys enumerates without simulating are
 // exactly the keys a real run of the same experiment and options
-// stores its warmup snapshots under.
+// stores its warm records under — core keys and die keys, on the
+// paper's single core and on the multi-core experiments' dies.
 func TestWarmKeysMatchExecution(t *testing.T) {
-	for _, name := range []string{NameFigure3, NameFigure4, NameThresholds} {
+	for _, name := range []string{NameFigure3, NameFigure4, NameThresholds, NameNeighborHeat, NameDTMScope} {
 		t.Run(name, func(t *testing.T) {
 			enumerated, err := WarmKeys(context.Background(), name, warmKeysOpts())
 			if err != nil {
@@ -99,10 +101,40 @@ func TestWarmKeysCheap(t *testing.T) {
 		t.Fatalf("WarmKeys: %v", err)
 	}
 	// policies: per benchmark, one attack pair shared across 5 DTM
-	// kinds -> warm keys collapse to one per benchmark (policy and
-	// thresholds are excluded from warm keys by design).
-	if len(keys) != 2 {
-		t.Fatalf("policies warm keys = %d (%v), want 1 per benchmark", len(keys), keys)
+	// kinds -> core keys collapse to one per benchmark (policy and
+	// thresholds are excluded from warm keys by design), and every job
+	// runs the same die.
+	if len(keys) != 3 {
+		t.Fatalf("policies warm keys = %d (%v), want 1 per benchmark and 1 die", len(keys), keys)
+	}
+}
+
+// TestWarmKeysAcrossSeeds: the seed reaches warm state only through
+// the programs it generates, so two seeds of fig3 share exactly the
+// records that do not depend on it — the three attack variants' core
+// keys and the die key — and nothing else.
+func TestWarmKeysAcrossSeeds(t *testing.T) {
+	keys := make([][]string, 2)
+	for i, seed := range []int64{11, 12} {
+		o := warmKeysOpts()
+		o.Seed, o.SeedSet = seed, true
+		var err error
+		if keys[i], err = WarmKeys(context.Background(), NameFigure3, o); err != nil {
+			t.Fatal(err)
+		}
+		// Two SPEC cores, three variant cores, one die.
+		if len(keys[i]) != 6 {
+			t.Fatalf("seed %d: %d warm keys, want 6", seed, len(keys[i]))
+		}
+	}
+	shared := 0
+	for _, k := range keys[1] {
+		if slices.Contains(keys[0], k) {
+			shared++
+		}
+	}
+	if shared != 4 {
+		t.Errorf("seeds share %d warm keys, want 4 (three variants and the die)", shared)
 	}
 }
 

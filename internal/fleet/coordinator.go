@@ -45,9 +45,9 @@ type Options struct {
 	// BaseConfig supplies the machine configuration requests override
 	// (default config.Default); it must match the workers'.
 	BaseConfig func() config.Config
-	// SnapshotDir, when set, is a local directory of {key}.snap warmup
-	// snapshots (a daemon's WarmupCacheDir) the coordinator can ship
-	// from when no worker holds a needed key.
+	// SnapshotDir, when set, is a local directory of {key}.warm warm
+	// records (a daemon's WarmupCacheDir) the coordinator can ship from
+	// when no worker holds a needed key.
 	SnapshotDir string
 	// DisableWarmShipping turns off pre-dispatch snapshot shipping
 	// (workers then warm up from scratch on misses — slower, never

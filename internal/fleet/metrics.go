@@ -39,7 +39,7 @@ func newFleetMetrics(c *Coordinator) *fleetMetrics {
 		hedgeWins: reg.Counter("fleet_hedge_wins_total",
 			"Hedged duplicates that finished before the primary."),
 		warmShipped: reg.Counter("fleet_warm_snapshots_shipped_total",
-			"Warmup snapshots copied to a worker ahead of a dispatch."),
+			"Warm records copied to a worker ahead of a dispatch."),
 		dispatchDur: reg.Histogram("fleet_dispatch_duration_seconds",
 			"Wall time from dispatch to a worker until its terminal result.",
 			telemetry.DefLatencyBuckets),

@@ -10,17 +10,24 @@ import (
 	"github.com/heatstroke-sim/heatstroke/pkg/api"
 )
 
-// warmKeysFor enumerates the warmup-snapshot keys the resolved request
-// will look up when it runs, without simulating anything (see
-// experiment.WarmKeys). The coordinator resolves requests with the
-// same version and base config as the workers, so these keys alias the
-// workers' warm caches exactly; with a mixed-version fleet they miss
-// and shipping degrades to a no-op — slower warmups, never wrong
-// results.
+// warmKeysFor enumerates the warm-record keys (every job's cores and
+// die) the resolved request will look up when it runs, without
+// simulating anything (see experiment.WarmKeys). The coordinator
+// resolves requests with the same version and base config as the
+// workers and applies the request's scale and die as they do, so these
+// keys alias the workers' warm caches exactly; with a mixed-version
+// fleet they miss and shipping degrades to a no-op — slower warmups,
+// never wrong results.
 func (c *Coordinator) warmKeysFor(ctx context.Context, req api.JobRequest) []string {
 	cfg := c.opts.BaseConfig()
 	if req.Scale > 0 {
 		cfg.Thermal.Scale = req.Scale
+	}
+	if req.Cores > 0 {
+		cfg.Topology.Cores = req.Cores
+	}
+	if req.Solver != "" {
+		cfg.Topology.Solver = req.Solver
 	}
 	o := experiment.Options{
 		Config:      &cfg,
@@ -39,16 +46,17 @@ func (c *Coordinator) warmKeysFor(ctx context.Context, req api.JobRequest) []str
 	return keys
 }
 
-// shipWarm makes sure the target worker holds every warmup snapshot
-// the job will want, before the job is submitted there. Sources, in
-// order: any other worker advertising the key in its stats, then the
-// coordinator's local SnapshotDir. Everything here is best-effort —
-// a missing or unshippable snapshot just means the target re-runs the
-// warmup itself (the snapshot store is a cache, not a dependency).
+// shipWarm makes sure the target worker holds every warm record the
+// job will want, before the job is submitted there. Sources, in order:
+// any other worker advertising the key in its stats, then the
+// coordinator's local SnapshotDir. Everything here is best-effort — a
+// missing or unshippable record just means the target re-runs that
+// part of the warmup itself (the warm store is a cache, not a
+// dependency).
 //
 // This is what keeps warm hit rates intact across resharding: when a
 // key's owner changes (worker join/leave), the first dispatch to the
-// new owner carries the old owner's snapshot with it.
+// new owner carries the old owner's records with it.
 func (c *Coordinator) shipWarm(ctx context.Context, target *worker, req api.JobRequest) {
 	if c.opts.DisableWarmShipping {
 		return
@@ -71,15 +79,15 @@ func (c *Coordinator) shipWarm(ctx context.Context, target *worker, req api.JobR
 		}
 		target.setWarm(key)
 		c.met.warmShipped.Inc()
-		c.log.Info("warm snapshot shipped", "key", shortID(key), "worker", target.label(), "bytes", len(data))
+		c.log.Info("warm record shipped", "key", shortID(key), "worker", target.label(), "bytes", len(data))
 	}
 }
 
-// findSnapshot locates a warm snapshot in its wire form: first from a
+// findSnapshot locates a warm record in its wire form: first from a
 // worker that advertises the key (GET /v1/warm/{key}), then from the
-// coordinator's local snapshot directory. The on-disk .snap format is
-// the wire format (sim.WriteStateFile writes sim.WriteState bytes),
-// so local files ship verbatim.
+// coordinator's local snapshot directory. The on-disk .warm format is
+// the wire format (sim.WriteWarmFile writes sim.WriteWarm bytes), so
+// local files ship verbatim.
 func (c *Coordinator) findSnapshot(ctx context.Context, key string, exclude *worker) []byte {
 	c.mu.Lock()
 	ws := make([]*worker, 0, len(c.workers))
@@ -100,7 +108,7 @@ func (c *Coordinator) findSnapshot(ctx context.Context, key string, exclude *wor
 		c.log.Info("warm fetch failed", "key", shortID(key), "worker", w.label(), "err", err)
 	}
 	if c.opts.SnapshotDir != "" {
-		if data, err := os.ReadFile(filepath.Join(c.opts.SnapshotDir, key+".snap")); err == nil {
+		if data, err := os.ReadFile(filepath.Join(c.opts.SnapshotDir, key+".warm")); err == nil {
 			return data
 		}
 	}

@@ -53,13 +53,13 @@ func newServerMetrics(s *Server, version string) *serverMetrics {
 		jobs: map[api.Status]*telemetry.Counter{},
 		sims: map[bool]*telemetry.Counter{},
 		warmHits: reg.Counter("heatstroked_warmup_cache_hits_total",
-			"Warmup snapshots served from the persistent warmup cache."),
+			"Warm records served from the persistent warmup cache."),
 		warmMisses: reg.Counter("heatstroked_warmup_cache_misses_total",
 			"Warmup-cache lookups that ran a fresh warmup instead."),
 		warmServed: reg.Counter("heatstroked_warm_snapshots_served_total",
-			"Warmup snapshots sent to fleet peers over GET /v1/warm/{key}."),
+			"Warm records sent to fleet peers over GET /v1/warm/{key}."),
 		warmInstalled: reg.Counter("heatstroked_warm_snapshots_installed_total",
-			"Warmup snapshots installed from fleet peers over PUT /v1/warm/{key}."),
+			"Warm records installed from fleet peers over PUT /v1/warm/{key}."),
 		jobDur: reg.Histogram("heatstroked_job_duration_seconds",
 			"Wall time of executed jobs (queued-to-terminal, excluding cache hits).",
 			telemetry.DefLatencyBuckets),

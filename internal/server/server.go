@@ -64,12 +64,13 @@ type Options struct {
 	// CacheDir, when set, persists completed results as JSON files so
 	// restarts don't re-simulate.
 	CacheDir string
-	// WarmupCacheDir, when set, persists warmup snapshots (one .snap
-	// file per warm key) so jobs sharing a machine configuration skip
-	// the warmup phase across jobs and daemon restarts. Within one
-	// sweep warmups are shared regardless; this extends the sharing
-	// across sweeps. Snapshots from a different build are never served
-	// (the warm key embeds Version and the snapshot format version).
+	// WarmupCacheDir, when set, persists warm records (one {key}.warm
+	// file per core or die warm key) so jobs sharing a core's programs
+	// or a die skip that part of the warmup across jobs and daemon
+	// restarts. Within one sweep warmups are shared regardless; this
+	// extends the sharing across sweeps. Records from a different build
+	// are never served (the warm key embeds Version and the state
+	// format version).
 	WarmupCacheDir string
 	// BaseConfig supplies the machine configuration requests override
 	// (default config.Default).

@@ -11,43 +11,46 @@ import (
 	"github.com/heatstroke-sim/heatstroke/internal/sim"
 )
 
-// warmStore is the daemon's warmup-snapshot cache: an
-// experiment.SnapshotStore backed by one .snap file per warm key under
-// WarmupCacheDir, with an in-memory layer in front so only the first
-// job after a restart pays the disk read. Warm keys are hex digests,
-// so they are safe filenames; files are written via sim.WriteStateFile
-// (temp + rename), so readers never see a torn snapshot. Memory use is
-// bounded by the number of distinct warm keys the process touches —
-// one machine state per distinct (config, programs, warmup, version).
+// warmSuffix names the warm record files under WarmupCacheDir.
+const warmSuffix = ".warm"
+
+// warmStore is the daemon's warm cache: an experiment.WarmStore backed
+// by one {key}.warm record file per warm key under WarmupCacheDir, with
+// an in-memory layer in front so only the first job after a restart
+// pays the disk read. Warm keys are hex digests, so they are safe
+// filenames; files are written via sim.WriteWarmFile (temp + rename),
+// so readers never see a torn record. Memory use grows with the number
+// of distinct warm keys the process touches: one compact core state or
+// die state per distinct core or die.
 type warmStore struct {
 	dir string
 	log *slog.Logger
 	met *serverMetrics
 
 	mu  sync.Mutex
-	mem map[string]*sim.MachineState
+	mem map[string]*sim.WarmRecord
 }
 
 func newWarmStore(dir string, log *slog.Logger, met *serverMetrics) *warmStore {
-	return &warmStore{dir: dir, log: log, met: met, mem: make(map[string]*sim.MachineState)}
+	return &warmStore{dir: dir, log: log, met: met, mem: make(map[string]*sim.WarmRecord)}
 }
 
 func (ws *warmStore) path(key string) string {
-	return filepath.Join(ws.dir, key+".snap")
+	return filepath.Join(ws.dir, key+warmSuffix)
 }
 
-// Get implements experiment.SnapshotStore. A hit from memory or disk
-// counts once; snapshots that fail to decode (torn, stale format) are
+// Get implements experiment.WarmStore. A hit from memory or disk
+// counts once; records that fail to decode (torn, stale format) are
 // misses — the caller re-runs the warmup and overwrites them.
-func (ws *warmStore) Get(key string) (*sim.MachineState, bool) {
+func (ws *warmStore) Get(key string) (*sim.WarmRecord, bool) {
 	ws.mu.Lock()
-	ms, ok := ws.mem[key]
+	rec, ok := ws.mem[key]
 	ws.mu.Unlock()
 	if ok {
 		ws.met.warmHits.Inc()
-		return ms, true
+		return rec, true
 	}
-	ms, err := sim.ReadStateFile(ws.path(key))
+	rec, err := sim.ReadWarmFile(ws.path(key))
 	if err != nil {
 		if !os.IsNotExist(err) {
 			ws.log.Info("warmup cache read failed", "key", shortID(key), "err", err)
@@ -56,10 +59,10 @@ func (ws *warmStore) Get(key string) (*sim.MachineState, bool) {
 		return nil, false
 	}
 	ws.mu.Lock()
-	ws.mem[key] = ms
+	ws.mem[key] = rec
 	ws.mu.Unlock()
 	ws.met.warmHits.Inc()
-	return ms, true
+	return rec, true
 }
 
 // Keys lists every warm key the store can serve, memory and disk
@@ -75,10 +78,10 @@ func (ws *warmStore) Keys() []string {
 	if entries, err := os.ReadDir(ws.dir); err == nil {
 		for _, de := range entries {
 			name := de.Name()
-			if de.IsDir() || !strings.HasSuffix(name, ".snap") {
+			if de.IsDir() || !strings.HasSuffix(name, warmSuffix) {
 				continue
 			}
-			seen[strings.TrimSuffix(name, ".snap")] = true
+			seen[strings.TrimSuffix(name, warmSuffix)] = true
 		}
 	}
 	keys := make([]string, 0, len(seen))
@@ -89,18 +92,17 @@ func (ws *warmStore) Keys() []string {
 	return keys
 }
 
-// Put implements experiment.SnapshotStore. Disk failures only log —
-// the in-memory layer still serves the snapshot for this process's
-// lifetime.
-func (ws *warmStore) Put(key string, ms *sim.MachineState) {
+// Put implements experiment.WarmStore. Disk failures only log — the
+// in-memory layer still serves the record for this process's lifetime.
+func (ws *warmStore) Put(key string, rec *sim.WarmRecord) {
 	ws.mu.Lock()
-	ws.mem[key] = ms
+	ws.mem[key] = rec
 	ws.mu.Unlock()
 	if err := os.MkdirAll(ws.dir, 0o755); err != nil {
 		ws.log.Info("warmup cache dir failed", "err", err)
 		return
 	}
-	if err := sim.WriteStateFile(ws.path(key), ms); err != nil {
+	if err := sim.WriteWarmFile(ws.path(key), rec); err != nil {
 		ws.log.Info("warmup cache write failed", "key", shortID(key), "err", err)
 	}
 }

@@ -7,16 +7,17 @@ import (
 	"github.com/heatstroke-sim/heatstroke/internal/sim"
 )
 
-// Warmup-snapshot transfer: the fleet coordinator keeps warm-reuse hit
-// rates alive across resharding by copying .snap gobs between workers
-// — GET /v1/warm/{key} reads one out of this daemon's warmup cache,
-// PUT /v1/warm/{key} installs one into it. The payload is exactly the
-// sim.WriteState on-disk form (magic header + versioned gob), so a
-// snapshot file, a GET body, and a PUT body are interchangeable; PUT
-// decodes before installing, so a torn or stale-format upload is
-// rejected instead of poisoning the cache. Both endpoints require the
-// warmup cache (-warmup-cache-dir) and, when Options.FleetToken is
-// set, a matching bearer token.
+// Warm-record transfer: the fleet coordinator keeps warm-reuse hit
+// rates alive across resharding by copying warm records (one core's or
+// one die's post-warmup state) between workers — GET /v1/warm/{key}
+// reads one out of this daemon's warm cache, PUT /v1/warm/{key}
+// installs one into it. The payload is exactly the sim.WriteWarm
+// on-disk form (magic header + versioned gob), so a .warm file, a GET
+// body, and a PUT body are interchangeable; PUT decodes before
+// installing, so a torn, stale-format or malformed upload is rejected
+// instead of poisoning the cache. Both endpoints require the warm
+// cache (-warmup-cache-dir) and, when Options.FleetToken is set, a
+// matching bearer token.
 
 // fleetAuthorized checks the shared-token gate on the transfer
 // endpoints. An empty configured token leaves them open.
@@ -67,17 +68,17 @@ func (s *Server) handleWarmGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ms, ok := s.warm.Get(key)
+	rec, ok := s.warm.Get(key)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no warmup snapshot for key")
+		writeError(w, http.StatusNotFound, "no warm record for key")
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := sim.WriteState(w, ms); err != nil {
+	if err := sim.WriteWarm(w, rec); err != nil {
 		// Headers are gone; all we can do is log and drop the
 		// connection mid-body so the peer sees a truncated gob (which
 		// its decode rejects).
-		s.log.Info("warm snapshot send failed", "key", shortID(key), "err", err)
+		s.log.Info("warm record send failed", "key", shortID(key), "err", err)
 	}
 	s.met.warmServed.Inc()
 }
@@ -87,16 +88,16 @@ func (s *Server) handleWarmPut(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Decode (and thereby validate) before installing: ReadState
-	// checks the magic header and the snapshot format version, so a
-	// corrupt or incompatible upload is a 400, never a cache entry.
-	ms, err := sim.ReadState(http.MaxBytesReader(w, r.Body, 1<<30))
+	// Decode (and thereby validate) before installing: ReadWarm checks
+	// the magic header, the format version and the record's shape, so
+	// a corrupt or incompatible upload is a 400, never a cache entry.
+	rec, err := sim.ReadWarm(http.MaxBytesReader(w, r.Body, 1<<30))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad snapshot payload: %v", err)
+		writeError(w, http.StatusBadRequest, "bad warm record payload: %v", err)
 		return
 	}
-	s.warm.Put(key, ms)
+	s.warm.Put(key, rec)
 	s.met.warmInstalled.Inc()
-	s.log.Info("warm snapshot installed", "key", shortID(key))
+	s.log.Info("warm record installed", "key", shortID(key))
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -33,15 +33,22 @@ func warmParts(t *testing.T, cfg config.Config, coreThreads [][]Thread, mo Optio
 	return cores, m.solver.State()
 }
 
-// TestMultiWarmRestoreEquivalence: a die whose warmup is assembled from
-// shared parts — every core and the die restored, or some cores warmed
-// in place next to restored ones — holds a machine state deep-equal to
-// the cold run's once its quantum opens, and measures a deep-equal
-// Result, under every scope and policy.
+// TestMultiWarmRestoreEquivalence: a machine whose warmup is assembled
+// from shared parts — every core and the die restored, or some cores
+// warmed in place next to restored ones — holds a machine state
+// deep-equal to the cold run's once its quantum opens, and measures a
+// deep-equal Result, under every scope and policy. It runs on the
+// 2-core grid die and on the paper's single core, which restores the
+// same way.
 func TestMultiWarmRestoreEquivalence(t *testing.T) {
-	cfg := multiCfg(2)
+	for _, tm := range testMachines(t) {
+		t.Run(tm.name, func(t *testing.T) { checkWarmRestoreEquivalence(t, tm) })
+	}
+}
+
+func checkWarmRestoreEquivalence(t *testing.T, tm testMachine) {
+	cfg, threads := tm.cfg, tm.threads
 	quantum := cfg.Run.QuantumCycles
-	threads := attackVictimThreads(t)
 	parts, die := warmParts(t, cfg, threads, Options{WarmupCycles: 50_000})
 	for _, mo := range scopeOptions() {
 		mo.WarmupCycles = 50_000
@@ -65,15 +72,24 @@ func TestMultiWarmRestoreEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shape := range []struct {
+		type shape struct {
 			name    string
 			restore []bool
 			die     bool
-		}{
+		}
+		shapes := []shape{
 			{"all shared", []bool{true, true}, true},
 			{"core 1 warmed", []bool{true, false}, true},
 			{"die anchored", []bool{false, true}, false},
-		} {
+		}
+		if len(threads) == 1 {
+			shapes = []shape{
+				{"all shared", []bool{true}, true},
+				{"die anchored", []bool{true}, false},
+				{"core warmed", []bool{false}, true},
+			}
+		}
+		for _, shape := range shapes {
 			m, err := NewMulti(cfg, threads, mo)
 			if err != nil {
 				t.Fatal(err)
@@ -117,17 +133,21 @@ func TestMultiWarmRestoreEquivalence(t *testing.T) {
 }
 
 // TestCoreWarmTopologyInvariance proves the per-core sharing key sound
-// to leave the topology out: a core's warm state is deep-equal on a
-// 2-core and a 4-core die and at grid resolutions 32 and 64, whatever
-// its neighbours run and whichever core index it sits on.
+// to leave the topology out: a core's warm state is deep-equal on the
+// paper's single lumped core, on a 2-core and a 4-core die and at grid
+// resolutions 32 and 64, whatever its neighbours run and whichever core
+// index it sits on.
 func TestCoreWarmTopologyInvariance(t *testing.T) {
 	gcc, v2 := specThread(t, "gcc"), variantThread(t, 2)
 	var want *CoreWarm
 	for _, die := range []struct {
 		cores, gridN, core int
-	}{{2, 32, 1}, {2, 64, 1}, {4, 32, 3}, {4, 64, 2}} {
+	}{{1, 0, 0}, {2, 32, 1}, {2, 64, 1}, {4, 32, 3}, {4, 64, 2}} {
 		cfg := config.Default()
 		cfg.Topology = config.Topology{Cores: die.cores, Solver: config.SolverGrid, GridN: die.gridN}
+		if die.cores == 1 {
+			cfg.Topology = config.Default().Topology
+		}
 		threads := make([][]Thread, die.cores)
 		for c := range threads {
 			threads[c] = []Thread{v2}

@@ -174,9 +174,6 @@ type Simulator struct {
 	// warmup's end then rebuilds the DTM policies over the restored
 	// cores.
 	coresRestored bool
-	// poolKey is the construction identity under which a Pool recycles
-	// this simulator; empty for simulators built outside a pool.
-	poolKey string
 	// qr is the measurement quantum in progress between BeginRun and
 	// FinishRun (nil otherwise). Snapshot captures it, so a simulation
 	// can fork mid-quantum at any sensor boundary.
@@ -334,7 +331,7 @@ func normalizeOptions(opts Options) (Options, error) {
 // replacing any previous one: one policy per core (per-core scope, the
 // five paper policies), or one chip policy over every core's pipeline
 // plus inert per-core policies (chip scope). Construction calls it
-// once; a warm restore calls it again, so a recycled simulator's
+// once; a warm restore calls it again, so a restored simulator's
 // policies are indistinguishable from freshly built ones. Policy
 // constructors read only configuration and nominal machine parameters
 // (DVS captures the supply voltage, which warmup never changes), so

@@ -357,8 +357,7 @@ func (s *Simulator) Restore(ms *MachineState) error {
 		// when it was taken. Rebuild the policies from scratch (after the
 		// model restores above, so DVS captures the nominal supply
 		// voltage) so that restoring into a previously-run simulator is
-		// indistinguishable from restoring into a new one — the
-		// precondition for recycling simulators through a Pool.
+		// indistinguishable from restoring into a new one.
 		if err := s.buildPolicies(); err != nil {
 			return err
 		}
@@ -443,11 +442,11 @@ func (s *Simulator) checkState(ms *MachineState) error {
 	return nil
 }
 
-// CoreWarm is one core's post-warmup state in the compact form a
-// whole-die sweep holds between jobs: pipeline, power model and
-// sedation monitor. It carries no DTM state (warmup never ticks a
-// policy) and no thermal state (a core warms alone, with no thermal
-// step), so it restores into any core running the same programs on a
+// CoreWarm is one core's post-warmup state in the compact form warm
+// stores hold between jobs and runs (see WarmRecord): pipeline, power
+// model and sedation monitor. It carries no DTM state (warmup never
+// ticks a policy) and no thermal state (a core warms alone, with no
+// thermal step), so it restores into any core running the same programs on a
 // machine of the same warm configuration, under any DTM scope or
 // policy, on a die of any size or grid resolution.
 type CoreWarm struct {
@@ -530,26 +529,31 @@ func (s *Simulator) checkWarmable(c int) error {
 	return nil
 }
 
+// WarmRecord is one stored piece of warm state, the unit warm stores
+// keep and fleet peers ship: one core's post-warmup state or one die's
+// post-warmup temperatures, never both. A job's warm state is its
+// cores' records plus its die's; the paper's machine is one core
+// record and one die record.
+type WarmRecord struct {
+	Version int
+	Core    *CoreWarm
+	Die     *thermal.SolverState
+}
+
+// warmMagic prefixes encoded warm records, as stateMagic does
+// snapshots.
+const warmMagic = "HEATSTROKE-WARM\n"
+
 // WriteState gob-encodes ms to w behind a magic header.
 func WriteState(w io.Writer, ms *MachineState) error {
-	if _, err := io.WriteString(w, stateMagic); err != nil {
-		return err
-	}
-	return gob.NewEncoder(w).Encode(ms)
+	return writeGob(w, stateMagic, ms)
 }
 
 // ReadState decodes a snapshot written by WriteState.
 func ReadState(r io.Reader) (*MachineState, error) {
-	magic := make([]byte, len(stateMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, fmt.Errorf("sim: reading snapshot header: %w", err)
-	}
-	if string(magic) != stateMagic {
-		return nil, fmt.Errorf("sim: not a snapshot file (bad magic)")
-	}
 	ms := &MachineState{}
-	if err := gob.NewDecoder(r).Decode(ms); err != nil {
-		return nil, fmt.Errorf("sim: decoding snapshot: %w", err)
+	if err := readGob(r, stateMagic, "snapshot", ms); err != nil {
+		return nil, err
 	}
 	if ms.Version != StateVersion {
 		return nil, fmt.Errorf("sim: snapshot format v%d, this build reads v%d", ms.Version, StateVersion)
@@ -557,15 +561,81 @@ func ReadState(r io.Reader) (*MachineState, error) {
 	return ms, nil
 }
 
+// WriteWarm gob-encodes rec to w behind a magic header.
+func WriteWarm(w io.Writer, rec *WarmRecord) error {
+	return writeGob(w, warmMagic, rec)
+}
+
+// ReadWarm decodes a record written by WriteWarm. It rejects another
+// format version and a record holding both parts or neither.
+func ReadWarm(r io.Reader) (*WarmRecord, error) {
+	rec := &WarmRecord{}
+	if err := readGob(r, warmMagic, "warm record", rec); err != nil {
+		return nil, err
+	}
+	if rec.Version != StateVersion {
+		return nil, fmt.Errorf("sim: warm record format v%d, this build reads v%d", rec.Version, StateVersion)
+	}
+	if (rec.Core == nil) == (rec.Die == nil) {
+		return nil, fmt.Errorf("sim: a warm record holds one core or one die")
+	}
+	return rec, nil
+}
+
+// writeGob writes magic, then v gob-encoded.
+func writeGob(w io.Writer, magic string, v any) error {
+	if _, err := io.WriteString(w, magic); err != nil {
+		return err
+	}
+	return gob.NewEncoder(w).Encode(v)
+}
+
+// readGob checks the magic header of a what file, so a wrong file fails
+// fast with a clear error, and decodes the gob behind it into v.
+func readGob(r io.Reader, magic, what string, v any) error {
+	got := make([]byte, len(magic))
+	if _, err := io.ReadFull(r, got); err != nil {
+		return fmt.Errorf("sim: reading %s header: %w", what, err)
+	}
+	if string(got) != magic {
+		return fmt.Errorf("sim: not a %s file (bad magic)", what)
+	}
+	if err := gob.NewDecoder(r).Decode(v); err != nil {
+		return fmt.Errorf("sim: decoding %s: %w", what, err)
+	}
+	return nil
+}
+
 // WriteStateFile writes ms to path atomically (temp file + rename).
 func WriteStateFile(path string, ms *MachineState) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".snap-*")
+	return writeFileAtomic(path, func(w io.Writer) error { return WriteState(w, ms) })
+}
+
+// ReadStateFile reads a snapshot file written by WriteStateFile.
+func ReadStateFile(path string) (*MachineState, error) {
+	return readFile(path, ReadState)
+}
+
+// WriteWarmFile writes rec to path atomically (temp file + rename).
+func WriteWarmFile(path string, rec *WarmRecord) error {
+	return writeFileAtomic(path, func(w io.Writer) error { return WriteWarm(w, rec) })
+}
+
+// ReadWarmFile reads a warm record file written by WriteWarmFile.
+func ReadWarmFile(path string) (*WarmRecord, error) {
+	return readFile(path, ReadWarm)
+}
+
+// writeFileAtomic writes path through a temp file in the same
+// directory and a rename, so readers never see a torn file.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
 	bw := bufio.NewWriter(tmp)
-	if err := WriteState(bw, ms); err != nil {
+	if err := write(bw); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -579,12 +649,13 @@ func WriteStateFile(path string, ms *MachineState) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// ReadStateFile reads a snapshot file written by WriteStateFile.
-func ReadStateFile(path string) (*MachineState, error) {
+// readFile decodes the file at path with read.
+func readFile[T any](path string, read func(io.Reader) (T, error)) (T, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		var zero T
+		return zero, err
 	}
 	defer f.Close()
-	return ReadState(bufio.NewReader(f))
+	return read(bufio.NewReader(f))
 }

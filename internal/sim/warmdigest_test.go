@@ -100,7 +100,7 @@ func TestWarmDigestInvariance(t *testing.T) {
 	// The known engine-only fields must be among those found, or the
 	// search above proves nothing.
 	for _, name := range []string{"UpperK", "LowerK", "ReexamineFactor", "ExpectedCoolingCycles",
-		"UseFlatAverage", "AbsoluteEWMAThreshold", "QuantumCycles"} {
+		"UseFlatAverage", "AbsoluteEWMAThreshold", "QuantumCycles", "Seed"} {
 		found := false
 		for _, n := range ignored {
 			found = found || n == name

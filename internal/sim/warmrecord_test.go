@@ -1,0 +1,204 @@
+package sim
+
+import (
+	"bytes"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+
+	"github.com/heatstroke-sim/heatstroke/internal/dtm"
+)
+
+// warmRecords builds, once, the two encoded warm records the tests
+// below start from: the single core's (crafty + Variant2) and the
+// 2-core grid die's.
+var warmRecords struct {
+	sync.Mutex
+	core, die []byte
+}
+
+// warmRecordOptions is the warmup the records are built with.
+var warmRecordOptions = Options{Policy: dtm.None, WarmupCycles: 20_000}
+
+func encodedWarmRecords(t *testing.T) (core, die []byte) {
+	warmRecords.Lock()
+	defer warmRecords.Unlock()
+	if warmRecords.core != nil {
+		return warmRecords.core, warmRecords.die
+	}
+	ms := testMachines(t)
+	s := ms[0].build(t, warmRecordOptions)
+	if err := s.WarmCore(0); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteWarm(&buf, &WarmRecord{Version: StateVersion, Core: s.CaptureCore(0)}); err != nil {
+		t.Fatal(err)
+	}
+	warmRecords.core = bytes.Clone(buf.Bytes())
+	st := ms[1].build(t, warmRecordOptions).Solver().State()
+	buf.Reset()
+	if err := WriteWarm(&buf, &WarmRecord{Version: StateVersion, Die: &st}); err != nil {
+		t.Fatal(err)
+	}
+	warmRecords.die = bytes.Clone(buf.Bytes())
+	return warmRecords.core, warmRecords.die
+}
+
+// TestWarmRecordRoundTrip: a core record and a die record survive the
+// file form, and a restored core record reproduces the cold warmup's
+// quantum exactly.
+func TestWarmRecordRoundTrip(t *testing.T) {
+	core, die := encodedWarmRecords(t)
+	for i, enc := range [][]byte{core, die} {
+		m := testMachines(t)[i]
+		want, err := ReadWarm(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "k.warm")
+		if err := WriteWarmFile(path, want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadWarmFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: warm record changed through its file", m.name)
+		}
+	}
+
+	// The single core restored from its record measures exactly the
+	// cold run's quantum.
+	m := testMachines(t)[0]
+	cold := m.build(t, Options{Policy: dtm.StopAndGo, WarmupCycles: warmRecordOptions.WarmupCycles})
+	want, err := cold.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, _ := ReadWarm(bytes.NewReader(core))
+	s := m.build(t, Options{Policy: dtm.StopAndGo, WarmupCycles: warmRecordOptions.WarmupCycles})
+	if err := s.RestoreCore(0, rec.Core); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FinishWarmup(nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("quantum restored from a core record differs from the cold run")
+	}
+}
+
+// TestReadWarmRejects: ReadWarm refuses another file kind, another
+// format version, and a record holding both parts or neither.
+func TestReadWarmRejects(t *testing.T) {
+	core, die := encodedWarmRecords(t)
+	c, _ := ReadWarm(bytes.NewReader(core))
+	d, _ := ReadWarm(bytes.NewReader(die))
+	for _, tc := range []struct {
+		name string
+		rec  *WarmRecord
+		want string
+	}{
+		{"old version", &WarmRecord{Version: StateVersion - 1, Core: c.Core}, "format"},
+		{"both parts", &WarmRecord{Version: StateVersion, Core: c.Core, Die: d.Die}, "one core or one die"},
+		{"neither part", &WarmRecord{Version: StateVersion}, "one core or one die"},
+	} {
+		var buf bytes.Buffer
+		if err := WriteWarm(&buf, tc.rec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadWarm(&buf); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ReadWarm error %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteState(&buf, &MachineState{Version: StateVersion}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadWarm(&buf); err == nil {
+		t.Error("ReadWarm accepted a machine snapshot")
+	}
+	if _, err := ReadWarm(bytes.NewReader(core[:len(core)/2])); err == nil {
+		t.Error("ReadWarm accepted a torn record")
+	}
+}
+
+// FuzzRestoreWarm feeds the warm-record path PUT /v1/warm reaches with
+// one fuzz-chosen leaf set to a fuzzed value or one slice truncated: a
+// core record (crafty + Variant2) or a die record (the 2-core grid die)
+// is decoded, damaged, encoded and decoded again, restored with
+// RestoreCore or FinishWarmup, and run for two sensor intervals. Each
+// case must either return an error or run; nothing may panic or hang.
+func FuzzRestoreWarm(f *testing.F) {
+	// Paths name struct fields by index (see corrupt): WarmRecord.Core
+	// is field 1, Die 2; CoreWarm.Core is 1, Model 2, Monitor 3;
+	// cpu.CompactState.Core is 0, Hier 1, Mem 2; cpu.CoreState.Entries
+	// is 2, DispatchRR 12, Threads 17; mem.CompactHierarchy.L1D is 1,
+	// Banks 3; mem.CompactCache.Index is 1; mem.CompactMemory.Ends 1;
+	// SolverState.Temps 1.
+	for _, seed := range []struct {
+		die  bool
+		path []byte
+		val  int64
+	}{
+		{false, []byte{1, 1, 0, 2, 1, 0, 1, 22}, 200},      // Core.Core.Core.Entries[1].DstReg
+		{false, []byte{1, 1, 0, 12}, 99},                   // Core.Core.Core.DispatchRR
+		{false, []byte{1, 1, 1, 1, 1, 1, 0, 0}, 1_000_000}, // Core.Core.Hier.L1D.Index[0]
+		{false, []byte{1, 1, 1, 3, 0}, 0},                  // Core.Core.Hier.Banks truncated
+		{false, []byte{1, 1, 2, 1, 0, 0, 1, 1, 0, 0}, -5},  // Core.Core.Mem[0].Ends[0]
+		{false, []byte{0}, 3},                              // Version
+		{true, []byte{2, 1, 0}, 3},                         // Die.Temps truncated
+		{true, []byte{2, 1, 1, 0, 9}, 1 << 50},             // Die.Temps[9]
+	} {
+		f.Add(seed.die, seed.path, seed.val)
+	}
+	f.Fuzz(func(t *testing.T, die bool, path []byte, val int64) {
+		core, dieEnc := encodedWarmRecords(t)
+		enc, m := core, testMachines(t)[0]
+		if die {
+			enc, m = dieEnc, testMachines(t)[1]
+		}
+		rec, err := ReadWarm(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt(reflect.ValueOf(rec), path, val)
+		var buf bytes.Buffer
+		if err := WriteWarm(&buf, rec); err != nil {
+			return
+		}
+		if rec, err = ReadWarm(&buf); err != nil {
+			return
+		}
+		o := Options{Policy: dtm.SelectiveSedation, WarmupCycles: warmRecordOptions.WarmupCycles,
+			TraceTemps: true, CollectEvents: true}
+		s, err := NewMulti(m.cfg, m.threads, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Core != nil {
+			if err := s.RestoreCore(0, rec.Core); err != nil {
+				return
+			}
+		}
+		if err := s.FinishWarmup(rec.Die); err != nil {
+			return
+		}
+		sensor := int64(m.cfg.Thermal.SensorIntervalCycles)
+		if err := s.BeginRun(10 * sensor); err != nil {
+			return
+		}
+		if _, err := s.StepRun(2 * sensor); err != nil {
+			return
+		}
+		s.FinishRun()
+	})
+}

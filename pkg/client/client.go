@@ -283,8 +283,10 @@ func (c *Client) Cancel(ctx context.Context, id string) (*api.JobStatus, error) 
 	return &st, nil
 }
 
-// FetchWarm downloads a warmup snapshot (GET /v1/warm/{key}) in the
-// sim.WriteState wire form, suitable for PutWarm on another daemon.
+// FetchWarm downloads a warm record — one core's or one die's
+// post-warmup state (GET /v1/warm/{key}) — in the sim.WriteWarm wire
+// form, the bytes of a .warm file, suitable for PutWarm on another
+// daemon.
 func (c *Client) FetchWarm(ctx context.Context, key string) ([]byte, error) {
 	resp, err := c.do(ctx, http.MethodGet, "/v1/warm/"+key, nil, "")
 	if err != nil {
@@ -297,10 +299,12 @@ func (c *Client) FetchWarm(ctx context.Context, key string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// PutWarm installs a warmup snapshot (PUT /v1/warm/{key}) on the
-// daemon, making its warm key servable there without re-warming.
-func (c *Client) PutWarm(ctx context.Context, key string, snapshot []byte) error {
-	resp, err := c.do(ctx, http.MethodPut, "/v1/warm/"+key, snapshot, "application/octet-stream")
+// PutWarm installs a warm record (PUT /v1/warm/{key}) on the daemon,
+// making its warm key servable there without re-warming. The daemon
+// decodes the record before installing it and rejects a malformed
+// one.
+func (c *Client) PutWarm(ctx context.Context, key string, record []byte) error {
+	resp, err := c.do(ctx, http.MethodPut, "/v1/warm/"+key, record, "application/octet-stream")
 	if err != nil {
 		return err
 	}
