@@ -171,38 +171,6 @@ func BenchmarkWarmupReuse(b *testing.B) {
 	b.Run("cold", run(true))
 }
 
-// BenchmarkForkSweep measures what the fork-tree engine buys over cold
-// per-variant runs on the dense threshold grid — the sweep fork trees
-// exist to make affordable. The fork arm simulates each thread set's
-// warmup prefix once and forks every grid point from the in-memory
-// snapshot; the cold arm re-simulates every warmup. With warmup pinned
-// equal to the measured quantum, the cold arm does ~1.8x the fork
-// arm's simulation work (per benchmark: 15 warmups + 15 quanta vs 2
-// warmups + 15 quanta), so the fork arm's wall-clock win is well above
-// noise at any parallelism.
-func BenchmarkForkSweep(b *testing.B) {
-	run := func(fork bool) func(*testing.B) {
-		return func(b *testing.B) {
-			opts := benchOptions(b)
-			opts.Warmup = 500_000
-			opts.Quantum = 500_000
-			opts.ForkTree = fork
-			opts.DisableWarmupReuse = !fork
-			for i := 0; i < b.N; i++ {
-				table, err := heatstroke.RunExperiment("thresholds-dense", opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(table.Rows) == 0 {
-					b.Fatal("empty table")
-				}
-			}
-		}
-	}
-	b.Run("fork", run(true))
-	b.Run("cold", run(false))
-}
-
 // BenchmarkMultiWarmShare measures what warm-state sharing buys on the
 // multi-core experiments: dtm-scope (three DTM scopes over one thread
 // set per victim) and neighbor-heat (a benign and a trojan neighbour

@@ -98,8 +98,7 @@ func hostEnv() Env {
 // wall time, the raw pipeline rate, one full quantum, one sensor
 // interval's worth of thermal Euler substeps (the per-interval
 // constant every simulation pays), the warmup-snapshot-reuse
-// comparison (reuse vs cold sub-benchmarks), the fork-tree sweep
-// comparison (fork vs cold sub-benchmarks), the multi-core warm-sharing
+// comparison (reuse vs cold sub-benchmarks), the multi-core warm-sharing
 // comparison (shared vs cold sub-benchmarks), and the fleet-throughput
 // comparison (1 vs 4 workers behind the coordinator; the absolute
 // jobs/sec is machine-bound, but a regression in either arm still
@@ -108,7 +107,7 @@ func hostEnv() Env {
 // interval, pinning the cost ratio the lumped fast path exists for),
 // and the grid's steady-state solve (one from-ambient anchor of a
 // 2-core and a 4-core die, which every cold whole-die job pays).
-const defaultPattern = "^(BenchmarkProfileSolo|BenchmarkProfilePair|BenchmarkPipelineCycles|BenchmarkQuantumSimulation|BenchmarkThermalStep|BenchmarkGridThermalStep|BenchmarkGridSteady|BenchmarkWarmupReuse|BenchmarkForkSweep|BenchmarkMultiWarmShare|BenchmarkFleetThroughput)$"
+const defaultPattern = "^(BenchmarkProfileSolo|BenchmarkProfilePair|BenchmarkPipelineCycles|BenchmarkQuantumSimulation|BenchmarkThermalStep|BenchmarkGridThermalStep|BenchmarkGridSteady|BenchmarkWarmupReuse|BenchmarkMultiWarmShare|BenchmarkFleetThroughput)$"
 
 // defaultPackages are the packages holding those benchmarks.
 var defaultPackages = []string{".", "./internal/experiment", "./internal/fleet", "./internal/thermal"}

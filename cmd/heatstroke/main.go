@@ -6,7 +6,6 @@
 //	heatstroke -experiment all                  # the whole evaluation
 //	heatstroke -experiment fig4 -bench crafty,mcf -quantum 8000000
 //	heatstroke -experiment fig5 -format json    # machine-readable artifact
-//	heatstroke -experiment thresholds-dense -fork  # fork-tree sweep mode
 //	heatstroke -experiment all -format csv -out artifacts/
 //	heatstroke -experiment fig3 -server http://localhost:8080
 //	heatstroke -list                            # list experiments
@@ -83,7 +82,6 @@ func run() int {
 	solver := flag.String("solver", "", "thermal solver: lumped or grid (default: lumped, grid when -cores > 1)")
 	seed := flag.Int64("seed", 0, "workload generation seed (default: config)")
 	parallel := flag.Int("parallel", 0, "max concurrent simulations (default: GOMAXPROCS)")
-	fork := flag.Bool("fork", false, "fork-tree mode: simulate shared warmup prefixes once and fork variants from the in-memory warm state (byte-identical tables)")
 	format := flag.String("format", "table", "artifact format: table, json, or csv")
 	out := flag.String("out", "", "write artifacts to this file (one experiment) or directory (default: stdout)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
@@ -236,7 +234,6 @@ func run() int {
 		SeedSet:     seedSet,
 		Parallelism: *parallel,
 		Benchmarks:  benchList,
-		ForkTree:    *fork,
 	}
 
 	for _, n := range names {

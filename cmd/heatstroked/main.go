@@ -68,7 +68,6 @@ func run(args []string, ready func(addr string)) error {
 	maxQueue := fs.Int("max-queue", 16, "maximum queued jobs before 429 backpressure")
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job deadline (0 = none)")
 	parallel := fs.Int("parallel", 0, "per-sweep worker bound (default: GOMAXPROCS)")
-	fork := fs.Bool("fork", false, "fork-tree sweep mode: simulate shared warmup prefixes once per sweep and fork variants from the in-memory warm state")
 	scale := fs.Float64("scale", 0, "base thermal scale factor (default: config's)")
 	quantum := fs.Int64("quantum", 0, "base cycles per OS quantum (default: config's)")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "shutdown drain deadline")
@@ -107,7 +106,6 @@ func run(args []string, ready func(addr string)) error {
 		MaxQueue:       *maxQueue,
 		JobTimeout:     *jobTimeout,
 		Parallelism:    *parallel,
-		ForkTree:       *fork,
 		CacheDir:       *cacheDir,
 		WarmupCacheDir: *warmupCacheDir,
 		Advertise:      *advertise,

@@ -1,9 +1,6 @@
 package bpred
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // PredictorState is the serializable state of any built-in predictor.
 // Kind selects which fields are meaningful: "bimodal" uses Bimodal,
@@ -23,22 +20,6 @@ type RASState struct {
 	Stack []int32
 	Top   int
 	Depth int
-}
-
-// Clone returns a deep copy of the predictor state.
-func (st PredictorState) Clone() PredictorState {
-	out := st
-	out.Bimodal = slices.Clone(st.Bimodal)
-	out.Gshare = slices.Clone(st.Gshare)
-	out.Chooser = slices.Clone(st.Chooser)
-	return out
-}
-
-// Clone returns a deep copy of the stack state.
-func (st RASState) Clone() RASState {
-	out := st
-	out.Stack = slices.Clone(st.Stack)
-	return out
 }
 
 func copyCounters(t []twoBit) []uint8 {

@@ -46,9 +46,9 @@ func (c *Config) Digest() string {
 // (priming the monitor zeroes its averages): keeping a monitor
 // parameter keyed costs little and stays sound if priming changes.
 //
-// This is the key a fork-tree sweep shares warm prefixes under: a
-// threshold grid re-simulates its warmup once instead of once per grid
-// point. Soundness is enforced by TestWarmDigestInvariance
+// Warm keys hash this digest, so a sweep shares warm state across it:
+// a threshold grid re-simulates its warmup once instead of once per
+// grid point. Soundness is enforced by TestWarmDigestInvariance
 // (internal/sim), which finds every excluded field and checks warmup
 // snapshot deep-equality across it.
 func (c *Config) WarmDigest() string {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/heatstroke-sim/heatstroke/internal/power"
 )
@@ -29,27 +28,6 @@ type EngineState struct {
 	ReexamineAt     [power.NumUnits]int64
 	AbsSedatedUntil []int64
 	Stats           Stats
-}
-
-// Clone returns a deep copy of the monitor state.
-func (st MonitorState) Clone() MonitorState {
-	return MonitorState{
-		Last:     slices.Clone(st.Last),
-		EWMA:     slices.Clone(st.EWMA),
-		FlatBase: slices.Clone(st.FlatBase),
-		Frozen:   slices.Clone(st.Frozen),
-	}
-}
-
-// Clone returns a deep copy of the engine state.
-func (st EngineState) Clone() EngineState {
-	out := st
-	out.Sedations = slices.Clone(st.Sedations)
-	out.AbsSedatedUntil = slices.Clone(st.AbsSedatedUntil)
-	for u := range out.SedatedFor {
-		out.SedatedFor[u] = slices.Clone(st.SedatedFor[u])
-	}
-	return out
 }
 
 // Snapshot returns a deep copy of the monitor's state.

@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/heatstroke-sim/heatstroke/internal/bpred"
 	"github.com/heatstroke-sim/heatstroke/internal/isa"
@@ -133,44 +132,6 @@ type CoreState struct {
 	Act  power.ActivityState
 
 	Threads []ThreadState
-}
-
-// Clone returns a deep copy of the thread state.
-func (ts ThreadState) Clone() ThreadState {
-	out := ts
-	out.Mem = ts.Mem.Clone()
-	out.Stores = slices.Clone(ts.Stores)
-	if ts.Pred != nil {
-		p := ts.Pred.Clone()
-		out.Pred = &p
-	}
-	if ts.RAS != nil {
-		r := ts.RAS.Clone()
-		out.RAS = &r
-	}
-	return out
-}
-
-// Clone returns a deep copy of the core state without a gob
-// round-trip: the fork path for handing one snapshot to consumers
-// that each need a private, mutable copy.
-func (st CoreState) Clone() CoreState {
-	out := st
-	out.Entries = slices.Clone(st.Entries)
-	out.Free = slices.Clone(st.Free)
-	out.Events = slices.Clone(st.Events)
-	out.ReadyQ = make([][]ReadyRefState, len(st.ReadyQ))
-	for i, q := range st.ReadyQ {
-		out.ReadyQ[i] = slices.Clone(q)
-	}
-	out.Stats = slices.Clone(st.Stats)
-	out.Hier = st.Hier.Clone()
-	out.Act = st.Act.Clone()
-	out.Threads = make([]ThreadState, len(st.Threads))
-	for i, t := range st.Threads {
-		out.Threads[i] = t.Clone()
-	}
-	return out
 }
 
 func toRef(r ref) Ref   { return Ref{ID: r.id, Gen: r.gen} }

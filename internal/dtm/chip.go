@@ -151,16 +151,6 @@ type ChipState struct {
 	Depth  int
 }
 
-// Clone returns a deep copy.
-func (st ChipState) Clone() ChipState {
-	out := st
-	if st.StopGo != nil {
-		sg := *st.StopGo
-		out.StopGo = &sg
-	}
-	return out
-}
-
 // SnapshotChip returns a chip policy's actuation state.
 func SnapshotChip(p ChipPolicy) (ChipState, error) {
 	switch v := p.(type) {

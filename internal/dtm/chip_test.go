@@ -141,12 +141,6 @@ func TestChipRRSnapshotRestore(t *testing.T) {
 	if st.Kind != ChipRoundRobin || st.Cursor != 3 || st.Depth != 1 {
 		t.Errorf("snapshot %+v, want cursor 3 depth 1", st)
 	}
-	cl := st.Clone()
-	cl.StopGo.Engagements = 99
-	if st.StopGo.Engagements == 99 {
-		t.Error("Clone shares StopGo state")
-	}
-
 	// Restore into a fresh policy and check the rotation continues in
 	// phase with the original: after three ticks the cursor sits at 3,
 	// so the next depth-1 tick throttles core 3 on both.
@@ -165,12 +159,12 @@ func TestChipRRSnapshotRestore(t *testing.T) {
 	if err := RestoreChip(q, bad); err == nil {
 		t.Error("cross-kind restore accepted")
 	}
-	bad = st.Clone()
+	bad = st
 	bad.Cursor = 9
 	if err := RestoreChip(q, bad); err == nil {
 		t.Error("out-of-range cursor accepted")
 	}
-	bad = st.Clone()
+	bad = st
 	bad.StopGo = nil
 	if err := RestoreChip(q, bad); err == nil {
 		t.Error("missing stop-and-go state accepted")

@@ -25,16 +25,6 @@ type State struct {
 	PeakLevel int
 }
 
-// Clone returns a deep copy of the policy state.
-func (st State) Clone() State {
-	out := st
-	if st.StopGo != nil {
-		sg := *st.StopGo
-		out.StopGo = &sg
-	}
-	return out
-}
-
 func snapshotStopGo(s *stopGo) *StopGoState {
 	return &StopGoState{Engaged: s.engaged, ResumeAt: s.resumeAt, Engagements: s.Engagements}
 }

@@ -54,25 +54,18 @@ type Options struct {
 	// live consumers see the numbers the final Summary aggregates.
 	Progress func(p sweep.Progress)
 	// DisableWarmupReuse turns off warm-state sharing and runs every
-	// job's warmup from cold: no warm keys, stores or fork trees.
-	// Results are identical either way (enforced by sim's
-	// restore-equivalence tests); the switch exists for benchmarking
-	// and debugging.
+	// job's warmup from cold: no warm keys or stores. Results are
+	// identical either way (enforced by TestWarmShareEquivalence and
+	// sim's restore-equivalence tests); the switch exists for
+	// benchmarking and debugging.
 	DisableWarmupReuse bool
-	// ForkTree routes the experiment through the fork-tree scheduler
-	// (sweep.RunTree): jobs whose simulations share a warmup prefix —
-	// same machine, programs, and warmup length, regardless of DTM
-	// policy, sedation thresholds, or measurement quantum — become
-	// leaves under one prefix node that simulates the shared prefix
-	// once; each leaf forks from the in-memory snapshot. Tables are
-	// byte-identical to the flat (and cold) paths; only the Summary's
-	// fork counters and timing differ. Ignored when DisableWarmupReuse
-	// is set (there is nothing to share).
+	// Deprecated: ForkTree selected the fork-tree scheduler, whose
+	// sharing every sweep now gets from its warm keys. It is ignored.
 	ForkTree bool
 	// DisableFastForward turns off the simulator's stall fast-forward
-	// in every job, including warmup prefixes (results are byte
-	// identical either way; see sim.Options.DisableFastForward). The
-	// differential suites use it to prove fork-tree equivalence holds
+	// in every job, including warmups (results are byte identical
+	// either way; see sim.Options.DisableFastForward). The
+	// differential suites use it to prove warm-share equivalence holds
 	// on both code paths.
 	DisableFastForward bool
 	// WarmupCache holds the warm records (each core's and each die's
@@ -172,39 +165,23 @@ type job struct {
 // completed results are never discarded (the Summary accounts for
 // every job), and each job's wall time, simulated cycles/sec, and peak
 // temperature are aggregated. Unless DisableWarmupReuse is set, jobs
-// share warm state under their warm keys (see warm.go): through the
-// flat sweep's warm hooks, or as the fork tree's prefixes under
-// ForkTree.
+// share warm state under their warm keys through the sweep's warm
+// hooks (see warm.go).
 func runSweep(ctx context.Context, jobs []job, o Options) (map[string]*sim.Result, *sweep.Summary, error) {
 	if o.enumerate != nil {
 		o.enumerate(o, jobs)
 		return nil, nil, errEnumerated
 	}
-	var res *sweep.Result[*sim.Result]
-	var err error
-	if o.ForkTree && !o.DisableWarmupReuse {
-		res, err = sweep.RunTree(ctx, forkTree(jobs, o), sweepOptions(o))
-	} else {
-		res, err = sweep.Run(ctx, flatJobs(jobs, o), sweepOptions(o))
-	}
-	if err != nil {
-		if res == nil {
-			return nil, nil, fmt.Errorf("experiment: %w", err)
-		}
-		return nil, &res.Summary, fmt.Errorf("experiment: %w", err)
-	}
-	return res.ByKey(), &res.Summary, nil
-}
-
-// sweepOptions builds the engine options every experiment sweep uses,
-// flat or fork-tree.
-func sweepOptions(o Options) sweep.Options[*sim.Result] {
-	return sweep.Options[*sim.Result]{
+	res, err := sweep.Run(ctx, sweepJobs(jobs, o), sweep.Options[*sim.Result]{
 		Parallelism: o.Parallelism,
 		Policy:      sweep.FailFast,
 		Metrics:     simMetrics,
 		OnProgress:  o.Progress,
+	})
+	if err != nil {
+		return nil, &res.Summary, fmt.Errorf("experiment: %w", err)
 	}
+	return res.ByKey(), &res.Summary, nil
 }
 
 // simMetrics extracts the per-job measurements the sweep Summary
@@ -306,7 +283,7 @@ var registry = []Info{
 	{Name: NameThresholds, Title: "Sedation-threshold sensitivity (§5.6)",
 		Description: "Sweeps the sedation upper/lower temperature thresholds and reports emergencies and victim IPC."},
 	{Name: NameThresholdsDense, Title: "Sedation-threshold dense scan (§5.6)",
-		Description: "Dense 355.0-358.0 K threshold grid (14 pairs per benchmark) sharing one warmup prefix per benchmark via the fork tree."},
+		Description: "Dense 355.0-358.0 K threshold grid (14 pairs per benchmark) sharing one warm state per benchmark across every grid point."},
 	{Name: NameSpecPairs, Title: "SPEC-pair false positives (§5.7)",
 		Description: "Benign SPEC+SPEC pairs under selective sedation: checks normal co-schedules are not sedated."},
 	{Name: NameTiming, Title: "Heat/cool timing (§3.1)",

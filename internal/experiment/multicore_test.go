@@ -118,34 +118,33 @@ func TestDTMScopeSmoke(t *testing.T) {
 
 // TestMultiExperimentDeterminism checks both multi-core experiments
 // render byte-identically whether whole-die jobs share warm state or
-// run cold (DisableWarmupReuse), at parallelism 1 and 4, with the
-// stall fast-forward on and off, and flat or as a fork tree. Under
-// parallelism, jobs race to warm a core key; the tables must not
-// notice. The jobs' peak temperatures, which tables round, must agree
-// to the last bit. A 4-core neighbor-heat run covers a program
-// repeated inside one die (the benign neighbour on cores 2 and 3).
+// run cold (DisableWarmupReuse), at parallelism 1 and 4, and with the
+// stall fast-forward on and off. Under parallelism, jobs race to warm
+// a core key; the tables must not notice. The jobs' peak temperatures,
+// which tables round, must agree to the last bit. A 4-core
+// neighbor-heat run covers a program repeated inside one die (the
+// benign neighbour on cores 2 and 3).
 func TestMultiExperimentDeterminism(t *testing.T) {
 	type variant struct {
 		par        int
-		cold       bool
-		noFF, fork bool
+		cold, noFF bool
 	}
-	// Every pair of parallelism, fast-forward and fork-tree settings
-	// occurs once among the shared variants.
+	// Every pair of parallelism and fast-forward settings occurs once
+	// among the shared variants.
 	full := []variant{
 		{par: 4, cold: true},
-		{par: 1}, {par: 1, noFF: true, fork: true},
-		{par: 4, fork: true}, {par: 4, noFF: true},
+		{par: 1}, {par: 1, noFF: true},
+		{par: 4}, {par: 4, noFF: true},
 	}
 	for _, tc := range []struct {
 		sub, name string
 		cores     int
 		variants  []variant
 		// wantRuns is the serial shared run's count of warm states
-		// assembled (WarmupRuns flat, ForkPrefixes as a fork tree): one
-		// per distinct warm identity. neighbor-heat's benign and trojan
-		// jobs differ in core 0's program; dtm-scope's three jobs run
-		// one die under three policies.
+		// assembled (WarmupRuns): one per distinct warm identity.
+		// neighbor-heat's benign and trojan jobs differ in core 0's
+		// program; dtm-scope's three jobs run one die under three
+		// policies.
 		wantRuns int
 	}{
 		{NameNeighborHeat, NameNeighborHeat, 2, full, 2},
@@ -177,7 +176,6 @@ func TestMultiExperimentDeterminism(t *testing.T) {
 				o.Parallelism = v.par
 				o.DisableWarmupReuse = v.cold
 				o.DisableFastForward = v.noFF
-				o.ForkTree = v.fork
 				got, sum := render(o)
 				if got != want {
 					t.Errorf("%+v: render differs from the serial cold run:\n%s\n--- want ---\n%s", v, got, want)
@@ -186,9 +184,6 @@ func TestMultiExperimentDeterminism(t *testing.T) {
 					t.Errorf("%+v: peak temperatures %+v, cold run %+v", v, a, b)
 				}
 				runs, reused := sum.WarmupRuns, sum.WarmupReused
-				if v.fork {
-					runs, reused = sum.ForkPrefixes, sum.ForkReused
-				}
 				if !v.cold && runs+reused != sum.Jobs {
 					t.Errorf("%+v: %d warm states built + %d reused for %d jobs", v, runs, reused, sum.Jobs)
 				}

@@ -152,9 +152,9 @@ func Thresholds(ctx context.Context, o Options) (*Table, error) {
 // threshold 0.5 K and 1.0 K below — 14 pairs per benchmark plus a solo
 // baseline. At 15 simulations per benchmark the scan is only
 // affordable because every threshold variant of a benchmark shares one
-// warmup prefix: the thresholds are engine-only inputs, excluded from
-// config.WarmDigest, so the fork tree (or the flat warm cache) runs
-// the prefix once per benchmark instead of once per grid point.
+// warm state: the thresholds are engine-only inputs, excluded from
+// config.WarmDigest, so the sweep warms once per benchmark instead of
+// once per grid point.
 func ThresholdsDense(ctx context.Context, o Options) (*Table, error) {
 	o = o.normalized()
 	benches := o.subset()

@@ -93,7 +93,7 @@ func warmKeyOf(o Options, warmDigest, progsDigest string, opts sim.Options) stri
 }
 
 // job hashes the whole warm identity: the key under which a sweep
-// warms the job once and a fork tree groups its leaves.
+// warms the job once.
 func (k warmKeys) job() string {
 	h := sha256.New()
 	for _, c := range k.cores {
@@ -224,11 +224,11 @@ func runFromWarm(ctx context.Context, o Options, j job, warm any) (*sim.Result, 
 	return s.Run()
 }
 
-// flatJobs builds the flat sweep's jobs. Each runs cold or, unless
+// sweepJobs builds the sweep's jobs. Each runs cold or, unless
 // DisableWarmupReuse is set, through the warm-sharing hooks: Warm
 // assembles the job's warm state once per warm identity, RunWarm
 // measures from it.
-func flatJobs(jobs []job, o Options) []sweep.Job[*sim.Result] {
+func sweepJobs(jobs []job, o Options) []sweep.Job[*sim.Result] {
 	sjobs := make([]sweep.Job[*sim.Result], len(jobs))
 	for i, j := range jobs {
 		sj := &sjobs[i]

@@ -32,38 +32,6 @@ type MemoryState struct {
 	Pages map[uint64][]int64
 }
 
-// Clone returns a deep copy of the cache state.
-func (st CacheState) Clone() CacheState {
-	out := st
-	out.Tags = slices.Clone(st.Tags)
-	out.Valid = slices.Clone(st.Valid)
-	out.Dirty = slices.Clone(st.Dirty)
-	out.LRU = slices.Clone(st.LRU)
-	return out
-}
-
-// Clone returns a deep copy of the hierarchy state.
-func (st HierarchyState) Clone() HierarchyState {
-	out := st
-	out.L1I = st.L1I.Clone()
-	out.L1D = st.L1D.Clone()
-	out.L2 = st.L2.Clone()
-	out.Banks = slices.Clone(st.Banks)
-	return out
-}
-
-// Clone returns a deep copy of the memory image state.
-func (st MemoryState) Clone() MemoryState {
-	if st.Pages == nil {
-		return st
-	}
-	pages := make(map[uint64][]int64, len(st.Pages))
-	for k, v := range st.Pages {
-		pages[k] = slices.Clone(v)
-	}
-	return MemoryState{Pages: pages}
-}
-
 // Snapshot returns a deep copy of the cache's state.
 func (c *Cache) Snapshot() CacheState {
 	return CacheState{

@@ -1,9 +1,6 @@
 package power
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // ActivityState is the serializable state of the activity counters.
 type ActivityState struct {
@@ -18,13 +15,6 @@ type ActivityState struct {
 type ModelState struct {
 	Vdd  float64
 	Last [NumUnits]uint64
-}
-
-// Clone returns a deep copy of the activity state.
-func (st ActivityState) Clone() ActivityState {
-	out := st
-	out.PerThread = slices.Clone(st.PerThread)
-	return out
 }
 
 // Snapshot returns a deep copy of the counters.

@@ -55,12 +55,6 @@ type Options struct {
 	JobTimeout time.Duration
 	// Parallelism bounds each sweep's workers (0 = GOMAXPROCS).
 	Parallelism int
-	// ForkTree runs every job's sweep in fork-tree mode: shared warmup
-	// prefixes are simulated once and variants fork from the in-memory
-	// snapshot (see experiment.Options.ForkTree). Results are byte
-	// identical to flat sweeps, so the mode is deliberately excluded
-	// from cache keys — cached artifacts from either mode alias.
-	ForkTree bool
 	// CacheDir, when set, persists completed results as JSON files so
 	// restarts don't re-simulate.
 	CacheDir string
@@ -399,7 +393,6 @@ func (s *Server) expOptions(e *jobEntry) experiment.Options {
 		Seed:        *e.req.Seed,
 		SeedSet:     true,
 		Progress:    e.onProgress,
-		ForkTree:    s.opts.ForkTree,
 		CodeVersion: s.opts.Version,
 		OnRestore:   s.met.observeRestore,
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"reflect"
 	"sync"
 	"testing"
@@ -8,12 +9,13 @@ import (
 	"github.com/heatstroke-sim/heatstroke/internal/dtm"
 )
 
-// corruptBase is a mid-quantum snapshot of one test machine and the
-// options that rebuild a simulator it restores into.
+// corruptBase is a mid-quantum snapshot of one test machine, encoded
+// once so each input decodes a fresh copy to corrupt, and the options
+// that rebuild a simulator it restores into.
 type corruptBase struct {
 	m    testMachine
 	o    Options
-	ms   *MachineState
+	enc  []byte
 	next int64 // the quantum position two sensor intervals on
 }
 
@@ -49,7 +51,11 @@ func corruptBasesFor(t *testing.T) []corruptBase {
 		if err != nil {
 			t.Fatal(err)
 		}
-		corruptBases.bases = append(corruptBases.bases, corruptBase{m: m, o: o, ms: ms, next: 5 * sensor})
+		var buf bytes.Buffer
+		if err := WriteState(&buf, ms); err != nil {
+			t.Fatal(err)
+		}
+		corruptBases.bases = append(corruptBases.bases, corruptBase{m: m, o: o, enc: buf.Bytes(), next: 5 * sensor})
 	}
 	return corruptBases.bases
 }
@@ -152,7 +158,10 @@ func FuzzRestoreCorrupt(f *testing.F) {
 		if die {
 			b = bases[1]
 		}
-		ms := b.ms.Clone()
+		ms, err := ReadState(bytes.NewReader(b.enc))
+		if err != nil {
+			t.Fatal(err)
+		}
 		corrupt(reflect.ValueOf(ms), path, val)
 		s, err := NewMulti(b.m.cfg, b.m.threads, b.o)
 		if err != nil {

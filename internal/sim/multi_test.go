@@ -105,9 +105,9 @@ func TestMultiRestoreRejectsMismatch(t *testing.T) {
 	if err := m.Restore(soloState); err == nil {
 		t.Error("single-core snapshot restored into a die")
 	}
-	short := ms.Clone()
+	short := *ms
 	short.Cores = short.Cores[:1]
-	if err := m.Restore(short); err == nil {
+	if err := m.Restore(&short); err == nil {
 		t.Error("snapshot with a core missing restored")
 	}
 }

@@ -58,8 +58,8 @@ type MachineState struct {
 	// WarmConfigDigest is the producing config's WarmDigest: the
 	// configuration with every field warmup never reads normalized away
 	// (see config.Config.WarmDigest). Warmup snapshots are restorable
-	// into any simulator matching it — the relaxation that lets a
-	// threshold grid fork from one shared warm prefix. Policy snapshots
+	// into any simulator matching it — the relaxation that lets one
+	// warmup snapshot serve every threshold variant. Policy snapshots
 	// still require the full ConfigDigest to match.
 	WarmConfigDigest string
 	ProgsDigest      string
@@ -93,23 +93,6 @@ type CoreState struct {
 	// DTM is nil for warmup snapshots (Policy == "").
 	DTM     *dtm.State
 	Reports []score.Report
-}
-
-// Clone returns a deep copy.
-func (cs CoreState) Clone() CoreState {
-	out := cs
-	out.Core = cs.Core.Clone()
-	out.Monitor = cs.Monitor.Clone()
-	if cs.Engine != nil {
-		es := cs.Engine.Clone()
-		out.Engine = &es
-	}
-	if cs.DTM != nil {
-		ds := cs.DTM.Clone()
-		out.DTM = &ds
-	}
-	out.Reports = slices.Clone(cs.Reports)
-	return out
 }
 
 // QuantumState is the serializable state of a measurement quantum in
@@ -159,30 +142,6 @@ func (q QuantumState) Clone() QuantumState {
 		out.Cores[c] = cq
 	}
 	return out
-}
-
-// Clone returns a deep copy of the machine state without a gob
-// round-trip: the fork-tree hot path for handing one snapshot to many
-// children. The clone shares no memory with ms — mutating either side
-// never leaks into the other (enforced by the aliasing regression
-// tests).
-func (ms *MachineState) Clone() *MachineState {
-	out := *ms
-	out.Cores = make([]CoreState, len(ms.Cores))
-	for c, cs := range ms.Cores {
-		out.Cores[c] = cs.Clone()
-	}
-	out.Solver = ms.Solver.Clone()
-	if ms.Chip != nil {
-		ch := ms.Chip.Clone()
-		out.Chip = &ch
-	}
-	out.Events = slices.Clone(ms.Events)
-	if ms.Quantum != nil {
-		qs := ms.Quantum.Clone()
-		out.Quantum = &qs
-	}
-	return &out
 }
 
 // ProgramsDigest hashes the threads' identity — names, entry points,
@@ -395,7 +354,7 @@ func (s *Simulator) checkState(ms *MachineState) error {
 		// Warmup snapshots are identical under every value of the
 		// warmup-invariant fields (thresholds, ablation switches, the
 		// quantum length), so they restore across configs agreeing on
-		// the relaxed warm digest: the fork-tree sweep's shared prefix.
+		// the relaxed warm digest.
 		if d := s.cfg.WarmDigest(); ms.WarmConfigDigest != d {
 			return fmt.Errorf("sim: warmup snapshot built from warm-config %.12s.., simulator runs %.12s..", ms.WarmConfigDigest, d)
 		}

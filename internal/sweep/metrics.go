@@ -96,12 +96,12 @@ type Summary struct {
 	// zero when no job carries a warm key.
 	WarmupRuns   int `json:"warmup_runs,omitempty"`
 	WarmupReused int `json:"warmup_reused,omitempty"`
-	// ForkPrefixes counts fork-tree prefix simulations actually
-	// executed; ForkReused counts leaves that started from a prefix
-	// state produced for an earlier leaf. Both are zero for flat
-	// sweeps (see RunTree).
+	// Deprecated: ForkPrefixes and ForkReused counted the fork-tree
+	// scheduler's shared prefixes, which WarmupRuns and WarmupReused
+	// now count. They are always zero.
 	ForkPrefixes int `json:"fork_prefixes,omitempty"`
-	ForkReused   int `json:"fork_reused,omitempty"`
+	// Deprecated: see ForkPrefixes.
+	ForkReused int `json:"fork_reused,omitempty"`
 	// Metrics holds the custom per-job measurements, aggregated in
 	// input order.
 	Metrics map[string]Agg `json:"metrics,omitempty"`
@@ -133,9 +133,6 @@ func (s *Summary) String() string {
 		s.WallTime.Seconds(), s.JobTime.Seconds(), s.Parallelism)
 	if s.WarmupRuns > 0 || s.WarmupReused > 0 {
 		fmt.Fprintf(&sb, ", %d warmups (%d reused)", s.WarmupRuns, s.WarmupReused)
-	}
-	if s.ForkPrefixes > 0 || s.ForkReused > 0 {
-		fmt.Fprintf(&sb, ", %d fork prefixes (%d forks reused)", s.ForkPrefixes, s.ForkReused)
 	}
 	if cycles, ok := s.Metrics[MetricSimCycles]; ok && cycles.Sum > 0 {
 		fmt.Fprintf(&sb, ", %.1f Mcycles/s", s.Throughput(MetricSimCycles)/1e6)

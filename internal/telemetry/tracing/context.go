@@ -88,7 +88,7 @@ func (a *ActiveSpan) SetAttr(k, v string) {
 	a.span.Attrs[k] = v
 }
 
-// Link attaches a causal link (retry, hedge, fork-prefix reuse) to
+// Link attaches a causal link (retry, hedge, warm reuse) to
 // another span.
 func (a *ActiveSpan) Link(sc SpanContext, kind string) {
 	if a == nil || !sc.Valid() {

@@ -4,7 +4,7 @@
 // bounded lock-cheap per-process span buffer, and NDJSON + Perfetto
 // exporters. It exists so a single job's latency story — client
 // submit, coordinator dispatch (including retries and hedges), worker
-// queue wait, warmup restore, fork-prefix reuse, and each simulated
+// queue wait, warmup build and reuse, and each simulated
 // measurement quantum — is one causally linked timeline instead of a
 // pile of aggregate counters.
 //
@@ -141,8 +141,8 @@ func ParseTraceparent(s string) (SpanContext, error) {
 
 // Link is a causal reference from one span to another that is not its
 // parent: a retried attempt points at the attempt it replaces, a
-// hedged dispatch at the primary it races, a fork leaf at the shared
-// prefix whose state it reused.
+// hedged dispatch at the primary it races, a job at the warmup build
+// whose state it reused.
 type Link struct {
 	TraceID string `json:"trace_id"`
 	SpanID  string `json:"span_id"`
@@ -151,10 +151,9 @@ type Link struct {
 
 // Link kinds used by the instrumentation.
 const (
-	LinkRetry      = "retry"       // this attempt replaces the linked failed attempt
-	LinkHedge      = "hedge"       // this dispatch races the linked primary
-	LinkForkPrefix = "fork_prefix" // this leaf reused the linked prefix's warm state
-	LinkWarmReuse  = "warm_reuse"  // this job reused the linked warmup build's state
+	LinkRetry     = "retry"      // this attempt replaces the linked failed attempt
+	LinkHedge     = "hedge"      // this dispatch races the linked primary
+	LinkWarmReuse = "warm_reuse" // this job reused the linked warmup build's state
 )
 
 // Span is one completed timed operation. IDs are rendered as lowercase

@@ -190,7 +190,7 @@ func TestGridSnapshotRestore(t *testing.T) {
 }
 
 // TestGridDeterminism: two grids driven through the same history agree
-// bit-for-bit (the property -parallel and fork-tree runs rely on).
+// bit-for-bit (the property -parallel and warm-shared runs rely on).
 func TestGridDeterminism(t *testing.T) {
 	cfg := config.Default()
 	m := testModel(t, cfg)

@@ -2,7 +2,6 @@ package thermal
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/heatstroke-sim/heatstroke/internal/config"
 	"github.com/heatstroke-sim/heatstroke/internal/floorplan"
@@ -46,11 +45,6 @@ type Solver interface {
 type SolverState struct {
 	Kind  string
 	Temps []float64
-}
-
-// Clone returns a deep copy.
-func (st SolverState) Clone() SolverState {
-	return SolverState{Kind: st.Kind, Temps: slices.Clone(st.Temps)}
 }
 
 // NewSolver builds the solver named by the topology: the lumped

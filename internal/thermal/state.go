@@ -1,9 +1,6 @@
 package thermal
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // NetworkState is the serializable state of the thermal network: the
 // node temperatures (die blocks, spreader sections, sink). Everything
@@ -11,11 +8,6 @@ import (
 // from the floorplan and package parameters at construction.
 type NetworkState struct {
 	Temps []float64
-}
-
-// Clone returns a deep copy of the network state.
-func (st NetworkState) Clone() NetworkState {
-	return NetworkState{Temps: slices.Clone(st.Temps)}
 }
 
 // Snapshot returns a deep copy of the node temperatures.
