@@ -144,7 +144,7 @@ func BenchmarkAblationAbsoluteThreshold(b *testing.B) { runExperiment(b, "ablati
 // re-examination ablation (Section 3.2.2) on a 4-context SMT.
 func BenchmarkAblationMultiCulprit(b *testing.B) { runExperiment(b, "ablation-multiculprit") }
 
-// BenchmarkWarmupReuse measures what warmup-snapshot sharing buys: the
+// BenchmarkWarmupReuse measures what warm-record sharing buys: the
 // policies experiment runs every DTM policy over the same thread sets,
 // so all jobs for one benchmark share a single warm key. The reuse arm
 // warms once per key and restores everywhere else; the cold arm

@@ -97,7 +97,7 @@ func hostEnv() Env {
 // baseline tracks: the profile pair/solo runs that dominate experiment
 // wall time, the raw pipeline rate, one full quantum, one sensor
 // interval's worth of thermal Euler substeps (the per-interval
-// constant every simulation pays), the warmup-snapshot-reuse
+// constant every simulation pays), the warm-record-reuse
 // comparison (reuse vs cold sub-benchmarks), the multi-core warm-sharing
 // comparison (shared vs cold sub-benchmarks), and the fleet-throughput
 // comparison (1 vs 4 workers behind the coordinator; the absolute

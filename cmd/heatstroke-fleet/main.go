@@ -1,6 +1,6 @@
 // Command heatstroke-fleet is the fleet coordinator: one HTTP front
 // end over N heatstroked workers. Jobs are consistent-hashed onto
-// workers by their content address, warmup snapshots are shipped to
+// workers by their content address, warm records are shipped to
 // whichever worker a key lands on, failed dispatches retry on the
 // next replica, and stragglers are hedged onto a second replica (the
 // first byte-identical result wins and the loser is cancelled).
@@ -73,7 +73,7 @@ func run(args []string, ready func(addr string)) error {
 	pollInterval := fs.Duration("poll-interval", 2*time.Second, "worker health/stats poll cadence")
 	fleetToken := fs.String("fleet-token", "", "bearer token sent to workers (must match their -fleet-token)")
 	snapshotDir := fs.String("snapshot-dir", "", "local directory of {key}.warm warm records to ship from when no worker holds a key")
-	noWarmShip := fs.Bool("no-warm-ship", false, "disable pre-dispatch warmup-snapshot shipping")
+	noWarmShip := fs.Bool("no-warm-ship", false, "disable pre-dispatch warm-record shipping")
 	scale := fs.Float64("scale", 0, "base thermal scale factor (default: config's; must match the workers')")
 	quantum := fs.Int64("quantum", 0, "base cycles per OS quantum (default: config's; must match the workers')")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "shutdown drain deadline")

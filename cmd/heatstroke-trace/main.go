@@ -7,6 +7,8 @@
 //	heatstroke-trace -bench crafty -variant 2 -policy stopgo > run.csv
 //	heatstroke-trace -bench gcc -variant 1 -policy sedation -cycles 16000000 -o trace.csv
 //	heatstroke-trace -policy sedation -events-out run.ndjson -perfetto-out run.json -o run.csv
+//	heatstroke-trace -policy sedation -snapshot-out warm.snap -o a.csv
+//	heatstroke-trace -policy dvs -snapshot-in warm.snap -o b.csv
 //
 // Alongside the CSV, -events-out writes the typed DTM event timeline
 // (threshold crossings, sedations with the culprit thread and EWMA
@@ -14,6 +16,15 @@
 // -perfetto-out writes the same run as Chrome/Perfetto trace-event
 // JSON — open it in ui.perfetto.dev to see sedation slices per thread
 // over the per-unit temperature counters.
+//
+// -snapshot-out writes the core's post-warmup state to a file as a
+// core warm record (the format warm stores and fleet peers use) and
+// then runs unchanged; -snapshot-in restores such a file in place of
+// warming up. Warmup never ticks a DTM policy, so a restored run is
+// byte-identical to a cold one under any -policy. The file stands in
+// for the warmup it was written with and must come from the same
+// -bench, -variant and -scale: the programs and the warm configuration
+// are checked by digest.
 //
 // A second mode, -stitch, merges distributed-tracing span files (the
 // NDJSON a fleet coordinator's -trace-dir writes, or per-node dumps of
@@ -23,6 +34,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -71,45 +83,65 @@ func stitch(outPath string, inputs []string) error {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("heatstroke-trace: ")
-	bench := flag.String("bench", "crafty", "victim benchmark (empty for none)")
-	variant := flag.Int("variant", 2, "malicious variant 1-3 (0 for none)")
-	policy := flag.String("policy", "stopgo", "DTM policy: none|stopgo|dvs|ttdfs|sedation")
-	cycles := flag.Int64("cycles", 12_000_000, "cycles to simulate")
-	warmup := flag.Int64("warmup", 500_000, "warmup cycles before tracing")
-	stride := flag.Int("stride", 1, "keep every n-th sensor sample")
-	out := flag.String("o", "", "output file (default stdout)")
-	eventsOut := flag.String("events-out", "", "write the DTM event timeline as NDJSON to this file")
-	perfettoOut := flag.String("perfetto-out", "", "write a Chrome/Perfetto trace-event JSON to this file")
-	stitchOut := flag.String("stitch", "", "stitch mode: merge the span NDJSON files given as arguments into one Perfetto JSON at this path, then exit")
-	flag.Parse()
+	if err := run(os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("heatstroke-trace", flag.ExitOnError)
+	bench := fs.String("bench", "crafty", "victim benchmark (empty for none)")
+	variant := fs.Int("variant", 2, "malicious variant 1-3 (0 for none)")
+	policy := fs.String("policy", "stopgo", "DTM policy: none|stopgo|dvs|ttdfs|sedation")
+	cycles := fs.Int64("cycles", 12_000_000, "cycles to simulate")
+	warmup := fs.Int64("warmup", 500_000, "warmup cycles before tracing")
+	scale := fs.Float64("scale", 0, "thermal scale factor (default 16; 1 = paper time base)")
+	stride := fs.Int("stride", 1, "keep every n-th sensor sample")
+	out := fs.String("o", "", "output file (default stdout)")
+	eventsOut := fs.String("events-out", "", "write the DTM event timeline as NDJSON to this file")
+	perfettoOut := fs.String("perfetto-out", "", "write a Chrome/Perfetto trace-event JSON to this file")
+	snapshotOut := fs.String("snapshot-out", "", "write the core's post-warmup state to this file, then run")
+	snapshotIn := fs.String("snapshot-in", "", "restore the core's post-warmup state from this file instead of warming up")
+	stitchOut := fs.String("stitch", "", "stitch mode: merge the span NDJSON files given as arguments into one Perfetto JSON at this path, then exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *stitchOut != "" {
-		if err := stitch(*stitchOut, flag.Args()); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return stitch(*stitchOut, fs.Args())
+	}
+	if *snapshotOut != "" && *snapshotIn != "" {
+		return errors.New("-snapshot-out and -snapshot-in are mutually exclusive")
+	}
+	if (*snapshotOut != "" || *snapshotIn != "") && *warmup <= 0 {
+		// Sweeps share no warm state at -warmup 0 either: a snapshot is
+		// a warmup's state.
+		return errors.New("-snapshot-out and -snapshot-in need a warmup (-warmup > 0)")
 	}
 
 	cfg := heatstroke.DefaultConfig()
 	cfg.Run.QuantumCycles = *cycles
+	if *scale > 0 {
+		cfg.Thermal.Scale = *scale
+	}
 
 	var threads []sim.Thread
 	if *bench != "" {
 		prog, err := workload.Spec(*bench, cfg.Run.Seed)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		threads = append(threads, sim.Thread{Name: *bench, Prog: prog})
 	}
 	if *variant > 0 {
 		prog, err := workload.VariantForScale(*variant, cfg.Thermal.Scale)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		threads = append(threads, sim.Thread{Name: fmt.Sprintf("variant%d", *variant), Prog: prog})
 	}
 	if len(threads) == 0 {
-		log.Fatal("nothing to run: set -bench and/or -variant")
+		return errors.New("nothing to run: set -bench and/or -variant")
 	}
 
 	rec := &trace.Recorder{Stride: *stride}
@@ -120,11 +152,23 @@ func main() {
 		CollectEvents: *eventsOut != "" || *perfettoOut != "",
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	if *snapshotOut != "" {
+		if err := saveWarm(s, *snapshotOut); err != nil {
+			return fmt.Errorf("snapshot %s: %w", *snapshotOut, err)
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s\n", *snapshotOut)
+	}
+	if *snapshotIn != "" {
+		if err := loadWarm(s, *snapshotIn); err != nil {
+			return fmt.Errorf("snapshot %s: %w", *snapshotIn, err)
+		}
+		fmt.Fprintf(os.Stderr, "restored %s\n", *snapshotIn)
 	}
 	res, err := s.Run()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	names := make([]string, len(threads))
@@ -135,7 +179,7 @@ func main() {
 		if err := writeFile(*eventsOut, func(w *os.File) error {
 			return telemetry.WriteNDJSON(w, res.Events)
 		}); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	if *perfettoOut != "" {
@@ -147,25 +191,53 @@ func main() {
 				Samples:     rec.Samples,
 			})
 		}); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		w = f
+	writeCSV := func(w *os.File) error { return rec.WriteCSV(w, nil) }
+	if *out == "" {
+		err = writeCSV(os.Stdout)
+	} else {
+		err = writeFile(*out, writeCSV)
 	}
-	if err := rec.WriteCSV(w, nil); err != nil {
-		log.Fatal(err)
+	if err != nil {
+		return err
 	}
 	sum := rec.Summarize()
 	fmt.Fprintf(os.Stderr, "samples=%d peak=%.2fK@%s stalled=%.1f%% meanPower=%.1fW events=%d\n",
 		sum.Samples, sum.PeakTempK, sum.PeakUnit, 100*sum.StallFrac, sum.MeanPowerW, len(res.Events))
+	return nil
+}
+
+// saveWarm warms the core, writes its state to path as a core warm
+// record, and closes the warmup, so the run that follows measures
+// exactly as a cold one.
+func saveWarm(s *sim.Simulator, path string) error {
+	if err := s.WarmCore(0); err != nil {
+		return err
+	}
+	if err := sim.WriteWarmFile(path, &sim.WarmRecord{Version: sim.StateVersion, Core: s.CaptureCore(0)}); err != nil {
+		return err
+	}
+	return s.FinishWarmup(nil)
+}
+
+// loadWarm restores the core from the core warm record at path in
+// place of its warmup; the die is anchored as a cold warmup anchors
+// it.
+func loadWarm(s *sim.Simulator, path string) error {
+	rec, err := sim.ReadWarmFile(path)
+	if err != nil {
+		return err
+	}
+	if rec.Core == nil {
+		return errors.New("a die record, not a core record")
+	}
+	if err := s.RestoreCore(0, rec.Core); err != nil {
+		return err
+	}
+	return s.FinishWarmup(nil)
 }
 
 // writeFile creates path, hands it to fill, and reports the write on

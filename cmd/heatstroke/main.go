@@ -9,8 +9,6 @@
 //	heatstroke -experiment all -format csv -out artifacts/
 //	heatstroke -experiment fig3 -server http://localhost:8080
 //	heatstroke -list                            # list experiments
-//	heatstroke -events-out trace.ndjson -snapshot-out warm.snap
-//	heatstroke -events-out t2.ndjson -policy dvs -snapshot-in warm.snap
 //
 // Tables render as ASCII by default; -format json/csv emits structured
 // artifacts (JSON includes the sweep's execution summary — job counts,
@@ -53,13 +51,8 @@ import (
 	"time"
 
 	"github.com/heatstroke-sim/heatstroke/internal/config"
-	"github.com/heatstroke-sim/heatstroke/internal/dtm"
 	"github.com/heatstroke-sim/heatstroke/internal/experiment"
-	"github.com/heatstroke-sim/heatstroke/internal/sim"
 	"github.com/heatstroke-sim/heatstroke/internal/sweep"
-	"github.com/heatstroke-sim/heatstroke/internal/telemetry"
-	"github.com/heatstroke-sim/heatstroke/internal/trace"
-	"github.com/heatstroke-sim/heatstroke/internal/workload"
 	"github.com/heatstroke-sim/heatstroke/pkg/api"
 	"github.com/heatstroke-sim/heatstroke/pkg/client"
 )
@@ -88,32 +81,11 @@ func run() int {
 	serverURL := flag.String("server", "", "run via a heatstroked daemon at this URL instead of locally")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
-	eventsOut := flag.String("events-out", "", "trace mode: write the DTM event timeline as NDJSON to this file")
-	perfettoOut := flag.String("perfetto-out", "", "trace mode: write a Chrome/Perfetto trace-event JSON to this file")
-	variant := flag.Int("variant", 2, "trace mode: malicious variant 1-3 (0 for none)")
-	policy := flag.String("policy", "sedation", "trace mode: DTM policy: none|stopgo|dvs|ttdfs|sedation")
-	snapshotOut := flag.String("snapshot-out", "", "trace mode: write the post-warmup machine state to this file, then run")
-	snapshotIn := flag.String("snapshot-in", "", "trace mode: restore the machine state from this file instead of warming up")
 	flag.Parse()
 
 	if *list {
 		for _, n := range experiment.Names() {
 			fmt.Println(n)
-		}
-		return 0
-	}
-	if *eventsOut != "" || *perfettoOut != "" || *snapshotOut != "" || *snapshotIn != "" {
-		if *name != "" {
-			log.Print("trace-mode flags run a single scenario and cannot combine with -experiment")
-			return 2
-		}
-		if *snapshotOut != "" && *snapshotIn != "" {
-			log.Print("-snapshot-out and -snapshot-in are mutually exclusive")
-			return 2
-		}
-		if err := runTrace(*benches, *variant, *policy, *quantum, *warmup, *scale, *eventsOut, *perfettoOut, *snapshotOut, *snapshotIn); err != nil {
-			log.Print(err)
-			return 1
 		}
 		return 0
 	}
@@ -254,134 +226,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "  (%s)\n", status)
 	}
 	return 0
-}
-
-// runTrace is the single-scenario trace mode behind -events-out,
-// -perfetto-out, and the snapshot flags: one attack-pair simulation
-// (victim benchmark plus a malicious variant) under the chosen DTM
-// policy, exported as a typed event timeline (NDJSON) and/or a
-// Perfetto trace with one track per thread over the per-unit
-// temperature counters. -snapshot-out captures the post-warmup machine
-// state to a file before measuring (the run itself is unchanged);
-// -snapshot-in restores such a file in place of warming up, which is
-// provably equivalent to a cold run and works under any -policy
-// because warmup never ticks the DTM.
-func runTrace(benches string, variant int, policy string, quantum, warmup int64, scale float64, eventsOut, perfettoOut, snapshotOut, snapshotIn string) error {
-	cfg := config.Default()
-	if scale > 0 {
-		cfg.Thermal.Scale = scale
-	}
-	if quantum > 0 {
-		cfg.Run.QuantumCycles = quantum
-	} else {
-		cfg.Run.QuantumCycles = 12_000_000
-	}
-	if warmup <= 0 {
-		warmup = 500_000
-	}
-
-	victim := "crafty"
-	if benches != "" {
-		victim = strings.TrimSpace(strings.Split(benches, ",")[0])
-	}
-	var threads []sim.Thread
-	if victim != "" && victim != "none" {
-		prog, err := workload.Spec(victim, cfg.Run.Seed)
-		if err != nil {
-			return err
-		}
-		threads = append(threads, sim.Thread{Name: victim, Prog: prog})
-	}
-	if variant > 0 {
-		prog, err := workload.VariantForScale(variant, cfg.Thermal.Scale)
-		if err != nil {
-			return err
-		}
-		threads = append(threads, sim.Thread{Name: fmt.Sprintf("variant%d", variant), Prog: prog})
-	}
-	if len(threads) == 0 {
-		return fmt.Errorf("nothing to run: set -bench and/or -variant")
-	}
-
-	rec := &trace.Recorder{}
-	s, err := sim.New(cfg, threads, sim.Options{
-		Policy:        dtm.Kind(policy),
-		WarmupCycles:  warmup,
-		Recorder:      rec,
-		CollectEvents: true,
-	})
-	if err != nil {
-		return err
-	}
-	if snapshotIn != "" {
-		ms, err := sim.ReadStateFile(snapshotIn)
-		if err != nil {
-			return err
-		}
-		if err := s.Restore(ms); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "  restored %s\n", snapshotIn)
-	}
-	if snapshotOut != "" {
-		ms, err := s.WarmupSnapshot()
-		if err != nil {
-			return err
-		}
-		if err := sim.WriteStateFile(snapshotOut, ms); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "  wrote %s\n", snapshotOut)
-	}
-	start := time.Now()
-	res, err := s.Run()
-	if err != nil {
-		return err
-	}
-
-	emitFile := func(path string, fill func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := fill(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "  wrote %s\n", path)
-		return nil
-	}
-	if eventsOut != "" {
-		if err := emitFile(eventsOut, func(w io.Writer) error {
-			return telemetry.WriteNDJSON(w, res.Events)
-		}); err != nil {
-			return err
-		}
-	}
-	if perfettoOut != "" {
-		names := make([]string, len(threads))
-		for i, th := range threads {
-			names[i] = th.Name
-		}
-		if err := emitFile(perfettoOut, func(w io.Writer) error {
-			return telemetry.WritePerfetto(w, telemetry.TraceOptions{
-				FrequencyHz: cfg.Power.FrequencyHz,
-				ThreadNames: names,
-				Events:      res.Events,
-				Samples:     rec.Samples,
-			})
-		}); err != nil {
-			return err
-		}
-	}
-	sum := rec.Summarize()
-	fmt.Fprintf(os.Stderr, "  (%s vs %s under %s: %d cycles in %.1fs, peak %.2f K @ %s, %d events)\n",
-		threads[0].Name, threads[len(threads)-1].Name, policy, res.Cycles, time.Since(start).Seconds(),
-		sum.PeakTempK, sum.PeakUnit, len(res.Events))
-	return nil
 }
 
 // runRemote submits one experiment to a heatstroked daemon, streams

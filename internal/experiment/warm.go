@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/heatstroke-sim/heatstroke/internal/config"
 	"github.com/heatstroke-sim/heatstroke/internal/dtm"
 	"github.com/heatstroke-sim/heatstroke/internal/sim"
 	"github.com/heatstroke-sim/heatstroke/internal/sweep"
@@ -67,10 +66,8 @@ type warmKeys struct {
 
 // keysOf derives job j's warm keys.
 func keysOf(o Options, j job) warmKeys {
-	cfg := j.cfg
-	k := warmKeys{cores: make([]string, len(j.cores)), die: warmKeyOf(o, cfg.WarmDigest(), "", j.opts)}
-	cfg.Topology = config.Topology{}
-	wd := cfg.WarmDigest()
+	k := warmKeys{cores: make([]string, len(j.cores)), die: warmKeyOf(o, j.cfg.WarmDigest(), "", j.opts)}
+	wd := sim.CoreWarmDigest(j.cfg)
 	for c, threads := range j.cores {
 		k.cores[c] = warmKeyOf(o, wd, sim.ProgramsDigest(threads), j.opts)
 	}

@@ -35,7 +35,7 @@ func warmJobs(t *testing.T, o Options) []job {
 	return jobs
 }
 
-// TestSweepWarmupReuse is the acceptance test for warmup-snapshot
+// TestSweepWarmupReuse is the acceptance test for warm-state
 // reuse: ten jobs sharing one warm key run warmup exactly once, and
 // every result is identical to the cold-warmup path.
 func TestSweepWarmupReuse(t *testing.T) {

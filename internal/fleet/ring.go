@@ -1,7 +1,7 @@
 // Package fleet turns a set of independent heatstroked daemons into
 // one sharded service. The coordinator consistent-hashes each job's
 // content address onto a worker, proxies the full job surface
-// (submit, status, SSE progress, artifacts), ships warmup snapshots to
+// (submit, status, SSE progress, artifacts), ships warm records to
 // whichever worker a key lands on, retries dispatches across replicas
 // when a worker dies, and hedges stragglers onto a second replica —
 // all safe because sweeps are deterministic: any worker produces the

@@ -161,7 +161,7 @@ func TestStatsAdvertiseAndWarmKeys(t *testing.T) {
 	}
 }
 
-// TestWarmTransferRoundTrip ships a warmup snapshot between two
+// TestWarmTransferRoundTrip ships a warm record between two
 // daemons over the wire and proves the receiver serves warm reuse from
 // it: GET from the source, PUT to the target, then a job on the target
 // hits the warmup cache instead of re-warming.

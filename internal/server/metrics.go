@@ -67,7 +67,7 @@ func newServerMetrics(s *Server, version string) *serverMetrics {
 			"Wall time of individual simulations inside sweeps.",
 			telemetry.DefLatencyBuckets),
 		restoreDur: reg.Histogram("heatstroked_warmup_restore_seconds",
-			"Time to restore a simulation from a shared warmup snapshot.",
+			"Time to restore a simulation from shared warm records.",
 			telemetry.DefLatencyBuckets),
 	}
 	for _, st := range []api.Status{api.StatusDone, api.StatusFailed, api.StatusCanceled} {

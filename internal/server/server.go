@@ -30,6 +30,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -102,7 +103,7 @@ type Options struct {
 	// worker and to locate snapshot sources; the daemon itself only
 	// echoes it.
 	Advertise string
-	// FleetToken, when set, gates the warmup-snapshot transfer
+	// FleetToken, when set, gates the warm-record transfer
 	// endpoints (GET/PUT /v1/warm/{key}) behind a shared bearer token.
 	// Empty leaves them open (fine on a trusted network; set it when
 	// workers are reachable beyond the fleet).
@@ -301,6 +302,8 @@ func Resolve(version string, base func() config.Config, req api.JobRequest) (api
 	if len(req.Benchmarks) == 0 {
 		req.Benchmarks = workload.SpecNames()
 	} else {
+		// Trim a copy: the caller's slice is left as it was.
+		req.Benchmarks = slices.Clone(req.Benchmarks)
 		for i, b := range req.Benchmarks {
 			b = strings.TrimSpace(b)
 			if !known[b] {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -267,6 +268,25 @@ func TestResolveRejects(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body: %d", resp.StatusCode)
+	}
+}
+
+// TestResolveLeavesCallerSlice: Resolve trims benchmark names in its
+// own copy, so the caller's request reads as it did.
+func TestResolveLeavesCallerSlice(t *testing.T) {
+	var req api.JobRequest
+	if err := json.Unmarshal([]byte(`{"experiment":"fig3","benchmarks":[" crafty "]}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	resolved, _, err := Resolve("test", nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(resolved.Benchmarks, []string{"crafty"}) {
+		t.Errorf("resolved benchmarks %q, want [crafty]", resolved.Benchmarks)
+	}
+	if !slices.Equal(req.Benchmarks, []string{" crafty "}) {
+		t.Errorf("caller's benchmarks now read %q, want [\" crafty \"]", req.Benchmarks)
 	}
 }
 

@@ -47,8 +47,7 @@ func stepOneInterval(t *testing.T, s *Simulator) func() {
 	t.Helper()
 	interval := int64(s.cfg.Thermal.SensorIntervalCycles)
 	return func() {
-		done, _ := s.RunProgress()
-		if done+interval > s.qr.Quantum {
+		if s.qr.Done+interval > s.qr.Quantum {
 			// Re-open a fresh quantum when the current one runs out.
 			if _, err := s.FinishRun(); err != nil {
 				t.Fatal(err)
@@ -59,9 +58,8 @@ func stepOneInterval(t *testing.T, s *Simulator) func() {
 			if err := s.BeginRun(s.cfg.Run.QuantumCycles); err != nil {
 				t.Fatal(err)
 			}
-			done = 0
 		}
-		if _, err := s.StepRun(done + interval); err != nil {
+		if _, err := s.StepRun(s.qr.Done + interval); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/heatstroke-sim/heatstroke/internal/config"
@@ -228,6 +229,9 @@ func TestMultiWarmErrors(t *testing.T) {
 	cfg := multiCfg(2)
 	threads := attackVictimThreads(t)
 	parts, _ := warmParts(t, cfg, threads, Options{WarmupCycles: 20_000})
+	other := cfg
+	other.Thermal.ConvectionRes *= 2
+	otherParts, _ := warmParts(t, other, threads, Options{WarmupCycles: 20_000})
 	m, err := NewMulti(cfg, threads, Options{Scope: dtm.ScopeChip, WarmupCycles: 20_000})
 	if err != nil {
 		t.Fatal(err)
@@ -237,6 +241,12 @@ func TestMultiWarmErrors(t *testing.T) {
 	}
 	if err := m.RestoreCore(2, parts[0]); err == nil {
 		t.Error("restoring past the last core should fail")
+	}
+	if err := m.RestoreCore(0, nil); err == nil {
+		t.Error("restoring a nil warm state should fail")
+	}
+	if err := m.RestoreCore(0, otherParts[0]); err == nil || !strings.Contains(err.Error(), "warm-config") {
+		t.Errorf("restoring warm state of another convection resistance: %v, want a warm-config mismatch", err)
 	}
 	if err := m.RestoreCore(0, parts[0]); err != nil {
 		t.Fatal(err)

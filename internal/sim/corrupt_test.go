@@ -2,7 +2,12 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -65,91 +70,119 @@ func corruptBasesFor(t *testing.T) []corruptBase {
 // element (two path bytes) or — when its selector byte is a multiple
 // of 8 — truncates it to val modulo its length; at a scalar leaf it
 // stores val. A nil pointer, an empty slice, a map or an exhausted
-// path ends the walk with nothing changed.
-func corrupt(v reflect.Value, path []byte, val int64) {
+// path ends the walk with nothing changed. It returns what it changed
+// (a leaf such as "Cores[0].Core.Cycle", or a slice with " truncated"
+// appended), or "" when it changed nothing.
+func corrupt(v reflect.Value, path []byte, val int64) string {
+	name := ""
 	for {
 		if v.Kind() == reflect.Pointer {
 			if v.IsNil() {
-				return
+				return ""
 			}
 			v = v.Elem()
 			continue
 		}
 		if !v.CanSet() {
-			return
+			return ""
 		}
 		switch v.Kind() {
 		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 			v.SetInt(val)
-			return
+			return name
 		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 			v.SetUint(uint64(val))
-			return
+			return name
 		case reflect.Float32, reflect.Float64:
 			v.SetFloat(float64(val))
-			return
+			return name
 		case reflect.Bool:
 			v.SetBool(val&1 == 1)
-			return
+			return name
 		}
 		if len(path) == 0 {
-			return
+			return ""
 		}
 		switch v.Kind() {
 		case reflect.Struct:
-			v = v.Field(int(path[0]) % v.NumField())
+			i := int(path[0]) % v.NumField()
+			if name != "" {
+				name += "."
+			}
+			name += v.Type().Field(i).Name
+			v = v.Field(i)
 			path = path[1:]
 		case reflect.Array:
 			if v.Len() == 0 {
-				return
+				return ""
 			}
-			v = v.Index(int(path[0]) % v.Len())
+			i := int(path[0]) % v.Len()
+			name += fmt.Sprintf("[%d]", i)
+			v = v.Index(i)
 			path = path[1:]
 		case reflect.Slice:
 			n := v.Len()
 			if n == 0 {
-				return
+				return ""
 			}
 			if path[0]%8 == 0 {
 				v.SetLen(int(uint64(val) % uint64(n)))
-				return
+				return name + " truncated"
 			}
 			if len(path) < 3 {
-				return
+				return ""
 			}
-			v = v.Index((int(path[1])<<8 | int(path[2])) % n)
+			i := (int(path[1])<<8 | int(path[2])) % n
+			name += fmt.Sprintf("[%d]", i)
+			v = v.Index(i)
 			path = path[3:]
 		default:
-			return
+			return ""
 		}
 	}
 }
 
+// fuzzSeed is one seed input of FuzzRestoreCorrupt or FuzzRestoreWarm
+// and the leaf corrupt changes with it.
+type fuzzSeed struct {
+	die  bool
+	path []byte
+	val  int64
+	leaf string
+}
+
+// corruptSeeds seed FuzzRestoreCorrupt. Paths name struct fields by
+// index: MachineState.Cores is field 6, Solver 7, Quantum 10;
+// CoreState.Core is 0; cpu.CoreState.Entries 2, Free 3, DispatchRR 12,
+// Threads 17; EntryState.DstReg 22; ThreadState.PC 3;
+// QuantumState.Cores 10. A slice step is a selector byte (1: an
+// element, 0: truncate) and, for an element, two index bytes.
+// TestFuzzSeedTargets checks each seed still reaches its leaf.
+var corruptSeeds = []fuzzSeed{
+	{false, []byte{6, 1, 0, 0, 0, 2, 1, 0, 1, 22}, 200, "Cores[0].Core.Entries[1].DstReg"},
+	{false, []byte{6, 1, 0, 0, 0, 12}, 99, "Cores[0].Core.DispatchRR"},
+	{false, []byte{6, 1, 0, 0, 0, 17, 1, 0, 0, 3}, -7, "Cores[0].Core.Threads[0].PC"},
+	{true, []byte{6, 1, 0, 1, 0, 3, 0}, 1, "Cores[1].Core.Free truncated"},
+	{true, []byte{10, 10, 0}, 1, "Quantum.Cores truncated"},
+	{true, []byte{7, 1, 0}, 3, "Solver.Temps truncated"},
+}
+
+// corruptCorpus names the leaf each committed FuzzRestoreCorrupt
+// corpus entry (a crasher the fuzzer found) changes.
+var corruptCorpus = map[string]string{
+	"44b7091b548a86bb": "Cores[0].Core.Threads[0].ListHead",
+	"8609b4917dbde9c4": "Cores[0].Core.Cycle",
+}
+
 // FuzzRestoreCorrupt feeds Restore mid-quantum snapshots with one
 // fuzz-chosen leaf set to a fuzzed value or one slice truncated — the
-// shape of a damaged or hostile snapshot arriving over PUT /v1/warm or
-// from a -snapshot-in or warm-cache file — and runs two sensor
-// intervals past any snapshot Restore accepts. Restore must reject
-// what it cannot run; nothing may panic.
+// shape of a damaged or hostile snapshot, and of the core state inside
+// warm records arriving over PUT /v1/warm or from a -snapshot-in or
+// warm-cache file (FuzzRestoreWarm fuzzes those directly) — and runs
+// two sensor intervals past any snapshot Restore accepts. Restore must
+// reject what it cannot run; nothing may panic.
 func FuzzRestoreCorrupt(f *testing.F) {
-	// Paths name struct fields by index: MachineState.Cores is field 7,
-	// Solver 8, Quantum 11; CoreState.Core is 0; cpu.CoreState.Entries
-	// 2, Free 3, DispatchRR 12, Threads 17; EntryState.DstReg 22;
-	// ThreadState.PC 3; QuantumState.Cores 10. A slice step is a
-	// selector byte (1: an element, 0: truncate) and, for an element,
-	// two index bytes.
-	for _, seed := range []struct {
-		die  bool
-		path []byte
-		val  int64
-	}{
-		{false, []byte{7, 1, 0, 0, 0, 2, 1, 0, 1, 22}, 200}, // Cores[0].Core.Entries[1].DstReg
-		{false, []byte{7, 1, 0, 0, 0, 12}, 99},              // Cores[0].Core.DispatchRR
-		{false, []byte{7, 1, 0, 0, 0, 17, 1, 0, 0, 3}, -7},  // Cores[0].Core.Threads[0].PC
-		{true, []byte{7, 1, 0, 1, 0, 3, 0}, 1},              // Cores[1].Core.Free truncated
-		{true, []byte{11, 10, 0}, 1},                        // Quantum.Cores truncated
-		{true, []byte{8, 1, 0}, 3},                          // Solver.Temps truncated
-	} {
+	for _, seed := range corruptSeeds {
 		f.Add(seed.die, seed.path, seed.val)
 	}
 	f.Fuzz(func(t *testing.T, die bool, path []byte, val int64) {
@@ -178,4 +211,105 @@ func FuzzRestoreCorrupt(f *testing.F) {
 		}
 		s.FinishRun()
 	})
+}
+
+// TestFuzzSeedTargets pins what each seed of FuzzRestoreCorrupt and
+// FuzzRestoreWarm, and each committed corpus entry, changes: corrupt
+// picks fields by index, so a field added to or removed from a state
+// struct re-aims every path through it, and a re-aimed seed would
+// otherwise keep passing while it tests another leaf, or nothing.
+func TestFuzzSeedTargets(t *testing.T) {
+	bases := corruptBasesFor(t)
+	snapshot := func(die bool) any {
+		b := bases[0]
+		if die {
+			b = bases[1]
+		}
+		ms, err := ReadState(bytes.NewReader(b.enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ms
+	}
+	core, die := encodedWarmRecords(t)
+	record := func(isDie bool) any {
+		enc := core
+		if isDie {
+			enc = die
+		}
+		rec, err := ReadWarm(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	check := func(what string, seed fuzzSeed, state func(bool) any) {
+		t.Helper()
+		got := state(seed.die)
+		if leaf := corrupt(reflect.ValueOf(got), seed.path, seed.val); leaf != seed.leaf {
+			t.Errorf("%s %v: changes %q, want %q", what, seed.path, leaf, seed.leaf)
+		} else if reflect.DeepEqual(got, state(seed.die)) {
+			t.Errorf("%s %v: %s already holds %d", what, seed.path, leaf, seed.val)
+		}
+	}
+	for _, seed := range corruptSeeds {
+		check("FuzzRestoreCorrupt seed", seed, snapshot)
+	}
+	for _, seed := range warmSeeds {
+		check("FuzzRestoreWarm seed", seed, record)
+	}
+
+	dir := filepath.Join("testdata", "fuzz", "FuzzRestoreCorrupt")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(corruptCorpus) {
+		t.Errorf("%d corpus entries in %s, corruptCorpus names %d", len(entries), dir, len(corruptCorpus))
+	}
+	for _, e := range entries {
+		leaf, ok := corruptCorpus[e.Name()]
+		if !ok {
+			t.Errorf("corpus entry %s: add the leaf it changes to corruptCorpus", e.Name())
+			continue
+		}
+		seed := readCorpusEntry(t, filepath.Join(dir, e.Name()))
+		seed.leaf = leaf
+		check("corpus entry "+e.Name(), seed, snapshot)
+	}
+}
+
+// readCorpusEntry parses a (bool, []byte, int64) corpus file in the
+// "go test fuzz v1" encoding.
+func readCorpusEntry(t *testing.T, path string) fuzzSeed {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != 4 || lines[0] != "go test fuzz v1" {
+		t.Fatalf("%s: not a (bool, []byte, int64) corpus entry", path)
+	}
+	arg := func(line, typ string) string {
+		s, ok := strings.CutPrefix(line, typ+"(")
+		if s, ok2 := strings.CutSuffix(s, ")"); ok && ok2 {
+			return s
+		}
+		t.Fatalf("%s: %q is not a %s", path, line, typ)
+		return ""
+	}
+	var seed fuzzSeed
+	var p string
+	if seed.die, err = strconv.ParseBool(arg(lines[1], "bool")); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if p, err = strconv.Unquote(arg(lines[2], "[]byte")); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if seed.val, err = strconv.ParseInt(arg(lines[3], "int64"), 10, 64); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	seed.path = []byte(p)
+	return seed
 }

@@ -69,8 +69,8 @@ func FuzzForkBoundary(f *testing.F) {
 		if done, err := orig.StepRun(split); err != nil || done {
 			t.Fatalf("StepRun(%d) = done %v, err %v", split, done, err)
 		}
-		if done, q := orig.RunProgress(); done != split || q != total {
-			t.Fatalf("RunProgress = %d/%d, want %d/%d", done, q, split, total)
+		if done, q := orig.qr.Done, orig.qr.Quantum; done != split || q != total {
+			t.Fatalf("progress = %d/%d, want %d/%d", done, q, split, total)
 		}
 		ms, err := orig.Snapshot()
 		if err != nil {
@@ -84,8 +84,11 @@ func FuzzForkBoundary(f *testing.F) {
 		if err := child.Restore(ms); err != nil {
 			t.Fatal(err)
 		}
-		if done, q := child.RunProgress(); done != split || q != total {
-			t.Fatalf("child RunProgress = %d/%d, want %d/%d", done, q, split, total)
+		if child.qr == nil {
+			t.Fatal("child has no open quantum")
+		}
+		if done, q := child.qr.Done, child.qr.Quantum; done != split || q != total {
+			t.Fatalf("child progress = %d/%d, want %d/%d", done, q, split, total)
 		}
 		finish := func(s *Simulator) *Result {
 			if done, err := s.StepRun(total); err != nil || !done {
@@ -268,8 +271,8 @@ func TestBeginStepFinishMisuse(t *testing.T) {
 	if err := s.BeginRun(1000); err == nil {
 		t.Error("nested BeginRun should fail")
 	}
-	if done, q := s.RunProgress(); done != 0 || q != int64(s.cfg.Thermal.SensorIntervalCycles) {
-		t.Errorf("RunProgress = %d/%d", done, q)
+	if done, q := s.qr.Done, s.qr.Quantum; done != 0 || q != int64(s.cfg.Thermal.SensorIntervalCycles) {
+		t.Errorf("progress = %d/%d", done, q)
 	}
 	if done, err := s.StepRun(1 << 40); err != nil || !done {
 		t.Fatalf("StepRun clamp = done %v, err %v", done, err)

@@ -7,6 +7,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"time"
@@ -162,9 +163,6 @@ type Simulator struct {
 	// keeps the record path allocation-free.
 	sampleScratch trace.Sample
 	warmed        bool
-	// started flips at the first BeginRun; WarmupSnapshot refuses to
-	// run after it (the state would no longer be policy-agnostic).
-	started bool
 	// anchored records that the die sits at its steady operating point:
 	// set by the first anchor() and by any restore of the die's state.
 	// Construction leaves it false so a die whose post-warmup state is
@@ -311,13 +309,9 @@ func normalizeOptions(opts Options) (Options, error) {
 	switch opts.Scope {
 	case "", dtm.ScopePerCore:
 		opts.Scope = dtm.ScopePerCore
-		if opts.Policy == "" {
-			opts.Policy = dtm.StopAndGo
-		}
+		opts.Policy = cmp.Or(opts.Policy, dtm.StopAndGo)
 	case dtm.ScopeChip:
-		if opts.Policy == "" {
-			opts.Policy = dtm.ChipRoundRobin
-		}
+		opts.Policy = cmp.Or(opts.Policy, dtm.ChipRoundRobin)
 		if opts.Policy != dtm.ChipRoundRobin {
 			return opts, fmt.Errorf("sim: chip scope runs %q, not %q", dtm.ChipRoundRobin, opts.Policy)
 		}
@@ -331,8 +325,8 @@ func normalizeOptions(opts Options) (Options, error) {
 // replacing any previous one: one policy per core (per-core scope, the
 // five paper policies), or one chip policy over every core's pipeline
 // plus inert per-core policies (chip scope). Construction calls it
-// once; a warm restore calls it again, so a restored simulator's
-// policies are indistinguishable from freshly built ones. Policy
+// once; a warmup that restored cores calls it again, so a restored
+// simulator's policies are indistinguishable from freshly built ones. Policy
 // constructors read only configuration and nominal machine parameters
 // (DVS captures the supply voltage, which warmup never changes), so
 // building before warmup and rebuilding after a warm restore yield
@@ -479,8 +473,8 @@ func (cs *coreSim) warm(cycles int64) {
 func (s *Simulator) finishWarmup(die *thermal.SolverState) error {
 	s.warmed = true
 	if s.coresRestored {
-		// As a warm-sentinel Restore does: policies start fresh over the
-		// restored cores and their supply voltages.
+		// Policies start fresh over the restored cores and their supply
+		// voltages.
 		s.coresRestored = false
 		if err := s.buildPolicies(); err != nil {
 			return err
@@ -524,7 +518,6 @@ func (s *Simulator) BeginRun(quantum int64) error {
 	if err := s.warmup(); err != nil {
 		return err
 	}
-	s.started = true
 
 	// FinishRun copies the open quantum's events out into its Result,
 	// so nothing outside the quantum reads the log: each BeginRun reuses
@@ -685,15 +678,6 @@ func (s *Simulator) record(stalled bool, lastCommitted []uint64) {
 		sample.ThreadSedated[tid] = !cs.core.FetchEnabled(tid)
 	}
 	s.opts.Recorder.RecordCopy(sample)
-}
-
-// RunProgress reports the open quantum's position (cycles done, total);
-// both are zero when no quantum is in progress.
-func (s *Simulator) RunProgress() (done, quantum int64) {
-	if s.qr == nil {
-		return 0, 0
-	}
-	return s.qr.Done, s.qr.Quantum
 }
 
 // FinishRun closes the open quantum and returns its measurements. It

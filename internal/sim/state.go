@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"slices"
 
+	"github.com/heatstroke-sim/heatstroke/internal/config"
 	score "github.com/heatstroke-sim/heatstroke/internal/core"
 	"github.com/heatstroke-sim/heatstroke/internal/cpu"
 	"github.com/heatstroke-sim/heatstroke/internal/dtm"
@@ -25,8 +26,8 @@ import (
 // snapshots are rejected, never migrated (re-running warmup is always
 // cheaper than a migration bug).
 //
-// v2: MachineState gained WarmConfigDigest (the relaxed warm-sharing
-// identity) and Quantum (mid-quantum fork state).
+// v2: MachineState gained a warm-config digest (the relaxed
+// warm-sharing identity) and Quantum (mid-quantum fork state).
 //
 // v3: MachineState gained Multi, the whole-die state of a multi-core
 // simulation.
@@ -35,7 +36,11 @@ import (
 // the solver's kind-tagged temperatures into Solver, the chip policy
 // into Chip, and the DTM scope into Scope; QuantumState carries one
 // CoreQuantumState per core. The paper's machine is the K = 1 case.
-const StateVersion = 4
+//
+// v5: CoreWarm gained WarmDigest and MachineState lost its warm-config
+// digest: warm state travels as core records only, and a MachineState
+// always carries its policy's state.
+const StateVersion = 5
 
 // stateMagic prefixes on-disk snapshots so a wrong file fails fast with
 // a clear error instead of a gob panic deep in decode.
@@ -47,25 +52,17 @@ const stateMagic = "HEATSTROKE-SNAP\n"
 // self-contained (deep-copied on both snapshot and restore), so one
 // snapshot can seed any number of concurrently-running simulators.
 //
-// Policy records the producing simulator's DTM policy (dtm.ChipRoundRobin
-// under the chip scope). The empty string is the warmup sentinel: the
-// snapshot carries no policy actuation state (none existed — warmup
-// never ticks a policy) and may be restored into a simulator running
-// any scope and policy.
+// Policy and Scope record the producing simulator's DTM policy
+// (dtm.ChipRoundRobin under the chip scope) and scope; a snapshot
+// restores only into a simulator running the same ones. Warm state
+// shared across policies travels as CoreWarm records instead.
 type MachineState struct {
 	Version      int
 	ConfigDigest string
-	// WarmConfigDigest is the producing config's WarmDigest: the
-	// configuration with every field warmup never reads normalized away
-	// (see config.Config.WarmDigest). Warmup snapshots are restorable
-	// into any simulator matching it — the relaxation that lets one
-	// warmup snapshot serve every threshold variant. Policy snapshots
-	// still require the full ConfigDigest to match.
-	WarmConfigDigest string
-	ProgsDigest      string
-	Policy           dtm.Kind
-	Scope            dtm.Scope
-	Warmed           bool
+	ProgsDigest  string
+	Policy       dtm.Kind
+	Scope        dtm.Scope
+	Warmed       bool
 
 	// Cores holds each core's private state, in core order.
 	Cores []CoreState
@@ -89,8 +86,7 @@ type CoreState struct {
 	Model   power.ModelState
 	Monitor score.MonitorState
 	// Engine is non-nil only for selective-sedation policy snapshots.
-	Engine *score.EngineState
-	// DTM is nil for warmup snapshots (Policy == "").
+	Engine  *score.EngineState
 	DTM     *dtm.State
 	Reports []score.Report
 }
@@ -200,15 +196,14 @@ func (s *Simulator) progsDigest() string {
 func (s *Simulator) Snapshot() (*MachineState, error) {
 	s.anchor()
 	ms := &MachineState{
-		Version:          StateVersion,
-		ConfigDigest:     s.cfg.Digest(),
-		WarmConfigDigest: s.cfg.WarmDigest(),
-		ProgsDigest:      s.progsDigest(),
-		Policy:           s.opts.Policy,
-		Scope:            s.opts.Scope,
-		Warmed:           s.warmed,
-		Cores:            make([]CoreState, len(s.cores)),
-		Solver:           s.solver.State(),
+		Version:      StateVersion,
+		ConfigDigest: s.cfg.Digest(),
+		ProgsDigest:  s.progsDigest(),
+		Policy:       s.opts.Policy,
+		Scope:        s.opts.Scope,
+		Warmed:       s.warmed,
+		Cores:        make([]CoreState, len(s.cores)),
+		Solver:       s.solver.State(),
 	}
 	for c, cs := range s.cores {
 		st := CoreState{
@@ -247,43 +242,18 @@ func (s *Simulator) Snapshot() (*MachineState, error) {
 	return ms, nil
 }
 
-// WarmupSnapshot runs the warmup phase (if not yet run) and captures
-// the machine state it established, tagged policy-agnostic: warmup
-// never ticks a DTM policy, so the state is identical under every
-// scope and policy and the snapshot restores into a simulator running
-// any of them. It must be called before any measurement (RunCycles).
-func (s *Simulator) WarmupSnapshot() (*MachineState, error) {
-	if s.started {
-		return nil, fmt.Errorf("sim: warmup snapshot requested after measurement started")
-	}
-	if err := s.warmup(); err != nil {
-		return nil, err
-	}
-	ms, err := s.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	ms.Policy, ms.Scope, ms.Chip = "", "", nil
-	for c := range ms.Cores {
-		ms.Cores[c].DTM = nil
-		ms.Cores[c].Engine = nil
-	}
-	return ms, nil
-}
-
 // Restore loads ms into s, which must have been built from the same
-// configuration and per-core threads (enforced by digest) and — unless
-// ms is a policy-agnostic warmup snapshot — the same DTM scope and
-// policy. After Restore, continuing s is deep-equal-indistinguishable
-// from continuing the simulator that produced ms. The state is copied,
-// never aliased. The identity, shape and quantum checks run before
-// anything is mutated; a component that rejects its part leaves s
-// partly restored, to be discarded or restored again.
+// configuration and per-core threads (enforced by digest) and run the
+// same DTM scope and policy. After Restore, continuing s is
+// deep-equal-indistinguishable from continuing the simulator that
+// produced ms. The state is copied, never aliased. The identity, shape
+// and quantum checks run before anything is mutated; a component that
+// rejects its part leaves s partly restored, to be discarded or
+// restored again.
 func (s *Simulator) Restore(ms *MachineState) error {
 	if err := s.checkState(ms); err != nil {
 		return err
 	}
-	warm := ms.Policy == ""
 	for c, cs := range s.cores {
 		st := &ms.Cores[c]
 		if err := cs.core.Restore(st.Core); err != nil {
@@ -295,14 +265,12 @@ func (s *Simulator) Restore(ms *MachineState) error {
 		if err := cs.mon.Restore(st.Monitor); err != nil {
 			return fmt.Errorf("sim: core %d: %w", c, err)
 		}
-		if !warm {
-			if err := dtm.Restore(cs.policy, *st.DTM); err != nil {
+		if err := dtm.Restore(cs.policy, *st.DTM); err != nil {
+			return fmt.Errorf("sim: core %d: %w", c, err)
+		}
+		if eng := cs.policy.Engine(); eng != nil {
+			if err := eng.Restore(*st.Engine); err != nil {
 				return fmt.Errorf("sim: core %d: %w", c, err)
-			}
-			if eng := cs.policy.Engine(); eng != nil {
-				if err := eng.Restore(*st.Engine); err != nil {
-					return fmt.Errorf("sim: core %d: %w", c, err)
-				}
 			}
 		}
 		cs.reports = append(cs.reports[:0], st.Reports...)
@@ -311,16 +279,7 @@ func (s *Simulator) Restore(ms *MachineState) error {
 		return err
 	}
 	s.anchored = true
-	if warm {
-		// A warmup snapshot carries no policy state because none existed
-		// when it was taken. Rebuild the policies from scratch (after the
-		// model restores above, so DVS captures the nominal supply
-		// voltage) so that restoring into a previously-run simulator is
-		// indistinguishable from restoring into a new one.
-		if err := s.buildPolicies(); err != nil {
-			return err
-		}
-	} else if s.chip != nil {
+	if s.chip != nil {
 		if err := dtm.RestoreChip(s.chip, *ms.Chip); err != nil {
 			return err
 		}
@@ -333,12 +292,6 @@ func (s *Simulator) Restore(ms *MachineState) error {
 	s.qr = nil
 	if ms.Quantum != nil {
 		s.qr = &quantumRun{QuantumState: ms.Quantum.Clone()}
-		s.started = true
-	} else if warm {
-		// A policy-agnostic snapshot precedes measurement by definition;
-		// restoring one re-arms WarmupSnapshot exactly as on a freshly
-		// built simulator.
-		s.started = false
 	}
 	return nil
 }
@@ -349,41 +302,33 @@ func (s *Simulator) checkState(ms *MachineState) error {
 	if ms.Version != StateVersion {
 		return fmt.Errorf("sim: snapshot format v%d, this build reads v%d", ms.Version, StateVersion)
 	}
-	warm := ms.Policy == ""
-	if warm {
-		// Warmup snapshots are identical under every value of the
-		// warmup-invariant fields (thresholds, ablation switches, the
-		// quantum length), so they restore across configs agreeing on
-		// the relaxed warm digest.
-		if d := s.cfg.WarmDigest(); ms.WarmConfigDigest != d {
-			return fmt.Errorf("sim: warmup snapshot built from warm-config %.12s.., simulator runs %.12s..", ms.WarmConfigDigest, d)
-		}
-	} else if d := s.cfg.Digest(); ms.ConfigDigest != d {
+	if d := s.cfg.Digest(); ms.ConfigDigest != d {
 		return fmt.Errorf("sim: snapshot built from config %.12s.., simulator runs %.12s..", ms.ConfigDigest, d)
 	}
 	if d := s.progsDigest(); ms.ProgsDigest != d {
 		return fmt.Errorf("sim: snapshot built from programs %.12s.., simulator runs %.12s..", ms.ProgsDigest, d)
 	}
-	if !warm && (ms.Scope != s.opts.Scope || ms.Policy != s.opts.Policy) {
+	if ms.Scope != s.opts.Scope || ms.Policy != s.opts.Policy {
 		return fmt.Errorf("sim: snapshot carries %s/%s DTM state, simulator runs %s/%s",
 			ms.Scope, ms.Policy, s.opts.Scope, s.opts.Policy)
 	}
 	if len(ms.Cores) != len(s.cores) {
 		return fmt.Errorf("sim: snapshot has %d cores, simulator %d", len(ms.Cores), len(s.cores))
 	}
-	if !warm {
-		for c, cs := range s.cores {
-			if ms.Cores[c].DTM == nil || (cs.policy.Engine() != nil && ms.Cores[c].Engine == nil) {
-				return fmt.Errorf("sim: core %d snapshot missing %q policy state", c, ms.Policy)
-			}
+	for c, cs := range s.cores {
+		if ms.Cores[c].DTM == nil || (cs.policy.Engine() != nil && ms.Cores[c].Engine == nil) {
+			return fmt.Errorf("sim: core %d snapshot missing %q policy state", c, ms.Policy)
 		}
-		if s.chip != nil && ms.Chip == nil {
-			return fmt.Errorf("sim: chip-scope snapshot missing chip policy state")
-		}
+	}
+	if s.chip != nil && ms.Chip == nil {
+		return fmt.Errorf("sim: chip-scope snapshot missing chip policy state")
 	}
 	q := ms.Quantum
 	if q == nil {
 		return nil
+	}
+	if !ms.Warmed {
+		return fmt.Errorf("sim: snapshot opens a quantum before its warmup finished")
 	}
 	if q.Quantum <= 0 || q.Done < 0 || q.Chunks < 0 {
 		return fmt.Errorf("sim: quantum state position %d/%d (chunks %d) invalid", q.Done, q.Quantum, q.Chunks)
@@ -413,6 +358,17 @@ type CoreWarm struct {
 	Core        cpu.CompactState
 	Model       power.ModelState
 	Monitor     score.MonitorState
+	// WarmDigest is the producing configuration's CoreWarmDigest.
+	WarmDigest string
+}
+
+// CoreWarmDigest names the configuration a core's warm state depends
+// on: the WarmDigest with the topology cleared, since a core warms
+// alone, whatever die it sits on. Warm keys hash it, CaptureCore
+// stamps it into every CoreWarm, and RestoreCore enforces it.
+func CoreWarmDigest(cfg config.Config) string {
+	cfg.Topology = config.Topology{}
+	return cfg.WarmDigest()
 }
 
 // WarmCore simulates core c's warmup in place. Together with
@@ -437,15 +393,23 @@ func (s *Simulator) CaptureCore(c int) *CoreWarm {
 		Core:        cs.core.CompactSnapshot(),
 		Model:       cs.model.Snapshot(),
 		Monitor:     cs.mon.Snapshot(),
+		WarmDigest:  CoreWarmDigest(s.cfg),
 	}
 }
 
 // RestoreCore loads w into core c in place of WarmCore; FinishWarmup
-// then rebuilds the DTM policies over the restored cores. w is
-// read-only and may be restored into many cores concurrently.
+// then rebuilds the DTM policies over the restored cores. w must come
+// from the same programs and warm configuration (enforced by digest).
+// It is read-only and may be restored into many cores concurrently.
 func (s *Simulator) RestoreCore(c int, w *CoreWarm) error {
 	if err := s.checkWarmable(c); err != nil {
 		return err
+	}
+	if w == nil {
+		return fmt.Errorf("sim: core %d: no warm state", c)
+	}
+	if d := CoreWarmDigest(s.cfg); w.WarmDigest != d {
+		return fmt.Errorf("sim: core %d warm state built from warm-config %.12s.., simulator runs %.12s..", c, w.WarmDigest, d)
 	}
 	cs := s.cores[c]
 	if d := ProgramsDigest(cs.threads); w.ProgsDigest != d {
@@ -472,7 +436,7 @@ func (s *Simulator) RestoreCore(c int, w *CoreWarm) error {
 // on the programs). Otherwise the die is anchored, as a cold warmup
 // does.
 func (s *Simulator) FinishWarmup(die *thermal.SolverState) error {
-	if s.warmed || s.started {
+	if s.warmed {
 		return fmt.Errorf("sim: warmup already finished")
 	}
 	return s.finishWarmup(die)
@@ -482,7 +446,7 @@ func (s *Simulator) checkWarmable(c int) error {
 	if c < 0 || c >= len(s.cores) {
 		return fmt.Errorf("sim: core %d of %d", c, len(s.cores))
 	}
-	if s.warmed || s.started {
+	if s.warmed {
 		return fmt.Errorf("sim: core %d warmup after the warmup finished", c)
 	}
 	return nil
@@ -565,36 +529,16 @@ func readGob(r io.Reader, magic, what string, v any) error {
 	return nil
 }
 
-// WriteStateFile writes ms to path atomically (temp file + rename).
-func WriteStateFile(path string, ms *MachineState) error {
-	return writeFileAtomic(path, func(w io.Writer) error { return WriteState(w, ms) })
-}
-
-// ReadStateFile reads a snapshot file written by WriteStateFile.
-func ReadStateFile(path string) (*MachineState, error) {
-	return readFile(path, ReadState)
-}
-
-// WriteWarmFile writes rec to path atomically (temp file + rename).
+// WriteWarmFile writes rec to path atomically, through a temp file in
+// the same directory and a rename, so readers never see a torn file.
 func WriteWarmFile(path string, rec *WarmRecord) error {
-	return writeFileAtomic(path, func(w io.Writer) error { return WriteWarm(w, rec) })
-}
-
-// ReadWarmFile reads a warm record file written by WriteWarmFile.
-func ReadWarmFile(path string) (*WarmRecord, error) {
-	return readFile(path, ReadWarm)
-}
-
-// writeFileAtomic writes path through a temp file in the same
-// directory and a rename, so readers never see a torn file.
-func writeFileAtomic(path string, write func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
 	bw := bufio.NewWriter(tmp)
-	if err := write(bw); err != nil {
+	if err := WriteWarm(bw, rec); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -608,13 +552,12 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// readFile decodes the file at path with read.
-func readFile[T any](path string, read func(io.Reader) (T, error)) (T, error) {
+// ReadWarmFile reads a warm record file written by WriteWarmFile.
+func ReadWarmFile(path string) (*WarmRecord, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		var zero T
-		return zero, err
+		return nil, err
 	}
 	defer f.Close()
-	return read(bufio.NewReader(f))
+	return ReadWarm(bufio.NewReader(f))
 }

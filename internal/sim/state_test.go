@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -144,72 +143,11 @@ func TestRestoreRoundTripsState(t *testing.T) {
 	}
 }
 
-// TestWarmupSnapshotEquivalence proves warmup-snapshot reuse is exact
-// on both machines for every scope and policy: restoring a
-// policy-agnostic warmup snapshot (built under dtm.None) into a fresh
-// simulator must reproduce, deep-equally, the result of that simulator
-// running its own warmup.
-func TestWarmupSnapshotEquivalence(t *testing.T) {
-	const quantum = 150_000
-	machines := testMachines(t)
-	warm := make([]*MachineState, len(machines))
-	for i, m := range machines {
-		ms, err := m.build(t, Options{Policy: dtm.None, WarmupCycles: 60_000}).WarmupSnapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ms.Policy != "" || ms.Scope != "" || ms.Chip != nil {
-			t.Fatalf("%s: warmup snapshot carries policy state: policy=%q scope=%q", m.name, ms.Policy, ms.Scope)
-		}
-		for c, cs := range ms.Cores {
-			if cs.DTM != nil || cs.Engine != nil {
-				t.Fatalf("%s core %d: warmup snapshot carries policy state", m.name, c)
-			}
-		}
-		warm[i] = ms
-	}
-
-	for _, o := range scopeOptions() {
-		t.Run(string(o.Policy), func(t *testing.T) {
-			for i, m := range machines {
-				want, err := forkSim(t, m, o, true).RunCycles(quantum)
-				if err != nil {
-					t.Fatal(err)
-				}
-				reused := forkSim(t, m, o, true)
-				if err := reused.Restore(warm[i]); err != nil {
-					t.Fatal(err)
-				}
-				got, err := reused.RunCycles(quantum)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s: warmup reuse diverges from cold warmup:\ncold:   %+v\nreused: %+v", m.name, want, got)
-				}
-			}
-		})
-	}
-}
-
-// TestWarmupSnapshotAfterStart rejects snapshotting once measurement
-// has begun (the state would no longer be policy-agnostic).
-func TestWarmupSnapshotAfterStart(t *testing.T) {
-	s, err := New(quickCfg(), []Thread{variantThread(t, 1)}, Options{Policy: dtm.None})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RunCycles(20_000); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.WarmupSnapshot(); err == nil {
-		t.Fatal("WarmupSnapshot after RunCycles should fail")
-	}
-}
-
 // TestRestoreRejectsMismatch covers the identity checks: wrong config,
-// wrong programs, wrong policy, and a format version other than v4 —
-// the v3 layout included, which is rejected, not migrated.
+// wrong programs, wrong policy, a format version other than v5 (the v3
+// and v4 layouts included: they are rejected, not migrated), input
+// that is not a snapshot at all, and a quantum opened before the
+// warmup.
 func TestRestoreRejectsMismatch(t *testing.T) {
 	cfg := quickCfg()
 	threads := []Thread{specThread(t, "crafty"), variantThread(t, 2)}
@@ -243,7 +181,7 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 		t.Error("restore of stopgo state into dvs should fail")
 	}
 
-	for _, v := range []int{3, StateVersion + 1} {
+	for _, v := range []int{3, 4, StateVersion + 1} {
 		bad := *ms
 		bad.Version = v
 		if b, err := New(cfg, threads, stateOptions(dtm.StopAndGo)); err != nil {
@@ -259,53 +197,25 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 			t.Errorf("reading a v%d snapshot should fail", v)
 		}
 	}
-}
-
-// TestStateFileRoundTrip proves on-disk snapshots reproduce: write a
-// warmup snapshot to disk, read it back, restore, and the continuation
-// must match restoring the in-memory state.
-func TestStateFileRoundTrip(t *testing.T) {
-	const quantum = 100_000
-	cfg := quickCfg()
-	threads := []Thread{specThread(t, "crafty"), variantThread(t, 2)}
-	warm, err := New(cfg, threads, Options{Policy: dtm.None, WarmupCycles: 60_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := warm.WarmupSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "warm.snap")
-	if err := WriteStateFile(path, ms); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := ReadStateFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	run := func(state *MachineState) *Result {
-		s, err := New(cfg, threads, stateOptions(dtm.SelectiveSedation))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Restore(state); err != nil {
-			t.Fatal(err)
-		}
-		r, err := s.RunCycles(quantum)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	if want, got := run(ms), run(decoded); !reflect.DeepEqual(want, got) {
-		t.Errorf("decoded snapshot continuation diverges:\nmemory: %+v\ndisk:   %+v", want, got)
-	}
 
 	if _, err := ReadState(bytes.NewReader([]byte("not a snapshot"))); err == nil {
 		t.Error("garbage input should be rejected")
+	}
+
+	// A quantum opens only after the warmup, so a snapshot claiming an
+	// open quantum on an unwarmed machine is damaged.
+	if err := a.BeginRun(int64(cfg.Thermal.SensorIntervalCycles)); err != nil {
+		t.Fatal(err)
+	}
+	mid, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid.Warmed = false
+	if b, err := New(cfg, threads, stateOptions(dtm.StopAndGo)); err != nil {
+		t.Fatal(err)
+	} else if err := b.Restore(mid); err == nil {
+		t.Error("restore of a quantum opened before the warmup should fail")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"github.com/heatstroke-sim/heatstroke/internal/config"
 	"github.com/heatstroke-sim/heatstroke/internal/dtm"
+	"github.com/heatstroke-sim/heatstroke/internal/thermal"
 )
 
 // nudge changes one leaf value of a config by a small step in the
@@ -44,29 +45,30 @@ func leafPaths(t reflect.Type, prefix []int) [][]int {
 	return out
 }
 
-// TestWarmDigestInvariance enforces config.WarmDigest's soundness. It
-// finds every Config field WarmDigest ignores by mutating each leaf
-// field in turn, and checks that warmup snapshots taken under the
-// mutated config are deep-equal to the base one's (apart from the
-// full config digest, which names the producing machine): the fields
-// WarmDigest zeroes are exactly ones warmup never reads.
+// TestWarmDigestInvariance enforces config.WarmDigest's soundness for
+// what warm keys share. It finds every Config field WarmDigest ignores
+// by mutating each leaf field in turn, and checks on both test
+// machines that each core's captured warm state and the post-warmup
+// die under the mutated config are deep-equal to the base config's:
+// the fields WarmDigest zeroes are exactly ones warmup never reads.
 func TestWarmDigestInvariance(t *testing.T) {
-	base := quickCfg()
-	threads := []Thread{specThread(t, "crafty"), variantThread(t, 2)}
-	snapshot := func(cfg config.Config) *MachineState {
-		t.Helper()
-		s, err := New(cfg, threads, Options{Policy: dtm.None, WarmupCycles: 60_000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ms, err := s.WarmupSnapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ms.ConfigDigest = ""
-		return ms
+	for _, m := range testMachines(t) {
+		t.Run(m.name, func(t *testing.T) { checkWarmDigestInvariance(t, m) })
 	}
-	want := snapshot(base)
+}
+
+func checkWarmDigestInvariance(t *testing.T, m testMachine) {
+	type warmState struct {
+		cores []*CoreWarm
+		die   thermal.SolverState
+	}
+	warm := func(cfg config.Config) warmState {
+		t.Helper()
+		cores, die := warmParts(t, cfg, m.threads, Options{Policy: dtm.None, WarmupCycles: 60_000})
+		return warmState{cores, die}
+	}
+	base := m.cfg
+	want := warm(base)
 	var ignored []string
 	for _, path := range leafPaths(reflect.TypeOf(base), nil) {
 		name := reflect.TypeOf(base).FieldByIndex(path).Name
@@ -93,8 +95,8 @@ func TestWarmDigestInvariance(t *testing.T) {
 			t.Errorf("%s: no small change of this warm-digest-ignored field validates; extend nudge", name)
 			continue
 		}
-		if !reflect.DeepEqual(snapshot(cfg), want) {
-			t.Errorf("%s is ignored by WarmDigest but changes the warmup snapshot", name)
+		if !reflect.DeepEqual(warm(cfg), want) {
+			t.Errorf("%s is ignored by WarmDigest but changes the warm state", name)
 		}
 	}
 	// The known engine-only fields must be among those found, or the

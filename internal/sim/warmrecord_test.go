@@ -131,6 +131,25 @@ func TestReadWarmRejects(t *testing.T) {
 	}
 }
 
+// warmSeeds seed FuzzRestoreWarm. Paths name struct fields by index
+// (see corrupt): WarmRecord.Version is field 0, Core 1, Die 2;
+// CoreWarm.Core is 1, Model 2, Monitor 3, WarmDigest 4 (appended last
+// so the paths below kept their fields); cpu.CompactState.Core is 0,
+// Hier 1, Mem 2; cpu.CoreState.Entries is 2, DispatchRR 12, Threads
+// 17; mem.CompactHierarchy.L1D is 1, Banks 3; mem.CompactCache.Index
+// is 1; mem.CompactMemory.Ends 1; SolverState.Temps 1.
+// TestFuzzSeedTargets checks each seed still reaches its leaf.
+var warmSeeds = []fuzzSeed{
+	{false, []byte{1, 1, 0, 2, 1, 0, 1, 22}, 200, "Core.Core.Core.Entries[1].DstReg"},
+	{false, []byte{1, 1, 0, 12}, 99, "Core.Core.Core.DispatchRR"},
+	{false, []byte{1, 1, 1, 1, 1, 1, 0, 0}, 1_000_000, "Core.Core.Hier.L1D.Index[0]"},
+	{false, []byte{1, 1, 1, 3, 0}, 0, "Core.Core.Hier.Banks truncated"},
+	{false, []byte{1, 1, 2, 1, 0, 0, 1, 1, 0, 0}, -5, "Core.Core.Mem[0].Ends[0]"},
+	{false, []byte{0}, 3, "Version"},
+	{true, []byte{2, 1, 0}, 3, "Die.Temps truncated"},
+	{true, []byte{2, 1, 1, 0, 9}, 1 << 50, "Die.Temps[9]"},
+}
+
 // FuzzRestoreWarm feeds the warm-record path PUT /v1/warm reaches with
 // one fuzz-chosen leaf set to a fuzzed value or one slice truncated: a
 // core record (crafty + Variant2) or a die record (the 2-core grid die)
@@ -138,26 +157,7 @@ func TestReadWarmRejects(t *testing.T) {
 // RestoreCore or FinishWarmup, and run for two sensor intervals. Each
 // case must either return an error or run; nothing may panic or hang.
 func FuzzRestoreWarm(f *testing.F) {
-	// Paths name struct fields by index (see corrupt): WarmRecord.Core
-	// is field 1, Die 2; CoreWarm.Core is 1, Model 2, Monitor 3;
-	// cpu.CompactState.Core is 0, Hier 1, Mem 2; cpu.CoreState.Entries
-	// is 2, DispatchRR 12, Threads 17; mem.CompactHierarchy.L1D is 1,
-	// Banks 3; mem.CompactCache.Index is 1; mem.CompactMemory.Ends 1;
-	// SolverState.Temps 1.
-	for _, seed := range []struct {
-		die  bool
-		path []byte
-		val  int64
-	}{
-		{false, []byte{1, 1, 0, 2, 1, 0, 1, 22}, 200},      // Core.Core.Core.Entries[1].DstReg
-		{false, []byte{1, 1, 0, 12}, 99},                   // Core.Core.Core.DispatchRR
-		{false, []byte{1, 1, 1, 1, 1, 1, 0, 0}, 1_000_000}, // Core.Core.Hier.L1D.Index[0]
-		{false, []byte{1, 1, 1, 3, 0}, 0},                  // Core.Core.Hier.Banks truncated
-		{false, []byte{1, 1, 2, 1, 0, 0, 1, 1, 0, 0}, -5},  // Core.Core.Mem[0].Ends[0]
-		{false, []byte{0}, 3},                              // Version
-		{true, []byte{2, 1, 0}, 3},                         // Die.Temps truncated
-		{true, []byte{2, 1, 1, 0, 9}, 1 << 50},             // Die.Temps[9]
-	} {
+	for _, seed := range warmSeeds {
 		f.Add(seed.die, seed.path, seed.val)
 	}
 	f.Fuzz(func(t *testing.T, die bool, path []byte, val int64) {

@@ -17,8 +17,8 @@
 //	                                 job id; fleet-stitched on the
 //	                                 coordinator)
 //	GET    /v1/stats                 serving counters
-//	GET    /v1/warm/{key}            warmup snapshot gob (fleet shipping)
-//	PUT    /v1/warm/{key}            install a warmup snapshot
+//	GET    /v1/warm/{key}            warm record gob (fleet shipping)
+//	PUT    /v1/warm/{key}            install a warm record
 //	GET    /healthz, GET /readyz     liveness / readiness
 //
 // The fleet coordinator (internal/fleet, cmd/heatstroke-fleet) serves
@@ -158,7 +158,7 @@ type Stats struct {
 	// Advertise is the address the daemon wants peers to reach it at
 	// (the -advertise flag); empty when the daemon is not fleet-aware.
 	Advertise string `json:"advertise,omitempty"`
-	// WarmKeys lists the warmup-snapshot keys resident in the daemon's
+	// WarmKeys lists the warm-record keys resident in the daemon's
 	// warmup cache (memory or disk), so a fleet coordinator can
 	// discover snapshot locations from a single stats poll instead of
 	// probing /v1/warm/{key} per key.
@@ -199,7 +199,7 @@ type FleetStats struct {
 	Retries   int64 `json:"retries"`
 	Hedges    int64 `json:"hedges"`
 	HedgeWins int64 `json:"hedge_wins"`
-	// WarmShipped counts warmup snapshots copied between workers
+	// WarmShipped counts warm records copied between workers
 	// before dispatch so warm-reuse hit rates survive resharding.
 	WarmShipped int64 `json:"warm_shipped"`
 	// Jobs counts job entries tracked by the coordinator.
