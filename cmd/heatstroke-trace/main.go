@@ -23,8 +23,9 @@
 // warming up. Warmup never ticks a DTM policy, so a restored run is
 // byte-identical to a cold one under any -policy. The file stands in
 // for the warmup it was written with and must come from the same
-// -bench, -variant and -scale: the programs and the warm configuration
-// are checked by digest.
+// -bench, -variant, -scale and -warmup: the programs and the warm
+// configuration are checked by digest, and the warmup length as
+// recorded.
 //
 // A second mode, -stitch, merges distributed-tracing span files (the
 // NDJSON a fleet coordinator's -trace-dir writes, or per-node dumps of

@@ -63,9 +63,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotRejects: a snapshot that is torn, holds a die, or comes
-// from other programs or another warm configuration fails the run and
-// names the file; so do both snapshot flags at once and either one at
-// -warmup 0.
+// from other programs, another warm configuration or another warmup
+// length fails the run and names the file; so do both snapshot flags
+// at once and either one at -warmup 0.
 func TestSnapshotRejects(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "warm.snap")
@@ -103,6 +103,8 @@ func TestSnapshotRejects(t *testing.T) {
 		{"other programs", []string{"-snapshot-in", gcc}, []string{"snapshot " + gcc + ": ", "programs"}},
 		{"other warm config", []string{"-variant", "0", "-scale", "64", "-snapshot-in", solo},
 			[]string{"snapshot " + solo + ": ", "warm-config"}},
+		{"other warmup", []string{"-warmup", "40000", "-snapshot-in", snap},
+			[]string{"snapshot " + snap + ": ", "warmup"}},
 		{"both flags", []string{"-snapshot-in", snap, "-snapshot-out", filepath.Join(dir, "x.snap")},
 			[]string{"mutually exclusive"}},
 		{"warmup 0 out", []string{"-warmup", "0", "-snapshot-out", filepath.Join(dir, "y.snap")}, []string{"-warmup > 0"}},

@@ -16,20 +16,6 @@ type MonitorState struct {
 	Frozen   []bool
 }
 
-// EngineState is the serializable state of the sedation engine: which
-// threads are sedated for which resource, the hot flags and
-// re-examination deadlines, the absolute-ablation timers, and the event
-// counters. The wiring (monitor, core control, report sink) stays with
-// the live engine.
-type EngineState struct {
-	SedatedFor      [power.NumUnits][]int
-	Sedations       []int
-	Hot             [power.NumUnits]bool
-	ReexamineAt     [power.NumUnits]int64
-	AbsSedatedUntil []int64
-	Stats           Stats
-}
-
 // Snapshot returns a deep copy of the monitor's state.
 func (m *Monitor) Snapshot() MonitorState {
 	return MonitorState{
@@ -51,43 +37,5 @@ func (m *Monitor) Restore(st MonitorState) error {
 	copy(m.ewma, st.EWMA)
 	copy(m.flatBase, st.FlatBase)
 	copy(m.frozen, st.Frozen)
-	return nil
-}
-
-// Snapshot returns a deep copy of the engine's state.
-func (e *Engine) Snapshot() EngineState {
-	st := EngineState{
-		Sedations:       append([]int(nil), e.sedations...),
-		Hot:             e.hot,
-		ReexamineAt:     e.reexamineAt,
-		AbsSedatedUntil: append([]int64(nil), e.absSedatedUntil...),
-		Stats:           e.stats,
-	}
-	for u := range st.SedatedFor {
-		if len(e.sedatedFor[u]) > 0 {
-			st.SedatedFor[u] = append([]int(nil), e.sedatedFor[u]...)
-		}
-	}
-	return st
-}
-
-// Restore loads st into e. The context count must match. It restores
-// only the engine's own fields: the side effects of past sedations
-// (fetch gating in the core, frozen monitor averages) live in those
-// components' own states and are restored with them.
-func (e *Engine) Restore(st EngineState) error {
-	n := len(e.sedations)
-	if len(st.Sedations) != n || len(st.AbsSedatedUntil) != n {
-		return fmt.Errorf("core: engine state has %d/%d contexts, want %d",
-			len(st.Sedations), len(st.AbsSedatedUntil), n)
-	}
-	for u := range e.sedatedFor {
-		e.sedatedFor[u] = append(e.sedatedFor[u][:0], st.SedatedFor[u]...)
-	}
-	copy(e.sedations, st.Sedations)
-	e.hot = st.Hot
-	e.reexamineAt = st.ReexamineAt
-	copy(e.absSedatedUntil, st.AbsSedatedUntil)
-	e.stats = st.Stats
 	return nil
 }

@@ -48,61 +48,3 @@ func TestMonitorSnapshotRestore(t *testing.T) {
 		t.Error("mismatched context count should fail")
 	}
 }
-
-func TestEngineSnapshotRestore(t *testing.T) {
-	cfg := sedCfg()
-	h := newHarness(t, 2, cfg)
-	h.feed(200, 2000, 9000)
-	h.temps[power.UnitIntReg] = cfg.UpperK + 0.2
-	h.tick() // sedates the aggressor
-	if !h.eng.Sedated(1) {
-		t.Fatal("setup: aggressor not sedated")
-	}
-	st := h.eng.Snapshot()
-
-	// Rebuild the whole stack and restore each component's own state —
-	// the engine restores only its fields; the fetch gates and frozen
-	// averages come with the control and monitor states.
-	h2 := newHarness(t, 2, cfg)
-	if err := h2.eng.Restore(st); err != nil {
-		t.Fatal(err)
-	}
-	if err := h2.mon.Restore(h.mon.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if err := h2.act.Restore(h.act.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	copy(h2.ctl.enabled, h.ctl.enabled)
-	h2.temps = h.temps
-	h2.cycle = h.cycle
-
-	if !h2.eng.Sedated(1) || h2.eng.Sedated(0) {
-		t.Fatal("sedation flags wrong after restore")
-	}
-	if h2.eng.Stats() != h.eng.Stats() {
-		t.Fatalf("stats diverge: %+v vs %+v", h2.eng.Stats(), h.eng.Stats())
-	}
-
-	// Cooling below the lower threshold must resume the same thread at
-	// the same tick in both engines.
-	h.temps[power.UnitIntReg] = cfg.LowerK - 0.5
-	h2.temps[power.UnitIntReg] = cfg.LowerK - 0.5
-	h.tick()
-	h2.tick()
-	if h.eng.Sedated(1) != h2.eng.Sedated(1) {
-		t.Fatal("resume behavior diverges after restore")
-	}
-	if !reflect.DeepEqual(h.eng.Snapshot(), h2.eng.Snapshot()) {
-		t.Fatal("engine states diverge after one tick")
-	}
-
-	// The snapshot still shows the sedated state (deep copy).
-	if len(st.SedatedFor[power.UnitIntReg]) != 1 || st.Sedations[1] == 0 {
-		t.Fatal("snapshot mutated by subsequent ticks")
-	}
-
-	if err := h2.eng.Restore(EngineState{}); err == nil {
-		t.Error("mismatched context count should fail")
-	}
-}

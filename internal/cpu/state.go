@@ -73,7 +73,6 @@ type EntryState struct {
 type ThreadState struct {
 	IRegs [isa.NumIntRegs]int64
 	FRegs [isa.NumFPRegs]float64
-	Mem   mem.MemoryState
 
 	PC int32
 
@@ -99,8 +98,8 @@ type ThreadState struct {
 	RAS  *bpred.RASState
 }
 
-// CoreState is the serializable state of the whole core: pipeline
-// entries, per-thread contexts, the memory hierarchy, and the activity
+// CoreState is the serializable state of the core apart from its
+// memory system: pipeline entries, per-thread contexts, and the activity
 // counters. Static configuration (FU limits, pool geometry, programs,
 // the decode cache) and per-cycle scratch (fetch candidates, FU usage)
 // stay with the live core; the fast-forward switch is a run-mode knob,
@@ -128,8 +127,7 @@ type CoreState struct {
 
 	Stats []ThreadStats
 
-	Hier mem.HierarchyState
-	Act  power.ActivityState
+	Act power.ActivityState
 
 	Threads []ThreadState
 }
@@ -144,30 +142,20 @@ func toRefs(rs []ref) []Ref {
 	return out
 }
 
-// CompactState is a CoreState for holding a warmed core in memory:
-// the caches keep only their touched lines and each memory image only
-// its non-zero words (see mem.CompactCache), which cuts a warmed core
-// from several hundred KB to tens. Core carries everything else;
-// its Hier and every Threads[i].Mem stay zero.
+// CompactState is the serializable state of the whole core: Core
+// carries the pipeline and contexts, Hier the memory hierarchy and Mem
+// each context's memory image. The caches keep only their touched
+// lines and each memory image only its non-zero words (see
+// mem.CompactCache), which keeps a warmed core at tens of KB.
 type CompactState struct {
 	Core CoreState
 	Hier mem.CompactHierarchy
 	Mem  []mem.CompactMemory
 }
 
-// Snapshot returns a deep copy of the core's state; the copy shares
-// nothing with the live core, so one snapshot can seed many clones.
-func (c *Core) Snapshot() CoreState {
-	st := c.snapshot()
-	st.Hier = c.hier.Snapshot()
-	for i, t := range c.threads {
-		st.Threads[i].Mem = t.mem.Snapshot()
-	}
-	return st
-}
-
-// CompactSnapshot is Snapshot in compact form, read straight from the
-// live caches and pages.
+// CompactSnapshot returns a deep copy of the core's state, read
+// straight from the live caches and pages; the copy shares nothing
+// with the live core, so one snapshot can seed many clones.
 func (c *Core) CompactSnapshot() CompactState {
 	st := CompactState{Core: c.snapshot(), Hier: c.hier.Compact(), Mem: make([]mem.CompactMemory, len(c.threads))}
 	for i, t := range c.threads {
@@ -281,25 +269,11 @@ func (c *Core) snapshot() CoreState {
 	return st
 }
 
-// Restore loads st into c, which must have been built from the same
-// configuration and programs (pool geometry and context count are
+// RestoreCompact loads st into c, which must have been built from the
+// same configuration and programs (pool geometry and context count are
 // checked; program identity is the caller's contract — the simulator
 // enforces it with a digest). The state is copied, never aliased, so
-// the same CoreState can restore many cores.
-func (c *Core) Restore(st CoreState) error {
-	if err := c.restore(st); err != nil {
-		return err
-	}
-	for i, ts := range st.Threads {
-		if err := c.threads[i].mem.Restore(ts.Mem); err != nil {
-			return err
-		}
-	}
-	return c.hier.Restore(st.Hier)
-}
-
-// RestoreCompact is Restore from a CompactSnapshot, written straight
-// into the live caches and pages.
+// the same CompactState can restore many cores.
 func (c *Core) RestoreCompact(st CompactState) error {
 	if len(st.Mem) != len(c.threads) {
 		return fmt.Errorf("cpu: compact state has %d memory images, want %d", len(st.Mem), len(c.threads))
@@ -569,7 +543,7 @@ func (c *Core) restore(st CoreState) error {
 		t.inFlight = ts.InFlight
 	}
 
-	// Snapshots carry exact counters (Snapshot flushes first), so any
+	// Snapshots carry exact counters (snapshot flushes first), so any
 	// deltas batched since then belong to discarded execution.
 	for tid := range c.pend {
 		c.pend[tid] = [power.NumUnits]uint64{}

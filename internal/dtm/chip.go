@@ -51,7 +51,6 @@ type chipRR struct {
 	trigger float64
 	bandK   float64
 	cursor  int
-	depth   int
 
 	emergency     float64
 	coolingCycles int64
@@ -120,7 +119,6 @@ func (c *chipRR) TickChip(cycle int64, coreMaxT []float64) {
 			depth = len(c.pipes)
 		}
 	}
-	c.depth = depth
 	// Rotate the burden: cores cursor..cursor+depth-1 (mod n) take the
 	// half-speed throttle this interval, everyone else runs free.
 	n := len(c.pipes)
@@ -139,57 +137,6 @@ func (c *chipRR) TickChip(cycle int64, coreMaxT []float64) {
 		}
 	}
 	c.cursor = (c.cursor + 1) % n
-}
-
-// ChipState is the serializable actuation state of a chip policy. The
-// per-pipeline actuator side effects (stall flags, throttles) live in
-// the core states and are restored with them.
-type ChipState struct {
-	Kind   Kind
-	StopGo *StopGoState
-	Cursor int
-	Depth  int
-}
-
-// SnapshotChip returns a chip policy's actuation state.
-func SnapshotChip(p ChipPolicy) (ChipState, error) {
-	switch v := p.(type) {
-	case *chipRR:
-		return ChipState{
-			Kind:   ChipRoundRobin,
-			StopGo: &StopGoState{Engaged: v.engaged, ResumeAt: v.resumeAt, Engagements: v.Engagements},
-			Cursor: v.cursor,
-			Depth:  v.depth,
-		}, nil
-	default:
-		return ChipState{}, fmt.Errorf("dtm: cannot snapshot chip policy type %T", p)
-	}
-}
-
-// RestoreChip loads st into p, which must be a built-in chip policy of
-// the matching kind.
-func RestoreChip(p ChipPolicy, st ChipState) error {
-	if p.Name() != st.Kind {
-		return fmt.Errorf("dtm: restoring %q state into %q policy", st.Kind, p.Name())
-	}
-	switch v := p.(type) {
-	case *chipRR:
-		if st.StopGo == nil {
-			return fmt.Errorf("dtm: %s state missing stop-and-go fields", ChipRoundRobin)
-		}
-		if st.Cursor < 0 || st.Cursor >= len(v.pipes) || st.Depth < 0 || st.Depth > len(v.pipes) {
-			return fmt.Errorf("dtm: chip-rr cursor %d / depth %d invalid for %d cores",
-				st.Cursor, st.Depth, len(v.pipes))
-		}
-		v.engaged = st.StopGo.Engaged
-		v.resumeAt = st.StopGo.ResumeAt
-		v.Engagements = st.StopGo.Engagements
-		v.cursor = st.Cursor
-		v.depth = st.Depth
-		return nil
-	default:
-		return fmt.Errorf("dtm: cannot restore chip policy type %T", p)
-	}
 }
 
 // SetChipEventLog wires a chip policy's safety net to the typed event

@@ -123,54 +123,6 @@ func TestChipRRSafetyNet(t *testing.T) {
 	}
 }
 
-// TestChipRRSnapshotRestore: cursor, depth, and safety-net state
-// survive a snapshot/restore cycle, and mismatched or corrupt states
-// are rejected.
-func TestChipRRSnapshotRestore(t *testing.T) {
-	th := config.Default().Thermal
-	p, _ := newTestChipRR(t, 4)
-	hot := []float64{th.EmergencyK - 2.3, 300, 300, 300}
-	p.TickChip(0, hot)
-	p.TickChip(1, hot)
-	p.TickChip(2, hot)
-
-	st, err := SnapshotChip(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Kind != ChipRoundRobin || st.Cursor != 3 || st.Depth != 1 {
-		t.Errorf("snapshot %+v, want cursor 3 depth 1", st)
-	}
-	// Restore into a fresh policy and check the rotation continues in
-	// phase with the original: after three ticks the cursor sits at 3,
-	// so the next depth-1 tick throttles core 3 on both.
-	q, qp := newTestChipRR(t, 4)
-	if err := RestoreChip(q, st); err != nil {
-		t.Fatal(err)
-	}
-	q.TickChip(3, hot)
-	if got := throttledSet(qp); len(got) != 1 || got[0] != 3 {
-		t.Errorf("restored policy throttled %v, want core 3", got)
-	}
-
-	// Kind and range checks.
-	bad := st
-	bad.Kind = SelectiveSedation
-	if err := RestoreChip(q, bad); err == nil {
-		t.Error("cross-kind restore accepted")
-	}
-	bad = st
-	bad.Cursor = 9
-	if err := RestoreChip(q, bad); err == nil {
-		t.Error("out-of-range cursor accepted")
-	}
-	bad = st
-	bad.StopGo = nil
-	if err := RestoreChip(q, bad); err == nil {
-		t.Error("missing stop-and-go state accepted")
-	}
-}
-
 // TestNewChipRoundRobinRejectsEmpty: a chip policy over zero pipelines
 // is a construction error, not a latent panic.
 func TestNewChipRoundRobinRejectsEmpty(t *testing.T) {

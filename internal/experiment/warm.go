@@ -79,12 +79,12 @@ func keysOf(o Options, j job) warmKeys {
 // fast-forward switch, the state format version and the caller's code
 // version — the last two guard persistent stores against stale
 // records.
-func warmKeyOf(o Options, warmDigest, progsDigest string, opts sim.Options) string {
+func warmKeyOf(o Options, warmDigest, programs string, opts sim.Options) string {
 	h := sha256.New()
 	io.WriteString(h, "heatstroke-warm\x00")
 	io.WriteString(h, warmDigest)
 	h.Write([]byte{0})
-	io.WriteString(h, progsDigest)
+	io.WriteString(h, programs)
 	fmt.Fprintf(h, "\x00%d\x00%d\x00%s\x00%t", opts.WarmupCycles, sim.StateVersion, o.CodeVersion, opts.DisableFastForward)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -5,122 +5,12 @@ import (
 	"slices"
 )
 
-// CacheState is the serializable state of one cache level. Geometry is
-// carried implicitly by the slice lengths and checked on restore; the
-// static fields (name, sets, assoc, latency) stay with the live cache.
-type CacheState struct {
-	Tags  []uint64
-	Valid []bool
-	Dirty []bool
-	LRU   []uint64
-	Clock uint64
-	Stats CacheStats
-}
-
-// HierarchyState is the serializable state of the full memory system.
-type HierarchyState struct {
-	L1I CacheState
-	L1D CacheState
-	L2  CacheState
-	// Banks is nil when interleaving is disabled.
-	Banks           []int64
-	BankQueueCycles uint64
-}
-
-// MemoryState is the serializable state of one functional memory image.
-type MemoryState struct {
-	Pages map[uint64][]int64
-}
-
-// Snapshot returns a deep copy of the cache's state.
-func (c *Cache) Snapshot() CacheState {
-	return CacheState{
-		Tags:  append([]uint64(nil), c.tags...),
-		Valid: append([]bool(nil), c.valid...),
-		Dirty: append([]bool(nil), c.dirty...),
-		LRU:   append([]uint64(nil), c.lru...),
-		Clock: c.clock,
-		Stats: c.Stats,
-	}
-}
-
-// Restore loads st into c. The geometry (total line count) must match.
-func (c *Cache) Restore(st CacheState) error {
-	n := len(c.tags)
-	if len(st.Tags) != n || len(st.Valid) != n || len(st.Dirty) != n || len(st.LRU) != n {
-		return fmt.Errorf("mem: %s state has %d/%d/%d/%d lines, want %d",
-			c.name, len(st.Tags), len(st.Valid), len(st.Dirty), len(st.LRU), n)
-	}
-	copy(c.tags, st.Tags)
-	copy(c.valid, st.Valid)
-	copy(c.dirty, st.Dirty)
-	copy(c.lru, st.LRU)
-	c.clock = st.Clock
-	c.Stats = st.Stats
-	return nil
-}
-
-// Snapshot returns a deep copy of the hierarchy's state.
-func (h *Hierarchy) Snapshot() HierarchyState {
-	st := HierarchyState{
-		L1I:             h.L1I.Snapshot(),
-		L1D:             h.L1D.Snapshot(),
-		L2:              h.L2.Snapshot(),
-		BankQueueCycles: h.BankQueueCycles,
-	}
-	if h.banks != nil {
-		st.Banks = append([]int64(nil), h.banks...)
-	}
-	return st
-}
-
-// Restore loads st into h. Cache geometries and the bank count must
-// match the live hierarchy's configuration.
-func (h *Hierarchy) Restore(st HierarchyState) error {
-	if err := h.L1I.Restore(st.L1I); err != nil {
-		return err
-	}
-	if err := h.L1D.Restore(st.L1D); err != nil {
-		return err
-	}
-	if err := h.L2.Restore(st.L2); err != nil {
-		return err
-	}
-	if len(st.Banks) != len(h.banks) {
-		return fmt.Errorf("mem: state has %d memory banks, want %d", len(st.Banks), len(h.banks))
-	}
-	copy(h.banks, st.Banks)
-	h.BankQueueCycles = st.BankQueueCycles
-	return nil
-}
-
-// Snapshot returns a deep copy of the memory image.
-func (m *Memory) Snapshot() MemoryState {
-	pages := make(map[uint64][]int64, len(m.pages))
-	for k, v := range m.pages {
-		pages[k] = append([]int64(nil), v...)
-	}
-	return MemoryState{Pages: pages}
-}
-
-// Restore replaces the memory image with a deep copy of st.
-func (m *Memory) Restore(st MemoryState) error {
-	pages := make(map[uint64][]int64, len(st.Pages))
-	for k, v := range st.Pages {
-		if len(v) != pageWords {
-			return fmt.Errorf("mem: page %#x has %d words, want %d", k, len(v), pageWords)
-		}
-		pages[k] = append([]int64(nil), v...)
-	}
-	m.pages = pages
-	return nil
-}
-
-// CompactCache is a cache's state holding only its touched lines: a
-// warmed L2 has a few to a few thousand valid lines of 16 384, so the
-// dense CacheState is mostly zeros. A line is kept when any of its
-// fields differs from a fresh cache's; every other line restores to
-// zero, so CompactCache round-trips exactly like CacheState.
+// CompactCache is the serializable state of one cache level, holding
+// only its touched lines: a warmed L2 has a few to a few thousand valid
+// lines of 16 384. A line is kept when any of its fields differs from a
+// fresh cache's; every other line restores to zero, so the cache
+// round-trips exactly. The static fields (name, sets, assoc, latency)
+// stay with the live cache.
 type CompactCache struct {
 	Lines int // the cache's total line count (its geometry)
 	Index []int32
@@ -132,9 +22,11 @@ type CompactCache struct {
 	Stats CacheStats
 }
 
-// CompactHierarchy is the compact form of HierarchyState.
+// CompactHierarchy is the serializable state of the full memory
+// system.
 type CompactHierarchy struct {
-	L1I, L1D, L2    CompactCache
+	L1I, L1D, L2 CompactCache
+	// Banks is nil when interleaving is disabled.
 	Banks           []int64
 	BankQueueCycles uint64
 }

@@ -8,151 +8,9 @@ import (
 	"github.com/heatstroke-sim/heatstroke/internal/config"
 )
 
-func TestCacheSnapshotRestore(t *testing.T) {
-	a, err := NewCache("t", geom(1<<12, 64, 2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 2000; i++ {
-		a.Access(uint64(rng.Intn(1<<14)), rng.Intn(2) == 0)
-	}
-	st := a.Snapshot()
-
-	b, err := NewCache("t", geom(1<<12, 64, 2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Restore(st); err != nil {
-		t.Fatal(err)
-	}
-	// Same subsequent stream must hit and miss identically.
-	for i := 0; i < 2000; i++ {
-		addr, write := uint64(rng.Intn(1<<14)), rng.Intn(2) == 0
-		ha, da := a.AccessEvict(addr, write)
-		hb, db := b.AccessEvict(addr, write)
-		if ha != hb || da != db {
-			t.Fatalf("access %d %#x: (%v,%v) vs (%v,%v)", i, addr, ha, da, hb, db)
-		}
-	}
-	if a.Stats != b.Stats {
-		t.Fatalf("stats diverge: %+v vs %+v", a.Stats, b.Stats)
-	}
-
-	// The snapshot is a copy: the accesses above must not have mutated it.
-	c, err := NewCache("t", geom(1<<12, 64, 2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Restore(st); err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(c.Snapshot(), a.Snapshot()) {
-		t.Fatal("continued cache still equals the snapshot — test is vacuous")
-	}
-
-	wrong, err := NewCache("t", geom(1<<11, 64, 2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wrong.Restore(st); err == nil {
-		t.Error("mismatched geometry should fail")
-	}
-}
-
-func TestHierarchySnapshotRestore(t *testing.T) {
-	m := config.Default().Memory
-	a, err := NewHierarchy(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	cycle := int64(0)
-	for i := 0; i < 3000; i++ {
-		cycle += int64(rng.Intn(4))
-		if rng.Intn(4) == 0 {
-			a.InstAt(uint64(rng.Intn(1<<16)), cycle)
-		} else {
-			a.DataAt(uint64(rng.Intn(1<<18)), rng.Intn(3) == 0, cycle)
-		}
-	}
-	st := a.Snapshot()
-
-	b, err := NewHierarchy(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Restore(st); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3000; i++ {
-		cycle += int64(rng.Intn(4))
-		addr := uint64(rng.Intn(1 << 18))
-		write := rng.Intn(3) == 0
-		ra := a.DataAt(addr, write, cycle)
-		rb := b.DataAt(addr, write, cycle)
-		if ra != rb {
-			t.Fatalf("access %d: %+v vs %+v", i, ra, rb)
-		}
-	}
-	if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
-		t.Fatal("hierarchies diverged after identical streams")
-	}
-
-	bad := st
-	bad.Banks = append([]int64(nil), st.Banks...)
-	bad.Banks = append(bad.Banks, 0)
-	if err := b.Restore(bad); err == nil {
-		t.Error("mismatched bank count should fail")
-	}
-}
-
-func TestMemorySnapshotRestore(t *testing.T) {
-	a := NewMemory()
-	rng := rand.New(rand.NewSource(9))
-	addrs := make([]uint64, 200)
-	for i := range addrs {
-		addrs[i] = uint64(rng.Intn(1 << 24))
-		a.Write(addrs[i], int64(i))
-	}
-	st := a.Snapshot()
-
-	b := NewMemory()
-	if err := b.Restore(st); err != nil {
-		t.Fatal(err)
-	}
-	for i, addr := range addrs {
-		if got := b.Read(addr); got != a.Read(addr) {
-			t.Fatalf("addr %#x: %d vs %d (i=%d)", addr, b.Read(addr), a.Read(addr), i)
-		}
-	}
-	if a.Pages() != b.Pages() {
-		t.Fatalf("page counts diverge: %d vs %d", a.Pages(), b.Pages())
-	}
-
-	// Deep copy: writing through the restored image must not leak into
-	// the snapshot or the source.
-	b.Write(addrs[0], -1)
-	if a.Read(addrs[0]) == -1 {
-		t.Fatal("restored memory aliases the source")
-	}
-	c := NewMemory()
-	if err := c.Restore(st); err != nil {
-		t.Fatal(err)
-	}
-	if c.Read(addrs[0]) == -1 {
-		t.Fatal("snapshot was mutated through a restored image")
-	}
-
-	bad := MemoryState{Pages: map[uint64][]int64{0: make([]int64, 3)}}
-	if err := c.Restore(bad); err == nil {
-		t.Error("wrong page size should fail")
-	}
-}
-
-// TestCompactRoundTrip: the compact forms restore to exactly the state
-// the dense snapshots describe, for caches, the hierarchy and memory
-// images, and reject malformed input.
+// TestCompactRoundTrip: the compact forms restore caches, the
+// hierarchy and memory images to exactly their source's state, and
+// reject malformed input.
 func TestCompactRoundTrip(t *testing.T) {
 	m := config.Default().Memory
 	a, err := NewHierarchy(m)
@@ -193,7 +51,7 @@ func TestCompactRoundTrip(t *testing.T) {
 		if err := b.RestoreCompact(src.Compact()); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(src.Snapshot(), b.Snapshot()) {
+		if !reflect.DeepEqual(src, b) {
 			t.Fatal("hierarchy compact round trip differs from the source")
 		}
 		if !reflect.DeepEqual(src.Compact(), b.Compact()) {
@@ -209,7 +67,7 @@ func TestCompactRoundTrip(t *testing.T) {
 	if err := c.RestoreCompact(img.Compact()); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(img.Snapshot(), c.Snapshot()) {
+	if !reflect.DeepEqual(img, c) {
 		t.Fatal("memory compact round trip differs from the source")
 	}
 	if !reflect.DeepEqual(img.Compact(), c.Compact()) {

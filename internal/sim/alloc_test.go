@@ -47,7 +47,7 @@ func stepOneInterval(t *testing.T, s *Simulator) func() {
 	t.Helper()
 	interval := int64(s.cfg.Thermal.SensorIntervalCycles)
 	return func() {
-		if s.qr.Done+interval > s.qr.Quantum {
+		if s.qr.done+interval > s.qr.quantum {
 			// Re-open a fresh quantum when the current one runs out.
 			if _, err := s.FinishRun(); err != nil {
 				t.Fatal(err)
@@ -59,7 +59,7 @@ func stepOneInterval(t *testing.T, s *Simulator) func() {
 				t.Fatal(err)
 			}
 		}
-		if _, err := s.StepRun(s.qr.Done + interval); err != nil {
+		if _, err := s.StepRun(s.qr.done + interval); err != nil {
 			t.Fatal(err)
 		}
 	}

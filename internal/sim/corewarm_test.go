@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/gob"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +11,37 @@ import (
 	"github.com/heatstroke-sim/heatstroke/internal/dtm"
 	"github.com/heatstroke-sim/heatstroke/internal/thermal"
 )
+
+// capturedState is a simulator's state as the tests compare it: every
+// core's CaptureCore and the die's temperatures. It is the whole
+// machine except the DTM policies, which a warmup's end builds fresh.
+type capturedState struct {
+	Cores []*CoreWarm
+	Die   thermal.SolverState
+}
+
+func captureMachine(s *Simulator) capturedState {
+	ms := capturedState{Die: s.Solver().State()}
+	for c := range s.cores {
+		ms.Cores = append(ms.Cores, s.CaptureCore(c))
+	}
+	return ms
+}
+
+// gobCopy returns ms's gob round trip: a copy that shares no memory
+// with ms.
+func gobCopy(t *testing.T, ms capturedState) capturedState {
+	t.Helper()
+	var buf bytes.Buffer
+	var out capturedState
+	if err := gob.NewEncoder(&buf).Encode(ms); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 // warmParts warms a die cold, core by core, and returns every core's
 // captured state and the die's post-warmup temperatures.
@@ -36,11 +69,12 @@ func warmParts(t *testing.T, cfg config.Config, coreThreads [][]Thread, mo Optio
 
 // TestMultiWarmRestoreEquivalence: a machine whose warmup is assembled
 // from shared parts — every core and the die restored, or some cores
-// warmed in place next to restored ones — holds a machine state
-// deep-equal to the cold run's once its quantum opens, and measures a
-// deep-equal Result, under every scope and policy. It runs on the
-// 2-core grid die and on the paper's single core, which restores the
-// same way.
+// warmed in place next to restored ones — holds every core's state and
+// the die's temperatures deep-equal to the cold run's once its quantum
+// opens, and measures a deep-equal Result, under every scope and
+// policy; and the restored runs leave the parts unchanged. It runs on
+// the 2-core grid die and on the paper's single core, which restores
+// the same way.
 func TestMultiWarmRestoreEquivalence(t *testing.T) {
 	for _, tm := range testMachines(t) {
 		t.Run(tm.name, func(t *testing.T) { checkWarmRestoreEquivalence(t, tm) })
@@ -51,6 +85,7 @@ func checkWarmRestoreEquivalence(t *testing.T, tm testMachine) {
 	cfg, threads := tm.cfg, tm.threads
 	quantum := cfg.Run.QuantumCycles
 	parts, die := warmParts(t, cfg, threads, Options{WarmupCycles: 50_000})
+	unrun := gobCopy(t, capturedState{parts, die})
 	for _, mo := range scopeOptions() {
 		mo.WarmupCycles = 50_000
 		mo.CollectEvents = true
@@ -62,10 +97,7 @@ func checkWarmRestoreEquivalence(t *testing.T, tm testMachine) {
 		if err := cold.BeginRun(quantum); err != nil {
 			t.Fatal(err)
 		}
-		wantState, err := cold.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
+		wantState := captureMachine(cold)
 		if _, err := cold.StepRun(quantum); err != nil {
 			t.Fatal(err)
 		}
@@ -115,9 +147,9 @@ func checkWarmRestoreEquivalence(t *testing.T, tm testMachine) {
 			if err := m.BeginRun(quantum); err != nil {
 				t.Fatal(err)
 			}
-			if st, err := m.Snapshot(); err != nil || !reflect.DeepEqual(st, wantState) {
-				t.Errorf("%s, %s: machine state at the quantum's start differs from the cold run's (%v)",
-					mo.Policy, shape.name, err)
+			if !reflect.DeepEqual(captureMachine(m), wantState) {
+				t.Errorf("%s, %s: machine state at the quantum's start differs from the cold run's",
+					mo.Policy, shape.name)
 			}
 			if _, err := m.StepRun(quantum); err != nil {
 				t.Fatal(err)
@@ -129,6 +161,38 @@ func checkWarmRestoreEquivalence(t *testing.T, tm testMachine) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s, %s: result differs from the cold run", mo.Policy, shape.name)
 			}
+		}
+	}
+	if !reflect.DeepEqual(gobCopy(t, capturedState{parts, die}), unrun) {
+		t.Error("the restored runs changed the warm parts they restored from")
+	}
+}
+
+// TestCaptureIsDeepCopy: a captured core shares no memory with its
+// simulator. Two identically built simulators warm up; running one of
+// them a quantum must leave its capture deep-equal to the other's.
+// (Two captures of one simulator would share whatever it aliases.)
+func TestCaptureIsDeepCopy(t *testing.T) {
+	for _, tm := range testMachines(t) {
+		var caps []capturedState
+		var sims []*Simulator
+		for range 2 {
+			s := tm.build(t, Options{Policy: dtm.SelectiveSedation, WarmupCycles: 50_000})
+			for c := range tm.threads {
+				if err := s.WarmCore(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.FinishWarmup(nil); err != nil {
+				t.Fatal(err)
+			}
+			caps, sims = append(caps, captureMachine(s)), append(sims, s)
+		}
+		if _, err := sims[0].Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(caps[0], caps[1]) {
+			t.Errorf("%s: running the simulator changed its earlier capture", tm.name)
 		}
 	}
 }
@@ -173,8 +237,8 @@ func TestCoreWarmTopologyInvariance(t *testing.T) {
 }
 
 // TestMultiLazyAnchor: construction leaves the die unanchored; the
-// first Solver or Snapshot call anchors it exactly as construction
-// used to, and restoring the die's state skips the anchor.
+// first Solver call anchors it above ambient, a cold warmup anchors it
+// once from ambient, and restoring the die's state skips the anchor.
 func TestMultiLazyAnchor(t *testing.T) {
 	cfg := multiCfg(2)
 	threads := attackVictimThreads(t)
@@ -185,19 +249,8 @@ func TestMultiLazyAnchor(t *testing.T) {
 	if a.anchored {
 		t.Fatal("NewMulti anchored the die")
 	}
-	ms, err := a.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewMulti(cfg, threads, Options{WarmupCycles: 50_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(b.Solver().State(), ms.Solver) {
-		t.Error("Solver and Snapshot anchor the die differently")
-	}
 	amb := cfg.Thermal.AmbientK
-	for _, temp := range ms.Solver.Temps {
+	for _, temp := range a.Solver().State().Temps {
 		if temp <= amb {
 			t.Fatalf("anchored die holds a node at %v K, not above ambient %v K", temp, amb)
 		}
@@ -209,7 +262,7 @@ func TestMultiLazyAnchor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.InitSteadyCores(b.steadyPowers())
+	ref.InitSteadyCores(a.steadyPowers())
 	if !reflect.DeepEqual(ref.State(), die) {
 		t.Error("the post-warmup die is not the die anchored once from ambient")
 	}
@@ -247,6 +300,13 @@ func TestMultiWarmErrors(t *testing.T) {
 	}
 	if err := m.RestoreCore(0, otherParts[0]); err == nil || !strings.Contains(err.Error(), "warm-config") {
 		t.Errorf("restoring warm state of another convection resistance: %v, want a warm-config mismatch", err)
+	}
+	longer, err := NewMulti(cfg, threads, Options{WarmupCycles: 40_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := longer.RestoreCore(0, parts[0]); err == nil || !strings.Contains(err.Error(), "warmup") {
+		t.Errorf("restoring a 20000-cycle warmup into a 40000-cycle one: %v, want a warmup mismatch", err)
 	}
 	if err := m.RestoreCore(0, parts[0]); err != nil {
 		t.Fatal(err)

@@ -8,62 +8,8 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
-
-	"github.com/heatstroke-sim/heatstroke/internal/dtm"
 )
-
-// corruptBase is a mid-quantum snapshot of one test machine, encoded
-// once so each input decodes a fresh copy to corrupt, and the options
-// that rebuild a simulator it restores into.
-type corruptBase struct {
-	m    testMachine
-	o    Options
-	enc  []byte
-	next int64 // the quantum position two sensor intervals on
-}
-
-// corruptBases holds, once built, a mid-quantum snapshot of each test
-// machine: the single core under selective sedation and the 2-core die
-// under the chip scope, every observation channel on.
-var corruptBases struct {
-	sync.Mutex
-	bases []corruptBase
-}
-
-func corruptBasesFor(t *testing.T) []corruptBase {
-	corruptBases.Lock()
-	defer corruptBases.Unlock()
-	if corruptBases.bases != nil {
-		return corruptBases.bases
-	}
-	for i, m := range testMachines(t) {
-		o := Options{Policy: dtm.SelectiveSedation}
-		if i > 0 {
-			o = Options{Scope: dtm.ScopeChip}
-		}
-		o.WarmupCycles, o.TraceTemps, o.CollectEvents = 20_000, true, true
-		s := m.build(t, o)
-		sensor := int64(m.cfg.Thermal.SensorIntervalCycles)
-		if err := s.BeginRun(10 * sensor); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.StepRun(3 * sensor); err != nil {
-			t.Fatal(err)
-		}
-		ms, err := s.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := WriteState(&buf, ms); err != nil {
-			t.Fatal(err)
-		}
-		corruptBases.bases = append(corruptBases.bases, corruptBase{m: m, o: o, enc: buf.Bytes(), next: 5 * sensor})
-	}
-	return corruptBases.bases
-}
 
 // corrupt walks v guided by path and changes what it reaches: at a
 // struct path picks a field, at an array an element, at a slice an
@@ -71,7 +17,7 @@ func corruptBasesFor(t *testing.T) []corruptBase {
 // of 8 — truncates it to val modulo its length; at a scalar leaf it
 // stores val. A nil pointer, an empty slice, a map or an exhausted
 // path ends the walk with nothing changed. It returns what it changed
-// (a leaf such as "Cores[0].Core.Cycle", or a slice with " truncated"
+// (a leaf such as "Core.Core.Core.Cycle", or a slice with " truncated"
 // appended), or "" when it changed nothing.
 func corrupt(v reflect.Value, path []byte, val int64) string {
 	name := ""
@@ -142,8 +88,8 @@ func corrupt(v reflect.Value, path []byte, val int64) string {
 	}
 }
 
-// fuzzSeed is one seed input of FuzzRestoreCorrupt or FuzzRestoreWarm
-// and the leaf corrupt changes with it.
+// fuzzSeed is one seed input of FuzzRestoreWarm and the leaf corrupt
+// changes with it.
 type fuzzSeed struct {
 	die  bool
 	path []byte
@@ -151,88 +97,14 @@ type fuzzSeed struct {
 	leaf string
 }
 
-// corruptSeeds seed FuzzRestoreCorrupt. Paths name struct fields by
-// index: MachineState.Cores is field 6, Solver 7, Quantum 10;
-// CoreState.Core is 0; cpu.CoreState.Entries 2, Free 3, DispatchRR 12,
-// Threads 17; EntryState.DstReg 22; ThreadState.PC 3;
-// QuantumState.Cores 10. A slice step is a selector byte (1: an
-// element, 0: truncate) and, for an element, two index bytes.
-// TestFuzzSeedTargets checks each seed still reaches its leaf.
-var corruptSeeds = []fuzzSeed{
-	{false, []byte{6, 1, 0, 0, 0, 2, 1, 0, 1, 22}, 200, "Cores[0].Core.Entries[1].DstReg"},
-	{false, []byte{6, 1, 0, 0, 0, 12}, 99, "Cores[0].Core.DispatchRR"},
-	{false, []byte{6, 1, 0, 0, 0, 17, 1, 0, 0, 3}, -7, "Cores[0].Core.Threads[0].PC"},
-	{true, []byte{6, 1, 0, 1, 0, 3, 0}, 1, "Cores[1].Core.Free truncated"},
-	{true, []byte{10, 10, 0}, 1, "Quantum.Cores truncated"},
-	{true, []byte{7, 1, 0}, 3, "Solver.Temps truncated"},
-}
-
-// corruptCorpus names the leaf each committed FuzzRestoreCorrupt
-// corpus entry (a crasher the fuzzer found) changes.
-var corruptCorpus = map[string]string{
-	"44b7091b548a86bb": "Cores[0].Core.Threads[0].ListHead",
-	"8609b4917dbde9c4": "Cores[0].Core.Cycle",
-}
-
-// FuzzRestoreCorrupt feeds Restore mid-quantum snapshots with one
-// fuzz-chosen leaf set to a fuzzed value or one slice truncated — the
-// shape of a damaged or hostile snapshot, and of the core state inside
-// warm records arriving over PUT /v1/warm or from a -snapshot-in or
-// warm-cache file (FuzzRestoreWarm fuzzes those directly) — and runs
-// two sensor intervals past any snapshot Restore accepts. Restore must
-// reject what it cannot run; nothing may panic.
-func FuzzRestoreCorrupt(f *testing.F) {
-	for _, seed := range corruptSeeds {
-		f.Add(seed.die, seed.path, seed.val)
-	}
-	f.Fuzz(func(t *testing.T, die bool, path []byte, val int64) {
-		bases := corruptBasesFor(t)
-		b := bases[0]
-		if die {
-			b = bases[1]
-		}
-		ms, err := ReadState(bytes.NewReader(b.enc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		corrupt(reflect.ValueOf(ms), path, val)
-		s, err := NewMulti(b.m.cfg, b.m.threads, b.o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Restore(ms); err != nil {
-			return
-		}
-		if s.qr == nil {
-			return // the snapshot lost its quantum; nothing to resume
-		}
-		if _, err := s.StepRun(b.next); err != nil {
-			return
-		}
-		s.FinishRun()
-	})
-}
-
-// TestFuzzSeedTargets pins what each seed of FuzzRestoreCorrupt and
-// FuzzRestoreWarm, and each committed corpus entry, changes: corrupt
-// picks fields by index, so a field added to or removed from a state
-// struct re-aims every path through it, and a re-aimed seed would
-// otherwise keep passing while it tests another leaf, or nothing.
+// TestFuzzSeedTargets pins what each seed of FuzzRestoreWarm, and
+// each committed corpus entry, changes: corrupt picks fields by index,
+// so a field added to or removed from a state struct re-aims every
+// path through it, and a re-aimed seed would otherwise keep passing
+// while it tests another leaf, or nothing.
 func TestFuzzSeedTargets(t *testing.T) {
-	bases := corruptBasesFor(t)
-	snapshot := func(die bool) any {
-		b := bases[0]
-		if die {
-			b = bases[1]
-		}
-		ms, err := ReadState(bytes.NewReader(b.enc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ms
-	}
 	core, die := encodedWarmRecords(t)
-	record := func(isDie bool) any {
+	record := func(isDie bool) *WarmRecord {
 		enc := core
 		if isDie {
 			enc = die
@@ -243,39 +115,36 @@ func TestFuzzSeedTargets(t *testing.T) {
 		}
 		return rec
 	}
-	check := func(what string, seed fuzzSeed, state func(bool) any) {
+	check := func(what string, seed fuzzSeed) {
 		t.Helper()
-		got := state(seed.die)
+		got := record(seed.die)
 		if leaf := corrupt(reflect.ValueOf(got), seed.path, seed.val); leaf != seed.leaf {
 			t.Errorf("%s %v: changes %q, want %q", what, seed.path, leaf, seed.leaf)
-		} else if reflect.DeepEqual(got, state(seed.die)) {
+		} else if reflect.DeepEqual(got, record(seed.die)) {
 			t.Errorf("%s %v: %s already holds %d", what, seed.path, leaf, seed.val)
 		}
 	}
-	for _, seed := range corruptSeeds {
-		check("FuzzRestoreCorrupt seed", seed, snapshot)
-	}
 	for _, seed := range warmSeeds {
-		check("FuzzRestoreWarm seed", seed, record)
+		check("FuzzRestoreWarm seed", seed)
 	}
 
-	dir := filepath.Join("testdata", "fuzz", "FuzzRestoreCorrupt")
+	dir := filepath.Join("testdata", "fuzz", "FuzzRestoreWarm")
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != len(corruptCorpus) {
-		t.Errorf("%d corpus entries in %s, corruptCorpus names %d", len(entries), dir, len(corruptCorpus))
+	if len(entries) != len(warmCorpus) {
+		t.Errorf("%d corpus entries in %s, warmCorpus names %d", len(entries), dir, len(warmCorpus))
 	}
 	for _, e := range entries {
-		leaf, ok := corruptCorpus[e.Name()]
+		leaf, ok := warmCorpus[e.Name()]
 		if !ok {
-			t.Errorf("corpus entry %s: add the leaf it changes to corruptCorpus", e.Name())
+			t.Errorf("corpus entry %s: add the leaf it changes to warmCorpus", e.Name())
 			continue
 		}
 		seed := readCorpusEntry(t, filepath.Join(dir, e.Name()))
 		seed.leaf = leaf
-		check("corpus entry "+e.Name(), seed, snapshot)
+		check("corpus entry "+e.Name(), seed)
 	}
 }
 

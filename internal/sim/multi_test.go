@@ -40,89 +40,6 @@ func TestMultiNeighborHeating(t *testing.T) {
 	}
 }
 
-// TestMultiRestoreRejectsMismatch: config, programs, scope, policy,
-// core-count, and single-core/multi mismatches are all refused.
-func TestMultiRestoreRejectsMismatch(t *testing.T) {
-	cfg := multiCfg(2)
-	mo := Options{Scope: dtm.ScopePerCore, Policy: dtm.StopAndGo, WarmupCycles: 20_000}
-	m, err := NewMulti(cfg, attackVictimThreads(t), mo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := m.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(name string, build func() (*Simulator, error)) {
-		t.Helper()
-		other, err := build()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := other.Restore(ms); err == nil {
-			t.Errorf("%s: mismatched restore accepted", name)
-		}
-	}
-	check("different config", func() (*Simulator, error) {
-		c2 := cfg
-		c2.Thermal.EmergencyK += 1
-		return NewMulti(c2, attackVictimThreads(t), mo)
-	})
-	check("different programs", func() (*Simulator, error) {
-		return NewMulti(cfg, [][]Thread{{specThread(t, "art")}, {specThread(t, "gcc")}}, mo)
-	})
-	check("different policy", func() (*Simulator, error) {
-		o2 := mo
-		o2.Policy = dtm.DVS
-		return NewMulti(cfg, attackVictimThreads(t), o2)
-	})
-	check("different scope", func() (*Simulator, error) {
-		o2 := mo
-		o2.Scope, o2.Policy = dtm.ScopeChip, ""
-		return NewMulti(cfg, attackVictimThreads(t), o2)
-	})
-	check("different core count", func() (*Simulator, error) {
-		c4 := multiCfg(4)
-		return NewMulti(c4, [][]Thread{{variantThread(t, 2)}, {specThread(t, "gcc")},
-			{specThread(t, "art")}, {specThread(t, "mcf")}}, mo)
-	})
-
-	// A die's snapshot must not restore into a single-core simulator,
-	// nor a single-core snapshot into a die, nor a snapshot that lost a
-	// core into the die that took it.
-	solo, err := New(config.Default(), []Thread{specThread(t, "gcc")}, Options{Policy: dtm.StopAndGo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := solo.Restore(ms); err == nil {
-		t.Error("die snapshot restored into a single-core simulator")
-	}
-	soloState, err := solo.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Restore(soloState); err == nil {
-		t.Error("single-core snapshot restored into a die")
-	}
-	short := *ms
-	short.Cores = short.Cores[:1]
-	if err := m.Restore(&short); err == nil {
-		t.Error("snapshot with a core missing restored")
-	}
-}
-
-// TestMultiThreadGroupingDigest: the per-core programs digest keeps
-// the same threads grouped differently distinct.
-func TestMultiThreadGroupingDigest(t *testing.T) {
-	a, b := specThread(t, "gcc"), specThread(t, "art")
-	one := &Simulator{cores: []*coreSim{{threads: []Thread{a, b}}}}
-	two := &Simulator{cores: []*coreSim{{threads: []Thread{a}}, {threads: []Thread{b}}}}
-	if one.progsDigest() == two.progsDigest() {
-		t.Error("thread grouping does not affect the digest")
-	}
-}
-
 // TestMultiSedationLastThreadException: sedation on the victim core
 // never sedates its solo thread (the last-thread exception), so
 // cross-core heating shows up as emergencies, not as sedation.

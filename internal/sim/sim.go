@@ -173,8 +173,7 @@ type Simulator struct {
 	// cores.
 	coresRestored bool
 	// qr is the measurement quantum in progress between BeginRun and
-	// FinishRun (nil otherwise). Snapshot captures it, so a simulation
-	// can fork mid-quantum at any sensor boundary.
+	// FinishRun (nil otherwise).
 	qr *quantumRun
 
 	// powers holds the per-core power vectors handed to the solver each
@@ -198,15 +197,40 @@ type coreSim struct {
 	temp func(power.Unit) float64
 }
 
-// quantumRun is the live state of one measurement quantum: the
-// serializable loop position and partial accumulators, so a quantum
-// can pause at a chunk boundary, be snapshotted, and resume — in this
-// simulator or a forked one.
+// quantumRun is the live state of one measurement quantum: the loop
+// position and partial accumulators, so a quantum can pause at a chunk
+// boundary and resume. The chip-wide accumulators cover the whole die
+// (on one core, the core itself).
 type quantumRun struct {
-	QuantumState
+	quantum, done, chunks int64
+
+	startCycle     int64
+	aboveEmergency bool
+	energyAccum    float64
+	peakTemp       float64
+	peakUnit       power.Unit
+	peakCore       int
+	emergencies    int
+
+	// cores holds each core's baselines and partial accumulators.
+	cores []coreQuantum
 	// traceStartNS is the quantum's wall-clock open time, captured only
 	// when a tracer is attached (zero otherwise).
 	traceStartNS int64
+}
+
+// coreQuantum is one core's share of a quantum in progress.
+type coreQuantum struct {
+	startStalled  uint64
+	startStats    []cpu.ThreadStats
+	startRF       []uint64
+	lastCommitted []uint64
+
+	aboveEmergency bool
+	peakTemp       float64
+	peakUnit       power.Unit
+	emergencies    int
+	rfTrace        []float64
 }
 
 // tileAreas are one core tile's per-unit areas. Every core's power
@@ -432,10 +456,10 @@ func (s *Simulator) steadyPowers() [][power.NumUnits]float64 {
 }
 
 // anchor relaxes the die to its steady operating point, once. It runs
-// lazily, on the first warmup, BeginRun, Snapshot or Solver call. The
-// cores' warmup never touches the solver, and the lumped network's
-// steady state is a direct solve, so anchoring before or after the
-// cores warm gives the same bits.
+// lazily, on the first warmup, BeginRun or Solver call. The cores'
+// warmup never touches the solver, and the lumped network's steady
+// state is a direct solve, so anchoring before or after the cores warm
+// gives the same bits.
 func (s *Simulator) anchor() {
 	if s.anchored {
 		return
@@ -513,7 +537,7 @@ func (s *Simulator) BeginRun(quantum int64) error {
 		return fmt.Errorf("sim: quantum %d must be positive", quantum)
 	}
 	if s.qr != nil {
-		return fmt.Errorf("sim: a quantum is already in progress (%d of %d cycles done)", s.qr.Done, s.qr.Quantum)
+		return fmt.Errorf("sim: a quantum is already in progress (%d of %d cycles done)", s.qr.done, s.qr.quantum)
 	}
 	if err := s.warmup(); err != nil {
 		return err
@@ -525,29 +549,29 @@ func (s *Simulator) BeginRun(quantum int64) error {
 	// simulator grow it without bound.
 	s.events.Reset()
 
-	qr := &quantumRun{QuantumState: QuantumState{
-		Quantum:    quantum,
-		StartCycle: s.cores[0].core.Cycle(),
-		PeakTemp:   -1,
-		Cores:      make([]CoreQuantumState, len(s.cores)),
-	}}
+	qr := &quantumRun{
+		quantum:    quantum,
+		startCycle: s.cores[0].core.Cycle(),
+		peakTemp:   -1,
+		cores:      make([]coreQuantum, len(s.cores)),
+	}
 	for c, cs := range s.cores {
 		n := len(cs.threads)
-		cq := &qr.Cores[c]
-		cq.PeakTemp = -1
-		cq.StartStalled = cs.core.StalledCycles()
-		cq.StartStats = make([]cpu.ThreadStats, n)
-		cq.StartRF = make([]uint64, n)
-		cq.LastCommitted = make([]uint64, n)
+		cq := &qr.cores[c]
+		cq.peakTemp = -1
+		cq.startStalled = cs.core.StalledCycles()
+		cq.startStats = make([]cpu.ThreadStats, n)
+		cq.startRF = make([]uint64, n)
+		cq.lastCommitted = make([]uint64, n)
 		for tid := range cs.threads {
-			cq.StartStats[tid] = cs.core.Stats(tid)
-			cq.StartRF[tid] = cs.core.Activity().Thread(tid, power.UnitIntReg)
-			cq.LastCommitted[tid] = cq.StartStats[tid].Committed
+			cq.startStats[tid] = cs.core.Stats(tid)
+			cq.startRF[tid] = cs.core.Activity().Thread(tid, power.UnitIntReg)
+			cq.lastCommitted[tid] = cq.startStats[tid].Committed
 		}
 		if s.opts.TraceTemps {
 			// One entry per sensor boundary: size the trace up front so
 			// the appends in StepRun never grow the backing array.
-			cq.RFTrace = make([]float64, 0, quantum/int64(s.cfg.Thermal.SensorIntervalCycles)+1)
+			cq.rfTrace = make([]float64, 0, quantum/int64(s.cfg.Thermal.SensorIntervalCycles)+1)
 		}
 	}
 	if s.opts.Tracer != nil {
@@ -563,23 +587,22 @@ func (s *Simulator) BeginRun(quantum int64) error {
 // in index order within each chunk; the solver steps once per sensor
 // interval over every core's power, so core order never affects the
 // physics. Every sensor boundary inside the advanced span runs exactly
-// as it would have in a single RunCycles call, so pausing — and
-// forking via Snapshot — at any chunk boundary is invisible to the
-// results.
+// as it would have in a single RunCycles call, so pausing at any chunk
+// boundary is invisible to the results.
 func (s *Simulator) StepRun(upTo int64) (bool, error) {
 	qr := s.qr
 	if qr == nil {
 		return false, fmt.Errorf("sim: StepRun without BeginRun")
 	}
-	if upTo > qr.Quantum {
-		upTo = qr.Quantum
+	if upTo > qr.quantum {
+		upTo = qr.quantum
 	}
 	sample := int64(s.cfg.Sedation.SampleIntervalCycles)
 	interval := int64(s.cfg.Thermal.SensorIntervalCycles)
 	sensorEvery := interval / sample
 	secondsPerSensor := float64(interval) / s.cfg.Power.FrequencyHz
 	emergencyK := s.cfg.Thermal.EmergencyK
-	for qr.Done < upTo {
+	for qr.done < upTo {
 		// stalled feeds the trace recorder only; the gated-cycle count
 		// comes from the core's own accounting, which stays exact even
 		// if a policy ever toggles the stall mid-chunk.
@@ -588,9 +611,9 @@ func (s *Simulator) StepRun(upTo int64) (bool, error) {
 			cs.core.Run(sample)
 			cs.mon.Sample()
 		}
-		qr.Done += sample
-		qr.Chunks++
-		if qr.Chunks%sensorEvery != 0 {
+		qr.done += sample
+		qr.chunks++
+		if qr.chunks%sensorEvery != 0 {
 			continue
 		}
 
@@ -601,7 +624,7 @@ func (s *Simulator) StepRun(upTo int64) (bool, error) {
 			}
 			total += thermal.TotalPower(s.powers[c])
 		}
-		qr.EnergyAccum += total * secondsPerSensor
+		qr.energyAccum += total * secondsPerSensor
 		s.solver.StepCores(s.powers, secondsPerSensor)
 
 		cycle := s.cores[0].core.Cycle()
@@ -609,34 +632,34 @@ func (s *Simulator) StepRun(upTo int64) (bool, error) {
 		for c := range s.cores {
 			maxU, maxT := s.solver.CoreMaxUnit(c)
 			s.coreMaxT[c] = maxT
-			cq := &qr.Cores[c]
-			if maxT > cq.PeakTemp {
-				cq.PeakTemp, cq.PeakUnit = maxT, maxU
+			cq := &qr.cores[c]
+			if maxT > cq.peakTemp {
+				cq.peakTemp, cq.peakUnit = maxT, maxU
 			}
 			if maxT >= emergencyK {
-				if !cq.AboveEmergency {
-					cq.Emergencies++
-					cq.AboveEmergency = true
+				if !cq.aboveEmergency {
+					cq.emergencies++
+					cq.aboveEmergency = true
 				}
 			} else {
-				cq.AboveEmergency = false
+				cq.aboveEmergency = false
 			}
 			if maxT > chipMax {
 				chipMax, chipMaxU, chipMaxCore = maxT, maxU, c
 			}
 		}
-		if chipMax > qr.PeakTemp {
-			qr.PeakTemp, qr.PeakUnit, qr.PeakCore = chipMax, chipMaxU, chipMaxCore
+		if chipMax > qr.peakTemp {
+			qr.peakTemp, qr.peakUnit, qr.peakCore = chipMax, chipMaxU, chipMaxCore
 		}
 		if chipMax >= emergencyK {
-			if !qr.AboveEmergency {
-				qr.Emergencies++
-				qr.AboveEmergency = true
+			if !qr.aboveEmergency {
+				qr.emergencies++
+				qr.aboveEmergency = true
 				s.events.Emit(telemetry.Event{Cycle: cycle, Kind: telemetry.KindEmergency,
 					Unit: chipMaxU.String(), Thread: -1, TempK: chipMax})
 			}
 		} else {
-			qr.AboveEmergency = false
+			qr.aboveEmergency = false
 		}
 
 		if s.chip != nil {
@@ -648,14 +671,14 @@ func (s *Simulator) StepRun(upTo int64) (bool, error) {
 		}
 		if s.opts.TraceTemps {
 			for c := range s.cores {
-				qr.Cores[c].RFTrace = append(qr.Cores[c].RFTrace, s.solver.CoreUnitTemp(c, power.UnitIntReg))
+				qr.cores[c].rfTrace = append(qr.cores[c].rfTrace, s.solver.CoreUnitTemp(c, power.UnitIntReg))
 			}
 		}
 		if s.opts.Recorder != nil {
-			s.record(stalled, qr.Cores[0].LastCommitted)
+			s.record(stalled, qr.cores[0].lastCommitted)
 		}
 	}
-	return qr.Done >= qr.Quantum, nil
+	return qr.done >= qr.quantum, nil
 }
 
 // record captures one trace sample of the single core at a sensor
@@ -690,17 +713,17 @@ func (s *Simulator) FinishRun() (*Result, error) {
 		return nil, fmt.Errorf("sim: FinishRun without BeginRun")
 	}
 	s.qr = nil
-	elapsed := s.cores[0].core.Cycle() - qr.StartCycle
+	elapsed := s.cores[0].core.Cycle() - qr.startCycle
 	cores := make([]Result, len(s.cores))
 	for c, cs := range s.cores {
-		cores[c] = cs.result(&qr.Cores[c], elapsed)
+		cores[c] = cs.result(&qr.cores[c], elapsed)
 	}
 	res := &cores[0]
 	if len(cores) > 1 {
-		res = &Result{Cycles: elapsed, Emergencies: qr.Emergencies, PeakTemp: qr.PeakTemp,
-			PeakUnit: qr.PeakUnit, PeakCore: qr.PeakCore, Cores: cores}
+		res = &Result{Cycles: elapsed, Emergencies: qr.emergencies, PeakTemp: qr.peakTemp,
+			PeakUnit: qr.peakUnit, PeakCore: qr.peakCore, Cores: cores}
 	}
-	res.TotalPowerW = qr.EnergyAccum / (float64(elapsed) / s.cfg.Power.FrequencyHz)
+	res.TotalPowerW = qr.energyAccum / (float64(elapsed) / s.cfg.Power.FrequencyHz)
 	if s.events != nil {
 		res.Events = append(res.Events, s.events.Events...)
 	}
@@ -709,14 +732,14 @@ func (s *Simulator) FinishRun() (*Result, error) {
 }
 
 // result assembles one core's measurements over the quantum.
-func (cs *coreSim) result(cq *CoreQuantumState, elapsed int64) Result {
+func (cs *coreSim) result(cq *coreQuantum, elapsed int64) Result {
 	r := Result{
 		Cycles:       elapsed,
-		Emergencies:  cq.Emergencies,
-		StopGoCycles: int64(cs.core.StalledCycles() - cq.StartStalled),
-		PeakTemp:     cq.PeakTemp,
-		PeakUnit:     cq.PeakUnit,
-		RFTrace:      cq.RFTrace,
+		Emergencies:  cq.emergencies,
+		StopGoCycles: int64(cs.core.StalledCycles() - cq.startStalled),
+		PeakTemp:     cq.peakTemp,
+		PeakUnit:     cq.peakUnit,
+		RFTrace:      cq.rfTrace,
 		Threads:      make([]ThreadResult, 0, len(cs.threads)),
 	}
 	for u := power.Unit(0); u < power.NumUnits; u++ {
@@ -727,7 +750,7 @@ func (cs *coreSim) result(cq *CoreQuantumState, elapsed int64) Result {
 	}
 	r.Reports = append(r.Reports, cs.reports...)
 	for tid, t := range cs.threads {
-		st := cs.core.Stats(tid).Sub(cq.StartStats[tid])
+		st := cs.core.Stats(tid).Sub(cq.startStats[tid])
 		sed := int64(st.SedatedCycles)
 		normal := max(elapsed-r.StopGoCycles-sed, 0)
 		r.Threads = append(r.Threads, ThreadResult{
@@ -735,7 +758,7 @@ func (cs *coreSim) result(cq *CoreQuantumState, elapsed int64) Result {
 			Committed:  st.Committed,
 			Fetched:    st.Fetched,
 			IPC:        st.IPC(elapsed),
-			IntRegRate: float64(cs.core.Activity().Thread(tid, power.UnitIntReg)-cq.StartRF[tid]) / float64(elapsed),
+			IntRegRate: float64(cs.core.Activity().Thread(tid, power.UnitIntReg)-cq.startRF[tid]) / float64(elapsed),
 			Breakdown: stats.Breakdown{
 				NormalCycles:   normal,
 				CoolingCycles:  r.StopGoCycles,

@@ -119,12 +119,8 @@ func TestReadWarmRejects(t *testing.T) {
 			t.Errorf("%s: ReadWarm error %v, want one mentioning %q", tc.name, err, tc.want)
 		}
 	}
-	var buf bytes.Buffer
-	if err := WriteState(&buf, &MachineState{Version: StateVersion}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadWarm(&buf); err == nil {
-		t.Error("ReadWarm accepted a machine snapshot")
+	if _, err := ReadWarm(bytes.NewReader([]byte("not a warm record"))); err == nil {
+		t.Error("ReadWarm accepted input that is not a warm record")
 	}
 	if _, err := ReadWarm(bytes.NewReader(core[:len(core)/2])); err == nil {
 		t.Error("ReadWarm accepted a torn record")
@@ -133,11 +129,14 @@ func TestReadWarmRejects(t *testing.T) {
 
 // warmSeeds seed FuzzRestoreWarm. Paths name struct fields by index
 // (see corrupt): WarmRecord.Version is field 0, Core 1, Die 2;
-// CoreWarm.Core is 1, Model 2, Monitor 3, WarmDigest 4 (appended last
-// so the paths below kept their fields); cpu.CompactState.Core is 0,
-// Hier 1, Mem 2; cpu.CoreState.Entries is 2, DispatchRR 12, Threads
-// 17; mem.CompactHierarchy.L1D is 1, Banks 3; mem.CompactCache.Index
-// is 1; mem.CompactMemory.Ends 1; SolverState.Temps 1.
+// CoreWarm.Core is 1, Model 2, Monitor 3, WarmDigest 4, WarmupCycles 5
+// (each appended last so the paths below kept their fields);
+// cpu.CompactState.Core is 0, Hier 1, Mem 2; cpu.CoreState.Entries is
+// 2, Free 3, DispatchRR 12, Threads 16; EntryState.DstReg 22;
+// ThreadState.PC 2; mem.CompactHierarchy.L1D is 1, Banks 3;
+// mem.CompactCache.Index is 1; mem.CompactMemory.Ends 1;
+// SolverState.Temps 1. A slice step is a selector byte (1: an element,
+// 0: truncate) and, for an element, two index bytes.
 // TestFuzzSeedTargets checks each seed still reaches its leaf.
 var warmSeeds = []fuzzSeed{
 	{false, []byte{1, 1, 0, 2, 1, 0, 1, 22}, 200, "Core.Core.Core.Entries[1].DstReg"},
@@ -148,6 +147,16 @@ var warmSeeds = []fuzzSeed{
 	{false, []byte{0}, 3, "Version"},
 	{true, []byte{2, 1, 0}, 3, "Die.Temps truncated"},
 	{true, []byte{2, 1, 1, 0, 9}, 1 << 50, "Die.Temps[9]"},
+	{false, []byte{1, 1, 0, 16, 1, 0, 0, 2}, -7, "Core.Core.Core.Threads[0].PC"},
+	{false, []byte{1, 1, 0, 3, 0}, 1, "Core.Core.Core.Free truncated"},
+	{false, []byte{1, 5}, 40_000, "Core.WarmupCycles"},
+}
+
+// warmCorpus names the leaf each committed FuzzRestoreWarm corpus
+// entry (a crasher the fuzzer found) changes.
+var warmCorpus = map[string]string{
+	"44b7091b548a86bb": "Core.Core.Core.Threads[0].ListHead",
+	"8609b4917dbde9c4": "Core.Core.Core.Cycle",
 }
 
 // FuzzRestoreWarm feeds the warm-record path PUT /v1/warm reaches with
