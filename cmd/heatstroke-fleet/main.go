@@ -10,14 +10,17 @@
 //	heatstroke-fleet -worker http://h1:8080 -worker http://h2:8080
 //	heatstroke-fleet -addr :7070 -hedge-after 15s -fleet-token secret
 //
-// The coordinator serves the same job API as a single daemon (so
-// heatstroke -server and pkg/client work against it unchanged) plus
-// worker membership and fleet-wide metrics:
+// The coordinator serves a single daemon's job API, from the same job
+// record and handlers (so heatstroke -server and pkg/client work
+// against it unchanged), except DELETE /v1/jobs/{id}: a client cannot
+// cancel a fleet job. On top it serves worker membership and
+// fleet-wide metrics:
 //
 //	POST   /v1/jobs               submit; sharded, retried, hedged
 //	GET    /v1/jobs/{id}          status (survives worker death)
 //	GET    /v1/jobs/{id}/artifact rendered table from the winning replica
 //	GET    /v1/jobs/{id}/events   SSE progress proxied across retries
+//	GET    /v1/experiments        experiment registry listing
 //	GET    /v1/traces/{id}        distributed trace stitched across workers
 //	GET    /v1/workers            membership + per-worker health/stats
 //	POST   /v1/workers            join {"url": "http://worker:8080"}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,9 +12,7 @@ import (
 	"time"
 
 	"github.com/heatstroke-sim/heatstroke/internal/config"
-	"github.com/heatstroke-sim/heatstroke/internal/experiment"
 	"github.com/heatstroke-sim/heatstroke/internal/server"
-	"github.com/heatstroke-sim/heatstroke/internal/sweep"
 	"github.com/heatstroke-sim/heatstroke/internal/telemetry/tracing"
 	"github.com/heatstroke-sim/heatstroke/pkg/api"
 	"github.com/heatstroke-sim/heatstroke/pkg/client"
@@ -121,8 +120,10 @@ func (w *worker) info() api.WorkerInfo {
 	return api.WorkerInfo{URL: w.url, Name: name, Healthy: w.healthy, Stats: w.stats}
 }
 
-// Coordinator fronts a worker fleet with the daemon's own job API.
-// Create with New, expose with Handler, stop with Shutdown.
+// Coordinator fronts a worker fleet with the daemon's own job API,
+// served from the daemon's job record and handlers (server.Job,
+// server.JobRoutes), except DELETE /v1/jobs/{id}. Create with New,
+// expose with Handler, stop with Shutdown.
 type Coordinator struct {
 	opts    Options
 	baseCtx context.Context
@@ -156,10 +157,7 @@ func New(opts Options) (*Coordinator, error) {
 	if opts.Version == "" {
 		opts.Version = server.BuildVersion()
 	}
-	log := opts.Logger
-	if log == nil {
-		log = slog.New(slog.DiscardHandler)
-	}
+	log := cmp.Or(opts.Logger, server.DiscardLogger())
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
 		opts:    opts,
@@ -182,11 +180,14 @@ func New(opts Options) (*Coordinator, error) {
 		}
 	}
 	c.mux = http.NewServeMux()
+	server.JobRoutes(c.mux, func(id string) *server.Job {
+		if fj := c.lookup(id); fj != nil {
+			return fj.Job
+		}
+		return nil
+	})
 	c.mux.HandleFunc("POST /v1/jobs", c.handleSubmit)
-	c.mux.HandleFunc("GET /v1/jobs/{id}", c.handleJob)
 	c.mux.HandleFunc("GET /v1/jobs/{id}/artifact", c.handleArtifact)
-	c.mux.HandleFunc("GET /v1/jobs/{id}/events", c.handleEvents)
-	c.mux.HandleFunc("GET /v1/experiments", c.handleExperiments)
 	c.mux.HandleFunc("GET /v1/traces/{id}", c.handleTrace)
 	c.mux.HandleFunc("GET /v1/stats", c.handleStats)
 	c.mux.HandleFunc("GET /v1/workers", c.handleWorkersList)
@@ -204,7 +205,7 @@ func New(opts Options) (*Coordinator, error) {
 
 // Handler returns the coordinator's HTTP handler. The job surface is
 // wire-compatible with a single daemon's, so pkg/client works against
-// either unchanged.
+// either unchanged (bar Cancel, which the coordinator does not serve).
 func (c *Coordinator) Handler() http.Handler { return c.mux }
 
 // Shutdown stops polling, cancels in-flight dispatches, and waits for
@@ -370,38 +371,33 @@ func (c *Coordinator) placement(key string) []*worker {
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req api.JobRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+		server.WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}
 	// The same resolution the workers use, so the coordinator shards
 	// on the exact key each worker caches under.
 	resolved, id, err := server.Resolve(c.opts.Version, c.opts.BaseConfig, req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "coordinator is shutting down")
+		server.WriteError(w, http.StatusServiceUnavailable, "coordinator is shutting down")
 		return
 	}
 	c.met.submitted.Inc()
 	if fj, ok := c.jobs[id]; ok {
-		st := fj.snapshot()
-		if st.Status == api.StatusDone {
-			c.met.cacheHits.Inc()
-			st.Cached = true
+		if st, code := fj.Reuse(); code != 0 {
+			if st.Cached {
+				c.met.cacheHits.Inc()
+			} else {
+				c.met.coalesced.Inc()
+			}
 			c.mu.Unlock()
-			writeJSON(w, http.StatusOK, st)
-			return
-		}
-		if !st.Status.Terminal() {
-			c.met.coalesced.Inc()
-			st.Coalesced = true
-			c.mu.Unlock()
-			writeJSON(w, http.StatusAccepted, st)
+			server.WriteJSON(w, code, st)
 			return
 		}
 		// Failed or canceled earlier: re-dispatch fresh.
@@ -416,21 +412,21 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		tctx = tracing.ContextWithRemote(tctx, sc)
 	}
 	jctx, span := tracing.StartSpan(tctx, "fleet.job")
-	span.SetAttr("job", shortID(id))
+	span.SetAttr("job", server.ShortID(id))
 	span.SetAttr("experiment", resolved.Experiment)
 	fj.ctx = jctx
 	fj.span = span
 	if sc := span.Context(); sc.Valid() {
-		fj.traceID = sc.TraceID.String()
+		fj.TraceID = sc.TraceID.String()
 	}
 	c.jobs[id] = fj
 	c.wg.Add(1)
 	go c.runJob(fj)
-	st := fj.snapshot()
+	st := fj.Snapshot()
 	c.mu.Unlock()
 
-	c.log.Info("job accepted", "job", shortID(id), "experiment", resolved.Experiment)
-	writeJSON(w, http.StatusAccepted, st)
+	c.log.Info("job accepted", "job", server.ShortID(id), "experiment", resolved.Experiment)
+	server.WriteJSON(w, http.StatusAccepted, st)
 }
 
 func (c *Coordinator) lookup(id string) *fleetJob {
@@ -439,111 +435,25 @@ func (c *Coordinator) lookup(id string) *fleetJob {
 	return c.jobs[id]
 }
 
-func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	fj := c.lookup(r.PathValue("id"))
-	if fj == nil {
-		writeError(w, http.StatusNotFound, "unknown job")
-		return
-	}
-	writeJSON(w, http.StatusOK, fj.snapshot())
-}
-
 // handleArtifact proxies the rendered table from the worker whose
 // result won the job.
 func (c *Coordinator) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	fj := c.lookup(r.PathValue("id"))
 	if fj == nil {
-		writeError(w, http.StatusNotFound, "unknown job")
+		server.WriteError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	st, winner, winnerJob := fj.result()
-	if st != api.StatusDone || winner == nil {
-		writeError(w, http.StatusConflict, "job is %s; artifact requires done", st)
+	f, ok := server.ArtifactFormat(w, r, fj.Job)
+	if !ok {
 		return
 	}
-	fname := r.URL.Query().Get("format")
-	if fname == "" {
-		fname = string(sweep.FormatTable)
-	}
-	f, err := sweep.ParseFormat(fname)
+	winner, winnerJob := fj.result()
+	body, err := winner.cl.Artifact(r.Context(), winnerJob, string(f))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		server.WriteError(w, http.StatusBadGateway, "artifact fetch from %s: %v", winner.label(), err)
 		return
-	}
-	body, err := winner.cl.Artifact(r.Context(), winnerJob, fname)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, "artifact fetch from %s: %v", winner.label(), err)
-		return
-	}
-	switch f {
-	case sweep.FormatJSON:
-		w.Header().Set("Content-Type", "application/json")
-	case sweep.FormatCSV:
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-	default:
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	}
 	_, _ = w.Write(body)
-}
-
-// handleEvents streams fleet-job progress as SSE with the same frame
-// contract as a single daemon (see internal/server's handleEvents).
-func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	fj := c.lookup(r.PathValue("id"))
-	if fj == nil {
-		writeError(w, http.StatusNotFound, "unknown job")
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	ch := fj.subscribe()
-	defer fj.unsubscribe(ch)
-	heartbeat := time.NewTicker(15 * time.Second)
-	defer heartbeat.Stop()
-	for {
-		select {
-		case ev, open := <-ch:
-			if !open {
-				job := fj.snapshot()
-				_ = writeEvent(w, api.Event{Type: "done", Job: &job})
-				flusher.Flush()
-				return
-			}
-			if err := writeEvent(w, ev); err != nil {
-				return
-			}
-			flusher.Flush()
-			if ev.Type == "done" {
-				return
-			}
-		case <-heartbeat.C:
-			if _, err := fmt.Fprintf(w, ": heartbeat\n\n"); err != nil {
-				return
-			}
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-func (c *Coordinator) handleExperiments(w http.ResponseWriter, _ *http.Request) {
-	// The registry is compiled into the coordinator too — no proxy.
-	infos := experiment.Infos()
-	out := make([]api.ExperimentInfo, len(infos))
-	for i, in := range infos {
-		out[i] = api.ExperimentInfo{Name: in.Name, Title: in.Title, Description: in.Description}
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 // Stats snapshots the coordinator counters plus every worker's latest
@@ -581,35 +491,35 @@ func sortWorkers(ws []api.WorkerInfo) {
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, c.Stats())
+	server.WriteJSON(w, http.StatusOK, c.Stats())
 }
 
 func (c *Coordinator) handleWorkersList(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, c.Stats().Workers)
+	server.WriteJSON(w, http.StatusOK, c.Stats().Workers)
 }
 
 func (c *Coordinator) handleWorkerJoin(w http.ResponseWriter, r *http.Request) {
 	var reg api.WorkerRegistration
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&reg); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid registration: %v", err)
+		server.WriteError(w, http.StatusBadRequest, "invalid registration: %v", err)
 		return
 	}
 	wk, err := c.addWorker(reg.URL)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, wk.info())
+	server.WriteJSON(w, http.StatusOK, wk.info())
 }
 
 func (c *Coordinator) handleWorkerLeave(w http.ResponseWriter, r *http.Request) {
 	u := r.URL.Query().Get("url")
 	if u == "" {
-		writeError(w, http.StatusBadRequest, "missing url query parameter")
+		server.WriteError(w, http.StatusBadRequest, "missing url query parameter")
 		return
 	}
 	if !c.removeWorker(u) {
-		writeError(w, http.StatusNotFound, "unknown worker %q", u)
+		server.WriteError(w, http.StatusNotFound, "unknown worker %q", u)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -621,40 +531,12 @@ func (c *Coordinator) handleReady(w http.ResponseWriter, _ *http.Request) {
 	healthy := c.ring.Len()
 	c.mu.Unlock()
 	if closed {
-		writeError(w, http.StatusServiceUnavailable, "shutting down")
+		server.WriteError(w, http.StatusServiceUnavailable, "shutting down")
 		return
 	}
 	if healthy == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no healthy workers")
+		server.WriteError(w, http.StatusServiceUnavailable, "no healthy workers")
 		return
 	}
 	fmt.Fprintln(w, "ready")
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, api.Error{Code: code, Message: fmt.Sprintf(format, args...)})
-}
-
-func writeEvent(w http.ResponseWriter, ev api.Event) error {
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data)
-	return err
-}
-
-func shortID(id string) string {
-	if len(id) > 12 {
-		return id[:12]
-	}
-	return id
 }

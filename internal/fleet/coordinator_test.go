@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -451,5 +452,52 @@ func TestFleetNoWorkers(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("readyz = %d, want 503 with no workers", resp.StatusCode)
+	}
+}
+
+// TestFleetFrontEndParity: on the routes the coordinator shares with a
+// daemon it answers with the daemon's exact status code and bytes, so
+// a client cannot tell the two apart.
+func TestFleetFrontEndParity(t *testing.T) {
+	w := startWorker(t, nil)
+	_, fcl := startFleet(t, []*testWorker{w}, nil)
+	unknown := "/v1/jobs/" + strings.Repeat("0", 64)
+	for _, tc := range []struct {
+		name, method, path, body string
+		code                     int
+	}{
+		{"experiments", "GET", "/v1/experiments", "", http.StatusOK},
+		{"unknown job status", "GET", unknown, "", http.StatusNotFound},
+		{"unknown job events", "GET", unknown + "/events", "", http.StatusNotFound},
+		{"unknown job artifact", "GET", unknown + "/artifact", "", http.StatusNotFound},
+		{"malformed submit", "POST", "/v1/jobs", `{"experiment":`, http.StatusBadRequest},
+		{"unknown experiment", "POST", "/v1/jobs", `{"experiment":"fig99"}`, http.StatusBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			get := func(base string) (int, []byte) {
+				req, err := http.NewRequest(tc.method, strings.TrimRight(base, "/")+tc.path, strings.NewReader(tc.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				body, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return resp.StatusCode, body
+			}
+			dCode, dBody := get(w.ts.URL)
+			cCode, cBody := get(fcl.BaseURL)
+			if dCode != tc.code {
+				t.Fatalf("daemon answered %d, want %d: %s", dCode, tc.code, dBody)
+			}
+			if cCode != dCode || !bytes.Equal(cBody, dBody) {
+				t.Fatalf("coordinator answered %d %s\ndaemon answered %d %s", cCode, cBody, dCode, dBody)
+			}
+		})
 	}
 }

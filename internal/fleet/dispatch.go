@@ -7,6 +7,7 @@ import (
 	"net/url"
 	"time"
 
+	"github.com/heatstroke-sim/heatstroke/internal/server"
 	"github.com/heatstroke-sim/heatstroke/internal/telemetry/tracing"
 	"github.com/heatstroke-sim/heatstroke/pkg/api"
 )
@@ -58,9 +59,9 @@ func (c *Coordinator) runJob(fj *fleetJob) {
 	ctx, cancel := context.WithCancel(base)
 	defer cancel()
 
-	cands := c.placement(fj.id)
+	cands := c.placement(fj.ID)
 	if len(cands) == 0 {
-		fj.fail(api.StatusFailed, "no healthy workers")
+		fj.finish(api.StatusFailed, nil, "no healthy workers")
 		return
 	}
 
@@ -76,7 +77,7 @@ func (c *Coordinator) runJob(fj *fleetJob) {
 		w := cands[next]
 		next++
 		inflight++
-		c.log.Info("dispatch", "job", shortID(fj.id), "worker", w.label(), "kind", string(kind))
+		c.log.Info("dispatch", "job", server.ShortID(fj.ID), "worker", w.label(), "kind", string(kind))
 		actx, sp := tracing.StartSpan(ctx, "fleet.dispatch")
 		sp.SetAttr("worker", w.label())
 		sp.SetAttr("kind", string(kind))
@@ -134,7 +135,7 @@ func (c *Coordinator) runJob(fj *fleetJob) {
 				return
 			case ctx.Err() != nil:
 				// Shutdown (or a drain after a winner, handled above).
-				fj.fail(api.StatusCanceled, "coordinator shutting down")
+				fj.finish(api.StatusCanceled, nil, "coordinator shutting down")
 				for inflight > 0 {
 					<-resCh
 					inflight--
@@ -151,12 +152,12 @@ func (c *Coordinator) runJob(fj *fleetJob) {
 				} else {
 					lastErr = fmt.Errorf("worker %s: job %s: %s", o.w.label(), o.st.Status, o.st.Error)
 				}
-				c.log.Info("dispatch attempt failed", "job", shortID(fj.id), "worker", o.w.label(), "err", lastErr)
+				c.log.Info("dispatch attempt failed", "job", server.ShortID(fj.ID), "worker", o.w.label(), "err", lastErr)
 				if next < len(cands) {
 					c.met.retries.Inc()
 					launch(attemptRetry)
 				} else if inflight == 0 {
-					fj.fail(api.StatusFailed, fmt.Sprintf("all %d replicas failed, last: %v", len(cands), lastErr))
+					fj.finish(api.StatusFailed, nil, fmt.Sprintf("all %d replicas failed, last: %v", len(cands), lastErr))
 					return
 				}
 			}
@@ -167,7 +168,7 @@ func (c *Coordinator) runJob(fj *fleetJob) {
 				launch(attemptHedge)
 			}
 		case <-c.baseCtx.Done():
-			fj.fail(api.StatusCanceled, "coordinator shutting down")
+			fj.finish(api.StatusCanceled, nil, "coordinator shutting down")
 			for inflight > 0 {
 				<-resCh
 				inflight--
@@ -181,8 +182,8 @@ func (c *Coordinator) runJob(fj *fleetJob) {
 // snapshots, submit, and wait for the terminal state while feeding
 // progress frames into the fleet job's SSE fan-out.
 func (c *Coordinator) dispatchOnce(ctx context.Context, w *worker, fj *fleetJob) (*api.JobStatus, error) {
-	c.shipWarm(ctx, w, fj.req)
-	st, err := w.cl.Submit(ctx, fj.req)
+	c.shipWarm(ctx, w, fj.Request)
+	st, err := w.cl.Submit(ctx, fj.Request)
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +215,7 @@ func (c *Coordinator) cancelLosers(fj *fleetJob, winner *worker) {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			if _, err := w.cl.Cancel(ctx, id); err != nil {
-				c.log.Info("loser cancel failed", "job", shortID(id), "worker", w.label(), "err", err)
+				c.log.Info("loser cancel failed", "job", server.ShortID(id), "worker", w.label(), "err", err)
 			}
 		}(w, id)
 	}

@@ -4,77 +4,43 @@ import (
 	"context"
 	"sync"
 
+	"github.com/heatstroke-sim/heatstroke/internal/server"
 	"github.com/heatstroke-sim/heatstroke/internal/sweep"
 	"github.com/heatstroke-sim/heatstroke/internal/telemetry/tracing"
 	"github.com/heatstroke-sim/heatstroke/pkg/api"
 )
 
-// fleetJob is the coordinator-side state of one content-addressed job.
-// It mirrors the daemon's jobEntry — same ID scheme, same SSE fan-out
-// contract — so clients cannot tell the coordinator from a single
-// daemon, and worker death mid-job stays invisible: the fleetJob
-// survives the attempt that died and carries the retry's progress on
-// the same stream.
+// fleetJob is the coordinator's side of one content-addressed job: the
+// job record a daemon serves (server.Job: same ID scheme, status and
+// SSE stream, so clients cannot tell the coordinator from a single
+// daemon) plus its dispatch state. Worker death mid-job stays
+// invisible: the record survives the attempt that died and carries the
+// retry's progress on the same stream.
 type fleetJob struct {
-	id  string
-	req api.JobRequest // resolved: every default filled in
+	*server.Job
 
 	// ctx carries the job's fleet.job span (and the coordinator's
 	// tracer) into runJob so dispatch attempts parent under it; span is
-	// that root span, ended at terminal; traceID is its trace in hex
-	// ("" with tracing off). All three are written in handleSubmit
-	// before runJob starts and read-only after.
-	ctx     context.Context
-	span    *tracing.ActiveSpan
-	traceID string
+	// that root span, ended at terminal. Both are written in
+	// handleSubmit before runJob starts and read-only after.
+	ctx  context.Context
+	span *tracing.ActiveSpan
 
-	mu      sync.Mutex
-	status  api.Status
-	prog    api.Progress
-	summary *sweep.Summary
-	errMsg  string
+	mu sync.Mutex
 	// winner is the worker whose result completed the job (artifact
-	// reads proxy to it); workerIDs records the job's ID on every
-	// worker it was dispatched to, for loser cancellation. The IDs
-	// equal fj.id when coordinator and worker run the same build —
-	// with a mixed-version fleet they differ, which is why they are
-	// tracked per worker instead of assumed.
+	// reads proxy to it); it is set before the job is published done.
+	// workerIDs records the job's ID on every worker it was dispatched
+	// to, for loser cancellation. The IDs equal the job's ID when
+	// coordinator and worker run the same build — with a mixed-version
+	// fleet they differ, which is why they are tracked per worker
+	// instead of assumed.
 	winner    *worker
 	winnerJob string
 	workerIDs map[*worker]string
-
-	subs map[chan api.Event]struct{}
-	done chan struct{}
 }
 
 func newFleetJob(id string, req api.JobRequest) *fleetJob {
-	return &fleetJob{
-		id:        id,
-		req:       req,
-		status:    api.StatusQueued,
-		workerIDs: make(map[*worker]string),
-		subs:      make(map[chan api.Event]struct{}),
-		done:      make(chan struct{}),
-	}
-}
-
-func (fj *fleetJob) snapshot() api.JobStatus {
-	fj.mu.Lock()
-	defer fj.mu.Unlock()
-	return fj.snapshotLocked()
-}
-
-func (fj *fleetJob) snapshotLocked() api.JobStatus {
-	return api.JobStatus{
-		ID:         fj.id,
-		Experiment: fj.req.Experiment,
-		Request:    fj.req,
-		Status:     fj.status,
-		Progress:   fj.prog,
-		Summary:    fj.summary,
-		Error:      fj.errMsg,
-		TraceID:    fj.traceID,
-	}
+	return &fleetJob{Job: server.NewJob(id, req), workerIDs: make(map[*worker]string)}
 }
 
 // recordWorkerID remembers the job's ID on a worker it was submitted
@@ -82,10 +48,8 @@ func (fj *fleetJob) snapshotLocked() api.JobStatus {
 func (fj *fleetJob) recordWorkerID(w *worker, id string) {
 	fj.mu.Lock()
 	fj.workerIDs[w] = id
-	if fj.status == api.StatusQueued {
-		fj.status = api.StatusRunning
-	}
 	fj.mu.Unlock()
+	fj.Start()
 }
 
 // attemptedWorkers lists every (worker, worker-side job ID) pair this
@@ -107,112 +71,52 @@ func (fj *fleetJob) attemptedWorkers() map[*worker]string {
 // run the identical deterministic sweep, so the frames agree wherever
 // they overlap).
 func (fj *fleetJob) applyProgress(p api.Progress) {
-	fj.mu.Lock()
-	if fj.status.Terminal() || p.Completed < fj.prog.Completed {
-		fj.mu.Unlock()
-		return
-	}
-	fj.prog = p
-	snap := fj.prog
-	fj.broadcastLocked(api.Event{Type: "progress", Progress: &snap})
-	fj.mu.Unlock()
+	fj.Progress(func(cur *api.Progress) bool {
+		if p.Completed < cur.Completed {
+			return false
+		}
+		*cur = p
+		return true
+	})
 }
 
 // finishFrom adopts a worker's terminal status as the fleet job's
 // outcome and releases subscribers. The winning worker is recorded so
 // artifact requests proxy to the replica that actually holds the
-// rendered result.
+// rendered result. runJob, the one caller that finishes a job, returns
+// right after, so the winner is recorded once.
 func (fj *fleetJob) finishFrom(st *api.JobStatus, w *worker) {
-	fj.mu.Lock()
-	if fj.status.Terminal() {
-		fj.mu.Unlock()
-		return
-	}
-	fj.status = st.Status
-	if st.Progress.Completed >= fj.prog.Completed {
-		fj.prog = st.Progress
-	}
-	fj.summary = st.Summary
-	fj.errMsg = st.Error
-	fj.winner = w
-	fj.winnerJob = st.ID
-	fj.finishLocked()
-}
-
-// fail marks the job failed (or canceled) with a coordinator-side
-// error: no worker produced a result.
-func (fj *fleetJob) fail(st api.Status, msg string) {
-	fj.mu.Lock()
-	if fj.status.Terminal() {
-		fj.mu.Unlock()
-		return
-	}
-	fj.status = st
-	fj.errMsg = msg
-	fj.finishLocked()
-}
-
-// finishLocked broadcasts the terminal frame, closes subscribers, and
-// unlocks (callers hold fj.mu).
-func (fj *fleetJob) finishLocked() {
-	if fj.span != nil {
-		fj.span.SetAttr("status", string(fj.status))
-		if fj.errMsg != "" {
-			fj.span.SetAttr("error", fj.errMsg)
+	// The worker's final progress rides on the "done" frame, not a
+	// progress frame of its own.
+	fj.Progress(func(cur *api.Progress) bool {
+		if st.Progress.Completed >= cur.Completed {
+			*cur = st.Progress
 		}
-		fj.span.End()
-	}
-	job := fj.snapshotLocked()
-	fj.broadcastLocked(api.Event{Type: "done", Job: &job})
-	for ch := range fj.subs {
-		close(ch)
-	}
-	fj.subs = nil
+		return false
+	})
+	fj.mu.Lock()
+	fj.winner, fj.winnerJob = w, st.ID
 	fj.mu.Unlock()
-	close(fj.done)
+	fj.finish(st.Status, st.Summary, st.Error)
 }
 
-// result returns the terminal winner for artifact proxying.
-func (fj *fleetJob) result() (api.Status, *worker, string) {
+// finish ends the fleet.job span, then makes the job terminal, so a
+// reader who sees the job terminal finds the span recorded. A
+// coordinator-side failure (no worker produced a result) finishes with
+// no summary.
+func (fj *fleetJob) finish(st api.Status, summary *sweep.Summary, errMsg string) {
+	fj.span.SetAttr("status", string(st))
+	if errMsg != "" {
+		fj.span.SetAttr("error", errMsg)
+	}
+	fj.span.End()
+	fj.Finish(st, summary, errMsg)
+}
+
+// result returns the winning worker and its job ID for artifact
+// proxying; they are set once the job reads done.
+func (fj *fleetJob) result() (*worker, string) {
 	fj.mu.Lock()
 	defer fj.mu.Unlock()
-	return fj.status, fj.winner, fj.winnerJob
-}
-
-// subscribe/unsubscribe/broadcastLocked implement the same SSE
-// contract as the daemon's jobEntry: an immediate snapshot, every
-// subsequent event, channel closed at terminal, and a full buffer
-// drops frames (later snapshots supersede earlier ones).
-func (fj *fleetJob) subscribe() chan api.Event {
-	ch := make(chan api.Event, 32)
-	fj.mu.Lock()
-	defer fj.mu.Unlock()
-	if fj.status.Terminal() {
-		job := fj.snapshotLocked()
-		ch <- api.Event{Type: "done", Job: &job}
-		close(ch)
-		return ch
-	}
-	snap := fj.prog
-	ch <- api.Event{Type: "progress", Progress: &snap}
-	fj.subs[ch] = struct{}{}
-	return ch
-}
-
-func (fj *fleetJob) unsubscribe(ch chan api.Event) {
-	fj.mu.Lock()
-	if _, ok := fj.subs[ch]; ok {
-		delete(fj.subs, ch)
-		close(ch)
-	}
-	fj.mu.Unlock()
-}
-
-func (fj *fleetJob) broadcastLocked(ev api.Event) {
-	for ch := range fj.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
+	return fj.winner, fj.winnerJob
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"github.com/heatstroke-sim/heatstroke/internal/server"
 	"github.com/heatstroke-sim/heatstroke/internal/telemetry/tracing"
 	"github.com/heatstroke-sim/heatstroke/pkg/api"
 )
@@ -19,26 +20,26 @@ import (
 // 64-hex job content address.
 func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if c.tracer == nil {
-		writeError(w, http.StatusNotFound, "tracing is disabled on this coordinator")
+		server.WriteError(w, http.StatusNotFound, "tracing is disabled on this coordinator")
 		return
 	}
 	tid := r.PathValue("id")
 	if len(tid) == 64 { // job id: map to its trace
 		fj := c.lookup(tid)
-		if fj == nil || fj.traceID == "" {
-			writeError(w, http.StatusNotFound, "unknown job or job has no trace")
+		if fj == nil || fj.TraceID == "" {
+			server.WriteError(w, http.StatusNotFound, "unknown job or job has no trace")
 			return
 		}
-		tid = fj.traceID
+		tid = fj.TraceID
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), 10*time.Second)
 	defer cancel()
 	spans := c.stitchTrace(ctx, tid)
 	if len(spans) == 0 {
-		writeError(w, http.StatusNotFound, "unknown trace")
+		server.WriteError(w, http.StatusNotFound, "unknown trace")
 		return
 	}
-	writeJSON(w, http.StatusOK, api.Trace{TraceID: tid, Spans: spans})
+	server.WriteJSON(w, http.StatusOK, api.Trace{TraceID: tid, Spans: spans})
 }
 
 // stitchTrace merges the coordinator's spans for one trace with every
@@ -68,17 +69,20 @@ func (c *Coordinator) stitchTrace(ctx context.Context, traceID string) []tracing
 // format of heatstroke-trace -stitch. Runs after the job's last
 // dispatch settles, so the workers' spans are already closed.
 func (c *Coordinator) flightRecord(fj *fleetJob) {
-	if c.opts.TraceDir == "" || c.tracer == nil || fj.traceID == "" {
+	if c.opts.TraceDir == "" || c.tracer == nil || fj.TraceID == "" {
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	spans := c.stitchTrace(ctx, fj.traceID)
+	spans := c.stitchTrace(ctx, fj.TraceID)
 	if len(spans) == 0 {
 		return
 	}
-	path := filepath.Join(c.opts.TraceDir, fj.traceID+".ndjson")
-	f, err := os.Create(path)
+	path := filepath.Join(c.opts.TraceDir, fj.TraceID+".ndjson")
+	// Write-to-temp + rename: a reader that finds the file finds all of
+	// it, never a torn prefix.
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		c.log.Info("flight-recorder write failed", "path", path, "err", err)
 		return
@@ -87,9 +91,12 @@ func (c *Coordinator) flightRecord(fj *fleetJob) {
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
+	if werr == nil {
+		werr = os.Rename(tmp, path)
+	}
 	if werr != nil {
 		c.log.Info("flight-recorder write failed", "path", path, "err", werr)
 		return
 	}
-	c.log.Info("trace recorded", "trace", fj.traceID, "spans", len(spans), "path", path)
+	c.log.Info("trace recorded", "trace", fj.TraceID, "spans", len(spans), "path", path)
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/heatstroke-sim/heatstroke/internal/experiment"
+	"github.com/heatstroke-sim/heatstroke/internal/server"
 	"github.com/heatstroke-sim/heatstroke/pkg/api"
 )
 
@@ -14,31 +15,12 @@ import (
 // die) the resolved request will look up when it runs, without
 // simulating anything (see experiment.WarmKeys). The coordinator
 // resolves requests with the same version and base config as the
-// workers and applies the request's scale and die as they do, so these
-// keys alias the workers' warm caches exactly; with a mixed-version
-// fleet they miss and shipping degrades to a no-op — slower warmups,
-// never wrong results.
+// workers and builds the experiment options with the same function
+// they run with, so these keys alias the workers' warm caches exactly;
+// with a mixed-version fleet they miss and shipping degrades to a
+// no-op — slower warmups, never wrong results.
 func (c *Coordinator) warmKeysFor(ctx context.Context, req api.JobRequest) []string {
-	cfg := c.opts.BaseConfig()
-	if req.Scale > 0 {
-		cfg.Thermal.Scale = req.Scale
-	}
-	if req.Cores > 0 {
-		cfg.Topology.Cores = req.Cores
-	}
-	if req.Solver != "" {
-		cfg.Topology.Solver = req.Solver
-	}
-	o := experiment.Options{
-		Config:      &cfg,
-		Benchmarks:  req.Benchmarks,
-		Quantum:     req.Quantum,
-		Warmup:      req.Warmup,
-		Seed:        *req.Seed,
-		SeedSet:     true,
-		CodeVersion: c.opts.Version,
-	}
-	keys, err := experiment.WarmKeys(ctx, req.Experiment, o)
+	keys, err := experiment.WarmKeys(ctx, req.Experiment, server.ExperimentOptions(c.opts.Version, c.opts.BaseConfig, req))
 	if err != nil {
 		c.log.Info("warm key enumeration failed", "experiment", req.Experiment, "err", err)
 		return nil
@@ -74,12 +56,12 @@ func (c *Coordinator) shipWarm(ctx context.Context, target *worker, req api.JobR
 		err := target.cl.PutWarm(putCtx, key, data)
 		cancel()
 		if err != nil {
-			c.log.Info("warm ship failed", "key", shortID(key), "worker", target.label(), "err", err)
+			c.log.Info("warm ship failed", "key", server.ShortID(key), "worker", target.label(), "err", err)
 			continue
 		}
 		target.setWarm(key)
 		c.met.warmShipped.Inc()
-		c.log.Info("warm record shipped", "key", shortID(key), "worker", target.label(), "bytes", len(data))
+		c.log.Info("warm record shipped", "key", server.ShortID(key), "worker", target.label(), "bytes", len(data))
 	}
 }
 
@@ -105,7 +87,7 @@ func (c *Coordinator) findSnapshot(ctx context.Context, key string, exclude *wor
 		if err == nil {
 			return data
 		}
-		c.log.Info("warm fetch failed", "key", shortID(key), "worker", w.label(), "err", err)
+		c.log.Info("warm fetch failed", "key", server.ShortID(key), "worker", w.label(), "err", err)
 	}
 	if c.opts.SnapshotDir != "" {
 		if data, err := os.ReadFile(filepath.Join(c.opts.SnapshotDir, key+".warm")); err == nil {

@@ -44,7 +44,7 @@ func (s *Server) persist(rec record) {
 	tmp := path + ".tmp"
 	b, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
-		s.log.Info("cache encode failed", "job", shortID(rec.ID), "err", err)
+		s.log.Info("cache encode failed", "job", ShortID(rec.ID), "err", err)
 		return
 	}
 	if err := os.WriteFile(tmp, b, 0o644); err != nil {
@@ -95,11 +95,9 @@ func (s *Server) loadCache() error {
 			continue
 		}
 		e := newJobEntry(rec.ID, rec.Request, s.met)
-		e.status = api.StatusDone
 		e.prog = rec.Progress
 		e.table = rec.Table
-		e.subs = nil
-		close(e.done)
+		e.Finish(api.StatusDone, rec.Table.Summary, "")
 		s.jobs[rec.ID] = e
 		loaded++
 	}

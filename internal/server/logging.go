@@ -2,59 +2,23 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
 	"net/http"
-	"strings"
 	"time"
 )
 
-// logfHandler adapts a printf-style sink to slog, so callers still on
-// Options.Logf keep their log lines (rendered "msg key=val ...").
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	level slog.Leveler // minimum level; nil means Info
-	attrs []slog.Attr
-}
-
-func (h *logfHandler) Enabled(_ context.Context, level slog.Level) bool {
-	min := slog.LevelInfo
-	if h.level != nil {
-		min = h.level.Level()
-	}
-	return level >= min
-}
-
-func (h *logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var sb strings.Builder
-	sb.WriteString(r.Message)
-	emit := func(a slog.Attr) {
-		fmt.Fprintf(&sb, " %s=%v", a.Key, a.Value.Any())
-	}
-	for _, a := range h.attrs {
-		emit(a)
-	}
-	r.Attrs(func(a slog.Attr) bool {
-		emit(a)
-		return true
-	})
-	h.logf("%s", sb.String())
-	return nil
-}
-
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return &logfHandler{logf: h.logf, level: h.level, attrs: append(append([]slog.Attr{}, h.attrs...), attrs...)}
-}
-
-func (h *logfHandler) WithGroup(string) slog.Handler { return h }
-
-// discardHandler drops everything (the default when no sink is set).
+// discardHandler drops every record (log/slog gained its own discard
+// handler only in Go 1.24).
 type discardHandler struct{}
 
 func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
 func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
 func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
+
+// DiscardLogger returns a logger that drops every record: the log sink
+// of a daemon or coordinator built without a Logger.
+func DiscardLogger() *slog.Logger { return slog.New(discardHandler{}) }
 
 // statusRecorder captures the response code for request logging while
 // passing Flush through so SSE streaming keeps working.

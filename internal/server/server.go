@@ -21,6 +21,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -37,7 +38,6 @@ import (
 
 	"github.com/heatstroke-sim/heatstroke/internal/config"
 	"github.com/heatstroke-sim/heatstroke/internal/experiment"
-	"github.com/heatstroke-sim/heatstroke/internal/sweep"
 	"github.com/heatstroke-sim/heatstroke/internal/telemetry"
 	"github.com/heatstroke-sim/heatstroke/internal/telemetry/tracing"
 	"github.com/heatstroke-sim/heatstroke/internal/workload"
@@ -78,13 +78,6 @@ type Options struct {
 	// lifecycle events log at Info with a "job" attribute; per-request
 	// access lines log at Debug.
 	Logger *slog.Logger
-	// Logf, when set and Logger is not, receives the same logs rendered
-	// as printf lines (legacy bridge; prefer Logger).
-	Logf func(format string, args ...any)
-	// LogLevel is the minimum level the Logf bridge emits (default
-	// Info, so -log-level debug actually reaches the sink). Ignored
-	// when Logger is set — a Logger carries its own level.
-	LogLevel slog.Leveler
 	// Tracer collects request-scoped spans (job lifecycle, queue wait,
 	// warmup restore, each sweep job, simulated quanta) into a bounded
 	// flight-recorder buffer served at GET /v1/traces/{id}. When nil,
@@ -156,14 +149,7 @@ func New(opts Options) (*Server, error) {
 	if opts.Version == "" {
 		opts.Version = BuildVersion()
 	}
-	log := opts.Logger
-	if log == nil {
-		if opts.Logf != nil {
-			log = slog.New(&logfHandler{logf: opts.Logf, level: opts.LogLevel})
-		} else {
-			log = slog.New(discardHandler{})
-		}
-	}
+	log := cmp.Or(opts.Logger, DiscardLogger())
 	tracer := opts.Tracer
 	if tracer == nil && !opts.DisableTracing {
 		service := "heatstroked"
@@ -191,14 +177,17 @@ func New(opts Options) (*Server, error) {
 		return nil, err
 	}
 	s.mux = http.NewServeMux()
+	JobRoutes(s.mux, func(id string) *Job {
+		if e := s.lookup(id); e != nil {
+			return e.Job
+		}
+		return nil
+	})
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	s.mux.HandleFunc("GET /v1/warm/{key}", s.handleWarmGet)
 	s.mux.HandleFunc("PUT /v1/warm/{key}", s.handleWarmPut)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/artifact", s.handleArtifact)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
 	s.mux.HandleFunc("GET /v1/traces/{id}", s.handleTrace)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -376,29 +365,35 @@ func Resolve(version string, base func() config.Config, req api.JobRequest) (api
 	return req, hex.EncodeToString(sum[:]), nil
 }
 
-// expOptions builds the experiment options for one job. The resolved
-// request's seed is passed with SeedSet so literal seed 0 round-trips.
-func (s *Server) expOptions(e *jobEntry) experiment.Options {
-	cfg := s.opts.BaseConfig()
-	cfg.Thermal.Scale = e.req.Scale
-	if e.req.Cores > 0 {
-		cfg.Topology.Cores = e.req.Cores
-	}
-	if e.req.Solver != "" {
-		cfg.Topology.Solver = e.req.Solver
-	}
-	o := experiment.Options{
+// ExperimentOptions maps a resolved request (see Resolve) to the
+// experiment options it runs with: base with the request's scale and
+// die applied, and the request's benchmarks, quantum, warmup and seed
+// (with SeedSet, so a literal seed 0 round-trips). The daemon runs the
+// job with them; the coordinator enumerates the job's warm keys from
+// them, so its keys are the ones a worker looks up.
+func ExperimentOptions(version string, base func() config.Config, req api.JobRequest) experiment.Options {
+	cfg := base()
+	cfg.Thermal.Scale = req.Scale
+	cfg.Topology.Cores = req.Cores
+	cfg.Topology.Solver = req.Solver
+	return experiment.Options{
 		Config:      &cfg,
-		Benchmarks:  e.req.Benchmarks,
-		Quantum:     e.req.Quantum,
-		Warmup:      e.req.Warmup,
-		Parallelism: s.opts.Parallelism,
-		Seed:        *e.req.Seed,
+		Benchmarks:  req.Benchmarks,
+		Quantum:     req.Quantum,
+		Warmup:      req.Warmup,
+		Seed:        *req.Seed,
 		SeedSet:     true,
-		Progress:    e.onProgress,
-		CodeVersion: s.opts.Version,
-		OnRestore:   s.met.observeRestore,
+		CodeVersion: version,
 	}
+}
+
+// expOptions adds the daemon's run hooks to one job's experiment
+// options.
+func (s *Server) expOptions(e *jobEntry) experiment.Options {
+	o := ExperimentOptions(s.opts.Version, s.opts.BaseConfig, e.Request)
+	o.Parallelism = s.opts.Parallelism
+	o.Progress = e.onProgress
+	o.OnRestore = s.met.observeRestore
 	if s.warm != nil {
 		// Assigned conditionally: a typed nil *warmStore in the
 		// interface would pass the != nil checks downstream.
@@ -410,12 +405,12 @@ func (s *Server) expOptions(e *jobEntry) experiment.Options {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req api.JobRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}
 	resolved, id, err := s.resolve(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -434,30 +429,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+		WriteError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
 	s.stats.Submitted++
 	s.met.submitted.Inc()
 	if e, ok := s.jobs[id]; ok {
-		st := e.snapshot()
-		if st.Status == api.StatusDone {
-			// Content-addressed cache hit: the result already exists.
-			s.stats.CacheHits++
-			s.met.cacheHits.Inc()
-			st.Cached = true
+		// A content-addressed cache hit, or singleflight: join the
+		// identical in-flight job instead of queueing a duplicate.
+		if st, code := e.Reuse(); code != 0 {
+			if st.Cached {
+				s.stats.CacheHits++
+				s.met.cacheHits.Inc()
+			} else {
+				s.stats.Coalesced++
+				s.met.coalesced.Inc()
+			}
 			s.mu.Unlock()
-			writeJSON(w, http.StatusOK, st)
-			return
-		}
-		if !st.Status.Terminal() {
-			// Singleflight: join the identical in-flight job instead
-			// of queueing a duplicate simulation.
-			s.stats.Coalesced++
-			s.met.coalesced.Inc()
-			st.Coalesced = true
-			s.mu.Unlock()
-			writeJSON(w, http.StatusAccepted, st)
+			WriteJSON(w, code, st)
 			return
 		}
 		// Failed or canceled earlier: drop the stale entry and re-run.
@@ -468,18 +457,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.met.rejected.Inc()
 		s.mu.Unlock()
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "queue full (%d queued)", s.opts.MaxQueue)
+		WriteError(w, http.StatusTooManyRequests, "queue full (%d queued)", s.opts.MaxQueue)
 		return
 	}
 	s.met.cacheMisses.Inc()
 	e := newJobEntry(id, resolved, s.met)
 	e.created = lookupStart
 	jctx, span := tracing.StartSpan(tctx, "job")
-	span.SetAttr("job", shortID(id))
+	span.SetAttr("job", ShortID(id))
 	span.SetAttr("experiment", resolved.Experiment)
 	e.span = span
 	if sc := span.Context(); sc.Valid() {
-		e.traceID = sc.TraceID.String()
+		e.TraceID = sc.TraceID.String()
 		s.tracer.Emit(sc, "cache.lookup", lookupStart.UnixNano(), time.Now().UnixNano(),
 			map[string]string{"hit": "false"})
 	}
@@ -488,18 +477,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.queued++
 	s.wg.Add(1)
 	go s.execute(e)
-	st := e.snapshot()
+	st := e.Snapshot()
 	s.mu.Unlock()
 
 	s.log.Info("job queued",
 		append([]any{
-			"job", shortID(id),
+			"job", ShortID(id),
 			"experiment", resolved.Experiment,
 			"benchmarks", len(resolved.Benchmarks),
 			"quantum", resolved.Quantum,
 			"seed", *resolved.Seed,
 		}, e.logAttrs()...)...)
-	writeJSON(w, http.StatusAccepted, st)
+	WriteJSON(w, http.StatusAccepted, st)
 }
 
 // execute runs one job through the bounded queue: acquire a run slot
@@ -524,7 +513,7 @@ func (s *Server) execute(e *jobEntry) {
 	s.running++
 	s.stats.Runs++
 	s.mu.Unlock()
-	e.setStatus(api.StatusRunning)
+	e.Start()
 	// The slot wait is over; record it retroactively as a child of the
 	// job span (no-op when tracing is off or the span never opened).
 	s.tracer.Emit(e.span.Context(), "queue.wait", e.created.UnixNano(), time.Now().UnixNano(), nil)
@@ -535,11 +524,11 @@ func (s *Server) execute(e *jobEntry) {
 		runCtx, cancel = context.WithTimeout(runCtx, s.opts.JobTimeout)
 	}
 	if s.opts.BeforeRun != nil {
-		s.opts.BeforeRun(e.id)
+		s.opts.BeforeRun(e.ID)
 	}
 	start := time.Now()
 	runCtx, rsp := tracing.StartSpan(runCtx, "experiment.run")
-	table, err := experiment.RunContext(runCtx, e.req.Experiment, s.expOptions(e))
+	table, err := experiment.RunContext(runCtx, e.Request.Experiment, s.expOptions(e))
 	rsp.EndErr(err)
 	if cancel != nil {
 		cancel()
@@ -555,17 +544,17 @@ func (s *Server) execute(e *jobEntry) {
 		e.finish(api.StatusDone, table, nil, s.persist)
 		s.met.finishJob(api.StatusDone, elapsed.Seconds())
 		s.log.Info("job done",
-			append([]any{"job", shortID(e.id), "dur", elapsed.Round(time.Millisecond).String()}, e.logAttrs()...)...)
+			append([]any{"job", ShortID(e.ID), "dur", elapsed.Round(time.Millisecond).String()}, e.logAttrs()...)...)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		e.finish(api.StatusCanceled, nil, err, s.persist)
 		s.met.finishJob(api.StatusCanceled, elapsed.Seconds())
 		s.log.Info("job canceled",
-			append([]any{"job", shortID(e.id), "dur", elapsed.Round(time.Millisecond).String(), "err", err}, e.logAttrs()...)...)
+			append([]any{"job", ShortID(e.ID), "dur", elapsed.Round(time.Millisecond).String(), "err", err}, e.logAttrs()...)...)
 	default:
 		e.finish(api.StatusFailed, nil, err, s.persist)
 		s.met.finishJob(api.StatusFailed, elapsed.Seconds())
 		s.log.Info("job failed",
-			append([]any{"job", shortID(e.id), "err", err}, e.logAttrs()...)...)
+			append([]any{"job", ShortID(e.ID), "err", err}, e.logAttrs()...)...)
 	}
 }
 
@@ -574,7 +563,7 @@ func (s *Server) execute(e *jobEntry) {
 // disjoint by construction, so the endpoint accepts both).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if s.tracer == nil {
-		writeError(w, http.StatusNotFound, "tracing is disabled")
+		WriteError(w, http.StatusNotFound, "tracing is disabled")
 		return
 	}
 	id := r.PathValue("id")
@@ -582,37 +571,28 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if len(id) == 64 {
 		e := s.lookup(id)
 		if e == nil {
-			writeError(w, http.StatusNotFound, "unknown job")
+			WriteError(w, http.StatusNotFound, "unknown job")
 			return
 		}
-		if e.traceID == "" {
-			writeError(w, http.StatusNotFound, "job has no trace")
+		if e.TraceID == "" {
+			WriteError(w, http.StatusNotFound, "job has no trace")
 			return
 		}
-		tid = e.traceID
+		tid = e.TraceID
 	}
 	spans := s.tracer.Spans(tid)
 	if len(spans) == 0 {
-		writeError(w, http.StatusNotFound, "unknown trace")
+		WriteError(w, http.StatusNotFound, "unknown trace")
 		return
 	}
 	tracing.SortSpans(spans)
-	writeJSON(w, http.StatusOK, api.Trace{TraceID: tid, Spans: spans})
+	WriteJSON(w, http.StatusOK, api.Trace{TraceID: tid, Spans: spans})
 }
 
 func (s *Server) lookup(id string) *jobEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.jobs[id]
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	e := s.lookup(r.PathValue("id"))
-	if e == nil {
-		writeError(w, http.StatusNotFound, "unknown job")
-		return
-	}
-	writeJSON(w, http.StatusOK, e.snapshot())
 }
 
 // errClientCanceled is the cancellation cause for DELETE /v1/jobs/{id}
@@ -631,61 +611,33 @@ var errClientCanceled = fmt.Errorf("canceled by client request: %w", context.Can
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	e := s.lookup(r.PathValue("id"))
 	if e == nil {
-		writeError(w, http.StatusNotFound, "unknown job")
+		WriteError(w, http.StatusNotFound, "unknown job")
 		return
 	}
 	if e.cancel != nil {
 		e.cancel(errClientCanceled)
 	}
-	s.log.Info("job cancel requested", "job", shortID(e.id))
-	writeJSON(w, http.StatusOK, e.snapshot())
+	s.log.Info("job cancel requested", "job", ShortID(e.ID))
+	WriteJSON(w, http.StatusOK, e.Snapshot())
 }
 
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	e := s.lookup(r.PathValue("id"))
 	if e == nil {
-		writeError(w, http.StatusNotFound, "unknown job")
+		WriteError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	fname := r.URL.Query().Get("format")
-	if fname == "" {
-		fname = string(sweep.FormatTable)
-	}
-	f, err := sweep.ParseFormat(fname)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	f, ok := ArtifactFormat(w, r, e.Job)
+	if !ok {
 		return
 	}
-	st, table := e.result()
-	if st != api.StatusDone || table == nil {
-		writeError(w, http.StatusConflict, "job is %s; artifact requires done", st)
-		return
+	if err := e.table.Write(w, f); err != nil {
+		s.log.Info("artifact write failed", "job", ShortID(e.ID), "err", err)
 	}
-	switch f {
-	case sweep.FormatJSON:
-		w.Header().Set("Content-Type", "application/json")
-	case sweep.FormatCSV:
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-	default:
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	}
-	if err := table.Write(w, f); err != nil {
-		s.log.Info("artifact write failed", "job", shortID(e.id), "err", err)
-	}
-}
-
-func (s *Server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
-	infos := experiment.Infos()
-	out := make([]api.ExperimentInfo, len(infos))
-	for i, in := range infos {
-		out[i] = api.ExperimentInfo{Name: in.Name, Title: in.Title, Description: in.Description,
-			Cores: in.Cores, Solver: in.Solver}
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
@@ -693,29 +645,10 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
-		writeError(w, http.StatusServiceUnavailable, "shutting down")
+		WriteError(w, http.StatusServiceUnavailable, "shutting down")
 		return
 	}
 	fmt.Fprintln(w, "ready")
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, api.Error{Code: code, Message: fmt.Sprintf(format, args...)})
-}
-
-func shortID(id string) string {
-	if len(id) > 12 {
-		return id[:12]
-	}
-	return id
 }
 
 // BuildVersion derives the code version from the binary's VCS stamp

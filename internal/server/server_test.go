@@ -48,7 +48,6 @@ func newTestServer(t *testing.T, mutate func(*Options)) (*Server, *httptest.Serv
 		Parallelism:   2,
 		BaseConfig:    tinyConfig,
 		Version:       "test",
-		Logf:          t.Logf,
 	}
 	if mutate != nil {
 		mutate(&opts)

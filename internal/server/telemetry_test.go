@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/heatstroke-sim/heatstroke/internal/sweep"
 	"github.com/heatstroke-sim/heatstroke/pkg/api"
 )
 
@@ -110,22 +109,25 @@ func (w *blockedWriter) String() string {
 // its writer is stalled: intermediate progress frames may drop (by
 // design), but the stream must still terminate with a "done" frame —
 // synthesized from the terminal snapshot when the broadcast one was
-// among the casualties.
+// among the casualties. It drives the job record and the events route
+// that the daemon and the fleet coordinator both serve.
 func TestSSESlowSubscriber(t *testing.T) {
-	s, _ := newTestServer(t, nil)
-	e := newJobEntry("slow", tinyRequest(), nil)
-	e.setStatus(api.StatusRunning)
-	s.mu.Lock()
-	s.jobs[e.id] = e
-	s.mu.Unlock()
+	j := NewJob("slow", tinyRequest())
+	j.Start()
+	mux := http.NewServeMux()
+	JobRoutes(mux, func(id string) *Job {
+		if id == j.ID {
+			return j
+		}
+		return nil
+	})
 
 	gate := make(chan struct{})
 	w := &blockedWriter{gate: gate}
 	req := httptest.NewRequest("GET", "/v1/jobs/slow/events", nil)
-	req.SetPathValue("id", "slow")
 	served := make(chan struct{})
 	go func() {
-		s.handleEvents(w, req)
+		mux.ServeHTTP(w, req)
 		close(served)
 	}()
 
@@ -134,9 +136,9 @@ func TestSSESlowSubscriber(t *testing.T) {
 	// broadcast — all while its writer is stuck.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		e.mu.Lock()
-		n := len(e.subs)
-		e.mu.Unlock()
+		j.mu.Lock()
+		n := len(j.subs)
+		j.mu.Unlock()
 		if n == 1 {
 			break
 		}
@@ -146,9 +148,12 @@ func TestSSESlowSubscriber(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	for i := 1; i <= 100; i++ {
-		e.onProgress(sweep.Progress{Completed: i, Total: 100})
+		j.Progress(func(p *api.Progress) bool {
+			p.Completed, p.Total = i, 100
+			return true
+		})
 	}
-	e.finish(api.StatusDone, &sweep.Table{}, nil, func(record) {})
+	j.Finish(api.StatusDone, nil, "")
 	close(gate)
 	select {
 	case <-served:

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -218,52 +217,31 @@ func TestTracingDisabled(t *testing.T) {
 	}
 }
 
-// TestLogfHandlerLevel pins the Logf bridge's level gate: the default
-// stays Info (Debug suppressed), a configured level is honoured both
-// ways, and WithAttrs preserves the level alongside the accumulated
-// attributes.
-func TestLogfHandlerLevel(t *testing.T) {
-	var lines []string
-	logf := func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	}
+// lockedBuffer is a log sink safe for the handler goroutines.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
 
-	def := slog.New(&logfHandler{logf: logf})
-	def.Debug("hidden")
-	def.Info("shown")
-	if len(lines) != 1 || lines[0] != "shown" {
-		t.Fatalf("default level: got %v, want [shown] (Debug suppressed, Info emitted)", lines)
-	}
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
 
-	lines = nil
-	dbg := slog.New(&logfHandler{logf: logf, level: slog.LevelDebug})
-	dbg.Debug("now visible")
-	if len(lines) != 1 {
-		t.Fatalf("LevelDebug handler dropped a debug line: %v", lines)
-	}
-
-	lines = nil
-	warn := slog.New(&logfHandler{logf: logf, level: slog.LevelWarn}).With("trace_id", "abc")
-	warn.Info("dropped")
-	warn.Warn("kept")
-	if len(lines) != 1 || !strings.Contains(lines[0], "trace_id=abc") {
-		t.Fatalf("WithAttrs must keep the configured level and attrs: %v", lines)
-	}
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 // TestServerOptionLogLevel exercises the Options plumbing end to end:
-// a Debug LogLevel makes per-request access lines (logged at Debug)
-// reach the Logf sink.
+// a Logger at Debug level receives the per-request access lines
+// (logged at Debug).
 func TestServerOptionLogLevel(t *testing.T) {
-	var mu sync.Mutex
-	var buf strings.Builder
+	var buf lockedBuffer
 	_, ts := newTestServer(t, func(o *Options) {
-		o.Logf = func(format string, args ...any) {
-			mu.Lock()
-			fmt.Fprintf(&buf, format+"\n", args...)
-			mu.Unlock()
-		}
-		o.LogLevel = slog.LevelDebug
+		o.Logger = slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	})
 	if _, err := http.Get(ts.URL + "/healthz"); err != nil {
 		t.Fatal(err)
@@ -272,14 +250,12 @@ func TestServerOptionLogLevel(t *testing.T) {
 	// briefly instead of racing the handler goroutine.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		mu.Lock()
 		text := buf.String()
-		mu.Unlock()
-		if strings.Contains(text, "request") {
+		if strings.Contains(text, "msg=request") {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no Debug request line reached Logf with LogLevel=Debug:\n%s", text)
+			t.Fatalf("no Debug request line reached a Debug-level Logger:\n%s", text)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -53,7 +53,7 @@ func (ws *warmStore) Get(key string) (*sim.WarmRecord, bool) {
 	rec, err := sim.ReadWarmFile(ws.path(key))
 	if err != nil {
 		if !os.IsNotExist(err) {
-			ws.log.Info("warmup cache read failed", "key", shortID(key), "err", err)
+			ws.log.Info("warmup cache read failed", "key", ShortID(key), "err", err)
 		}
 		ws.met.warmMisses.Inc()
 		return nil, false
@@ -103,6 +103,6 @@ func (ws *warmStore) Put(key string, rec *sim.WarmRecord) {
 		return
 	}
 	if err := sim.WriteWarmFile(ws.path(key), rec); err != nil {
-		ws.log.Info("warmup cache write failed", "key", shortID(key), "err", err)
+		ws.log.Info("warmup cache write failed", "key", ShortID(key), "err", err)
 	}
 }

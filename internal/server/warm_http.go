@@ -48,16 +48,16 @@ func validWarmKey(key string) bool {
 
 func (s *Server) warmTransferOK(w http.ResponseWriter, r *http.Request) (string, bool) {
 	if !s.fleetAuthorized(r) {
-		writeError(w, http.StatusUnauthorized, "missing or wrong fleet token")
+		WriteError(w, http.StatusUnauthorized, "missing or wrong fleet token")
 		return "", false
 	}
 	if s.warm == nil {
-		writeError(w, http.StatusNotFound, "warmup cache disabled (run with -warmup-cache-dir)")
+		WriteError(w, http.StatusNotFound, "warmup cache disabled (run with -warmup-cache-dir)")
 		return "", false
 	}
 	key := r.PathValue("key")
 	if !validWarmKey(key) {
-		writeError(w, http.StatusBadRequest, "warm key must be a sha256 hex digest")
+		WriteError(w, http.StatusBadRequest, "warm key must be a sha256 hex digest")
 		return "", false
 	}
 	return key, true
@@ -70,7 +70,7 @@ func (s *Server) handleWarmGet(w http.ResponseWriter, r *http.Request) {
 	}
 	rec, ok := s.warm.Get(key)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no warm record for key")
+		WriteError(w, http.StatusNotFound, "no warm record for key")
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -78,7 +78,7 @@ func (s *Server) handleWarmGet(w http.ResponseWriter, r *http.Request) {
 		// Headers are gone; all we can do is log and drop the
 		// connection mid-body so the peer sees a truncated gob (which
 		// its decode rejects).
-		s.log.Info("warm record send failed", "key", shortID(key), "err", err)
+		s.log.Info("warm record send failed", "key", ShortID(key), "err", err)
 	}
 	s.met.warmServed.Inc()
 }
@@ -93,11 +93,11 @@ func (s *Server) handleWarmPut(w http.ResponseWriter, r *http.Request) {
 	// a corrupt or incompatible upload is a 400, never a cache entry.
 	rec, err := sim.ReadWarm(http.MaxBytesReader(w, r.Body, 1<<30))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad warm record payload: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad warm record payload: %v", err)
 		return
 	}
 	s.warm.Put(key, rec)
 	s.met.warmInstalled.Inc()
-	s.log.Info("warm record installed", "key", shortID(key))
+	s.log.Info("warm record installed", "key", ShortID(key))
 	w.WriteHeader(http.StatusNoContent)
 }

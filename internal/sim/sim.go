@@ -168,10 +168,6 @@ type Simulator struct {
 	// Construction leaves it false so a die whose post-warmup state is
 	// restored never pays for the initial relaxation.
 	anchored bool
-	// coresRestored records a RestoreCore since construction: the
-	// warmup's end then rebuilds the DTM policies over the restored
-	// cores.
-	coresRestored bool
 	// qr is the measurement quantum in progress between BeginRun and
 	// FinishRun (nil otherwise).
 	qr *quantumRun
@@ -345,19 +341,17 @@ func normalizeOptions(opts Options) (Options, error) {
 	return opts, nil
 }
 
-// buildPolicies constructs the DTM layer for the configured scope,
-// replacing any previous one: one policy per core (per-core scope, the
-// five paper policies), or one chip policy over every core's pipeline
-// plus inert per-core policies (chip scope). Construction calls it
-// once; a warmup that restored cores calls it again, so a restored
-// simulator's policies are indistinguishable from freshly built ones. Policy
-// constructors read only configuration and nominal machine parameters
-// (DVS captures the supply voltage, which warmup never changes), so
-// building before warmup and rebuilding after a warm restore yield
-// identical policies.
+// buildPolicies constructs the DTM layer for the configured scope:
+// one policy per core (per-core scope, the five paper policies), or
+// one chip policy over every core's pipeline plus inert per-core
+// policies (chip scope). Construction calls it once. A warm restore
+// needs no rebuild: RestoreCore writes into the same core, model and
+// monitor the policies hold, no policy ticks during a warmup, and
+// policy constructors read only configuration and nominal machine
+// parameters (DVS captures the supply voltage, which warmup never
+// changes).
 func (s *Simulator) buildPolicies() error {
 	cool := coolingCycles(s.cfg)
-	s.chip = nil
 	if s.opts.Scope == dtm.ScopeChip {
 		pipes := make([]dtm.Pipeline, len(s.cores))
 		for c, cs := range s.cores {
@@ -496,14 +490,6 @@ func (cs *coreSim) warm(cycles int64) {
 // second anchor after it.
 func (s *Simulator) finishWarmup(die *thermal.SolverState) error {
 	s.warmed = true
-	if s.coresRestored {
-		// Policies start fresh over the restored cores and their supply
-		// voltages.
-		s.coresRestored = false
-		if err := s.buildPolicies(); err != nil {
-			return err
-		}
-	}
 	if die != nil {
 		s.anchored = true
 		return s.solver.SetState(*die)

@@ -115,11 +115,12 @@ func (s *Simulator) CaptureCore(c int) *CoreWarm {
 	}
 }
 
-// RestoreCore loads w into core c in place of WarmCore; FinishWarmup
-// then rebuilds the DTM policies over the restored cores. w must come
-// from the same programs and warm configuration (enforced by digest)
-// and the same warmup length. It is read-only and may be restored into
-// many cores concurrently.
+// RestoreCore loads w into core c instead of running WarmCore. It
+// writes into the core, model and monitor the core's DTM policy already
+// holds, so the policy needs no rebuild. w must come from the same
+// programs and warm configuration (enforced by digest) and the same
+// warmup length. It is read-only and may be restored into many cores
+// concurrently.
 func (s *Simulator) RestoreCore(c int, w *CoreWarm) error {
 	if err := s.checkWarmable(c); err != nil {
 		return err
@@ -147,7 +148,6 @@ func (s *Simulator) RestoreCore(c int, w *CoreWarm) error {
 		return fmt.Errorf("sim: core %d: %w", c, err)
 	}
 	cs.reports = cs.reports[:0]
-	s.coresRestored = true
 	return nil
 }
 

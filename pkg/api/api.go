@@ -22,7 +22,9 @@
 //	GET    /healthz, GET /readyz     liveness / readiness
 //
 // The fleet coordinator (internal/fleet, cmd/heatstroke-fleet) serves
-// the same job surface plus worker membership:
+// the same job surface except DELETE /v1/jobs/{id} (a fleet job cannot
+// be canceled by a client), its own /v1/stats (FleetStats), no warm
+// endpoints, and worker membership:
 //
 //	GET    /v1/workers               registered workers + health
 //	POST   /v1/workers               register a worker {"url": ...}

@@ -22,7 +22,6 @@ func startDaemon(t *testing.T) *client.Client {
 			return cfg
 		},
 		Version: "client-test",
-		Logf:    t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
