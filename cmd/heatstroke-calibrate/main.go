@@ -189,7 +189,6 @@ func main() {
 
 	res, err := sweep.Run(ctx, jobs, sweep.Options[string]{
 		Parallelism: *parallel,
-		Policy:      sweep.FailFast,
 	})
 	// Completed probes print in probe order even on error/cancellation.
 	for _, j := range res.Jobs {

@@ -76,7 +76,6 @@ func run(args []string, ready func(addr string)) error {
 	pollInterval := fs.Duration("poll-interval", 2*time.Second, "worker health/stats poll cadence")
 	fleetToken := fs.String("fleet-token", "", "bearer token sent to workers (must match their -fleet-token)")
 	snapshotDir := fs.String("snapshot-dir", "", "local directory of {key}.warm warm records to ship from when no worker holds a key")
-	noWarmShip := fs.Bool("no-warm-ship", false, "disable pre-dispatch warm-record shipping")
 	scale := fs.Float64("scale", 0, "base thermal scale factor (default: config's; must match the workers')")
 	quantum := fs.Int64("quantum", 0, "base cycles per OS quantum (default: config's; must match the workers')")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "shutdown drain deadline")
@@ -120,17 +119,15 @@ func run(args []string, ready func(addr string)) error {
 		}
 	}
 	coord, err := fleet.New(fleet.Options{
-		Workers:             workers,
-		HedgeAfter:          hedge,
-		PollInterval:        *pollInterval,
-		FleetToken:          *fleetToken,
-		SnapshotDir:         *snapshotDir,
-		DisableWarmShipping: *noWarmShip,
-		BaseConfig:          baseConfig,
-		Logger:              logger,
-		TraceCapacity:       max(*traceBuf, 0),
-		DisableTracing:      *traceBuf < 0,
-		TraceDir:            *traceDir,
+		Workers:       workers,
+		HedgeAfter:    hedge,
+		PollInterval:  *pollInterval,
+		FleetToken:    *fleetToken,
+		SnapshotDir:   *snapshotDir,
+		BaseConfig:    baseConfig,
+		Logger:        logger,
+		TraceCapacity: *traceBuf,
+		TraceDir:      *traceDir,
 	})
 	if err != nil {
 		return err

@@ -112,8 +112,7 @@ func run(args []string, ready func(addr string)) error {
 		FleetToken:     *fleetToken,
 		BaseConfig:     baseConfig,
 		Logger:         logger,
-		TraceCapacity:  max(*traceBuf, 0),
-		DisableTracing: *traceBuf < 0,
+		TraceCapacity:  *traceBuf,
 	})
 	if err != nil {
 		return err

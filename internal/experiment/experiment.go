@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync/atomic"
 
 	"github.com/heatstroke-sim/heatstroke/internal/config"
 	"github.com/heatstroke-sim/heatstroke/internal/sim"
@@ -164,20 +165,39 @@ type job struct {
 // Cancellation stops unstarted jobs from burning worker slots,
 // completed results are never discarded (the Summary accounts for
 // every job), and each job's wall time, simulated cycles/sec, and peak
-// temperature are aggregated. Unless DisableWarmupReuse is set, jobs
-// share warm state under their warm keys through the sweep's warm
-// hooks (see warm.go).
+// temperature are aggregated. Unless DisableWarmupReuse is set, every
+// job with a warmup runs from shared warm state (runWarm), through one
+// set of flights for the run, and the Summary counts those jobs as
+// WarmupRuns when they simulated a core warmup and WarmupReused when
+// they simulated none.
 func runSweep(ctx context.Context, jobs []job, o Options) (map[string]*sim.Result, *sweep.Summary, error) {
 	if o.enumerate != nil {
 		o.enumerate(o, jobs)
 		return nil, nil, errEnumerated
 	}
-	res, err := sweep.Run(ctx, sweepJobs(jobs, o), sweep.Options[*sim.Result]{
+	fl := &flights{m: make(map[string]*flight)}
+	var runs, reused atomic.Int64
+	sjobs := make([]sweep.Job[*sim.Result], len(jobs))
+	for i, j := range jobs {
+		sjobs[i] = sweep.Job[*sim.Result]{Key: j.key, Run: func(ctx context.Context) (*sim.Result, error) {
+			if j.opts.WarmupCycles <= 0 || o.DisableWarmupReuse {
+				return runCold(ctx, j)
+			}
+			res, built, err := runWarm(ctx, o, fl, j)
+			if built {
+				runs.Add(1)
+			} else {
+				reused.Add(1)
+			}
+			return res, err
+		}}
+	}
+	res, err := sweep.Run(ctx, sjobs, sweep.Options[*sim.Result]{
 		Parallelism: o.Parallelism,
-		Policy:      sweep.FailFast,
 		Metrics:     simMetrics,
 		OnProgress:  o.Progress,
 	})
+	res.Summary.WarmupRuns, res.Summary.WarmupReused = int(runs.Load()), int(reused.Load())
 	if err != nil {
 		return nil, &res.Summary, fmt.Errorf("experiment: %w", err)
 	}

@@ -20,7 +20,6 @@ func Table1(ctx context.Context, o Options) (*Table, error) {
 	}}
 	res, err := sweep.Run(ctx, jobs, sweep.Options[[][]string]{
 		Parallelism: o.Parallelism,
-		Policy:      sweep.FailFast,
 		OnProgress:  o.Progress,
 	})
 	if err != nil {

@@ -7,14 +7,13 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
 	"github.com/heatstroke-sim/heatstroke/internal/dtm"
 	"github.com/heatstroke-sim/heatstroke/internal/sim"
-	"github.com/heatstroke-sim/heatstroke/internal/sweep"
 	"github.com/heatstroke-sim/heatstroke/internal/telemetry/tracing"
-	"github.com/heatstroke-sim/heatstroke/internal/thermal"
 )
 
 // WarmStore holds warm records under their warm keys: one core's or
@@ -89,86 +88,66 @@ func warmKeyOf(o Options, warmDigest, programs string, opts sim.Options) string 
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// job hashes the whole warm identity: the key under which a sweep
-// warms the job once.
-func (k warmKeys) job() string {
-	h := sha256.New()
-	for _, c := range k.cores {
-		io.WriteString(h, c)
-		h.Write([]byte{0})
-	}
-	io.WriteString(h, k.die)
-	return hex.EncodeToString(h.Sum(nil))
+// flight is one warm record a job of the run is building. The builder
+// sets rec, or err, and span before it closes done; waiters read them
+// only after done closes.
+type flight struct {
+	done chan struct{}
+	rec  *sim.WarmRecord
+	err  error
+	// span is the build span (zero when tracing is off), which jobs
+	// that wait on the flight link to.
+	span tracing.SpanContext
 }
 
-// warmState is a job's assembled warm state, shared read-only by every
-// job of the same warm identity.
-type warmState struct {
-	cores []*sim.CoreWarm
-	die   *thermal.SolverState
+func (f *flight) release(rec *sim.WarmRecord, err error) {
+	f.rec, f.err = rec, err
+	close(f.done)
 }
 
-// restore loads the warm state into s in place of its warmup.
-func (w *warmState) restore(s *sim.Simulator) error {
-	for c, cw := range w.cores {
-		if err := s.RestoreCore(c, cw); err != nil {
-			return err
-		}
+// wait blocks until f is released and returns its record, or returns
+// the context's cause if ctx ends first.
+func (f *flight) wait(ctx context.Context) (*sim.WarmRecord, error) {
+	select {
+	case <-f.done:
+		return f.rec, f.err
+	case <-ctx.Done():
+		return nil, context.Cause(ctx)
 	}
-	return s.FinishWarmup(w.die)
 }
 
-// buildWarm assembles job j's warm state from the store and simulates
-// what the store lacks: a missing core warms alone and a missing die
-// anchors, in a simulator running no DTM policy, and each is stored. A
-// core key repeated inside the die warms once. Concurrent jobs may both
-// warm a key neither found stored; warm states are deterministic, so
-// either record serves.
-func buildWarm(ctx context.Context, o Options, j job, k warmKeys) (*warmState, error) {
-	w := &warmState{cores: make([]*sim.CoreWarm, len(j.cores))}
-	var s *sim.Simulator
-	warming := func() (err error) {
-		if s == nil {
-			s, err = sim.NewMulti(j.cfg, j.cores, sim.Options{
-				Policy:             dtm.None,
-				WarmupCycles:       j.opts.WarmupCycles,
-				DisableFastForward: j.opts.DisableFastForward,
-			})
-		}
-		return err
-	}
-	for c, key := range k.cores {
-		if first := slices.Index(k.cores, key); first < c {
-			w.cores[c] = w.cores[first]
+// flights holds one run's warm-record builds by warm key. A released
+// flight stays in the map for the rest of the run, so a job whose
+// store lookup missed just before the record was Put takes it from the
+// flight instead of building the key again, and a failed build fails
+// every job that needs its key instead of running again (warm states
+// are deterministic, so it would fail again).
+type flights struct {
+	mu sync.Mutex
+	m  map[string]*flight
+}
+
+// claim splits keys, which the caller found missing from the store,
+// into the flights the caller now owns and must build (own) and those
+// another job of the run holds (held).
+func (fl *flights) claim(keys []string) (own, held map[string]*flight) {
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	for _, key := range keys {
+		if f, ok := fl.m[key]; ok {
+			if held == nil {
+				held = make(map[string]*flight)
+			}
+			held[key] = f
 			continue
 		}
-		if rec, ok := o.WarmupCache.Get(key); ok && rec.Core != nil {
-			w.cores[c] = rec.Core
-			continue
+		if own == nil {
+			own = make(map[string]*flight)
 		}
-		if err := warming(); err != nil {
-			return nil, err
-		}
-		if err := s.WarmCore(c); err != nil {
-			return nil, err
-		}
-		w.cores[c] = s.CaptureCore(c)
-		o.WarmupCache.Put(key, &sim.WarmRecord{Version: sim.StateVersion, Core: w.cores[c]})
+		own[key] = &flight{done: make(chan struct{})}
+		fl.m[key] = own[key]
 	}
-	if rec, ok := o.WarmupCache.Get(k.die); ok && rec.Die != nil {
-		w.die = rec.Die
-	} else {
-		if err := warming(); err != nil {
-			return nil, err
-		}
-		die := s.Solver().State()
-		w.die = &die
-		o.WarmupCache.Put(k.die, &sim.WarmRecord{Version: sim.StateVersion, Die: w.die})
-	}
-	if s == nil {
-		tracing.Active(ctx).SetAttr("warm_cached", "true")
-	}
-	return w, nil
+	return own, held
 }
 
 // traceSimOpts copies the context's tracer and current span into the
@@ -194,56 +173,112 @@ func runCold(ctx context.Context, j job) (*sim.Result, error) {
 	return s.Run()
 }
 
-// runFromWarm builds the job's simulator, restores every core and the
-// die from the shared warm state, and runs the measurement quantum.
-// The restores copy, so many jobs may restore from one warm state
-// concurrently.
-func runFromWarm(ctx context.Context, o Options, j job, warm any) (*sim.Result, error) {
-	w, ok := warm.(*warmState)
-	if !ok {
-		return nil, fmt.Errorf("experiment: warm state is %T, want *warmState", warm)
+// runWarm runs job j from its warm state. It looks each of the job's
+// distinct warm keys (k.cores, then k.die) up in the store once and
+// claims every missing key that no other job of the run is building.
+// It builds the claimed keys on one warming simulator running no DTM
+// policy — a core warms alone (WarmCore, CaptureCore; a key repeated
+// inside the die warms once) and the die anchors (Solver().State()) —
+// and Puts each record and releases its flight as soon as it is made.
+// Then it waits for the keys other jobs are building, builds its own
+// simulator, restores every core and the die into it, and runs the
+// measurement quantum. The restores copy, so many jobs may restore
+// from one record concurrently. built reports whether the job
+// simulated a core warmup.
+func runWarm(ctx context.Context, o Options, fl *flights, j job) (res *sim.Result, built bool, err error) {
+	k := keysOf(o, j)
+	recs := make(map[string]*sim.WarmRecord, len(k.cores)+1)
+	var missing []string
+	for i, key := range slices.Concat(k.cores, []string{k.die}) {
+		if _, seen := recs[key]; seen {
+			continue
+		}
+		rec, ok := o.WarmupCache.Get(key)
+		if ok && (i < len(k.cores) && rec.Core != nil || i == len(k.cores) && rec.Die != nil) {
+			recs[key] = rec
+			continue
+		}
+		recs[key] = nil
+		missing = append(missing, key)
 	}
+	own, held := fl.claim(missing)
+
+	if len(own) > 0 {
+		_, sp := tracing.StartSpan(ctx, "warm.build")
+		sp.SetAttr("keys", strconv.Itoa(len(own)))
+		for _, f := range own {
+			f.span = sp.Context()
+		}
+		put := func(key string, rec *sim.WarmRecord) {
+			o.WarmupCache.Put(key, rec)
+			recs[key] = rec
+			own[key].release(rec, nil)
+		}
+		s, err := sim.NewMulti(j.cfg, j.cores, sim.Options{
+			Policy:             dtm.None,
+			WarmupCycles:       j.opts.WarmupCycles,
+			DisableFastForward: j.opts.DisableFastForward,
+		})
+		for c, key := range k.cores {
+			if err != nil || own[key] == nil || recs[key] != nil {
+				continue
+			}
+			built = true
+			if err = s.WarmCore(c); err == nil {
+				put(key, &sim.WarmRecord{Version: sim.StateVersion, Core: s.CaptureCore(c)})
+			}
+		}
+		if err == nil && own[k.die] != nil {
+			die := s.Solver().State()
+			put(k.die, &sim.WarmRecord{Version: sim.StateVersion, Die: &die})
+		}
+		sp.EndErr(err)
+		if err != nil {
+			for key, f := range own {
+				if recs[key] == nil {
+					f.release(nil, err)
+				}
+			}
+			return nil, built, err
+		}
+	}
+	var linked []tracing.SpanContext
+	for _, key := range missing {
+		f := held[key]
+		if f == nil {
+			continue
+		}
+		if recs[key], err = f.wait(ctx); err != nil {
+			return nil, built, err
+		}
+		if !slices.Contains(linked, f.span) {
+			tracing.Active(ctx).Link(f.span, tracing.LinkWarmReuse)
+			linked = append(linked, f.span)
+		}
+	}
+
 	traceSimOpts(ctx, &j.opts)
 	s, err := sim.NewMulti(j.cfg, j.cores, j.opts)
 	if err != nil {
-		return nil, err
+		return nil, built, err
 	}
 	start := time.Now()
 	_, rsp := tracing.StartSpan(ctx, "warm.restore")
-	err = w.restore(s)
+	for c, key := range k.cores {
+		if err = s.RestoreCore(c, recs[key].Core); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = s.FinishWarmup(recs[k.die].Die)
+	}
 	rsp.EndErr(err)
 	if err != nil {
-		return nil, err
+		return nil, built, err
 	}
 	if o.OnRestore != nil {
 		o.OnRestore(time.Since(start).Seconds())
 	}
-	return s.Run()
-}
-
-// sweepJobs builds the sweep's jobs. Each runs cold or, unless
-// DisableWarmupReuse is set, through the warm-sharing hooks: Warm
-// assembles the job's warm state once per warm identity, RunWarm
-// measures from it.
-func sweepJobs(jobs []job, o Options) []sweep.Job[*sim.Result] {
-	sjobs := make([]sweep.Job[*sim.Result], len(jobs))
-	for i, j := range jobs {
-		sj := &sjobs[i]
-		sj.Key = j.key
-		sj.Run = func(ctx context.Context) (*sim.Result, error) {
-			return runCold(ctx, j)
-		}
-		if j.opts.WarmupCycles <= 0 || o.DisableWarmupReuse {
-			continue
-		}
-		k := keysOf(o, j)
-		sj.WarmKey = k.job()
-		sj.Warm = func(ctx context.Context) (any, error) {
-			return buildWarm(ctx, o, j, k)
-		}
-		sj.RunWarm = func(ctx context.Context, warm any) (*sim.Result, error) {
-			return runFromWarm(ctx, o, j, warm)
-		}
-	}
-	return sjobs
+	res, err = s.Run()
+	return res, built, err
 }

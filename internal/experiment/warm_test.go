@@ -45,10 +45,10 @@ func TestSweepWarmupReuse(t *testing.T) {
 	if len(jobs) < 8 {
 		t.Fatalf("only %d jobs", len(jobs))
 	}
-	key := keysOf(o, jobs[0]).job()
+	keys := keysOf(o, jobs[0])
 	for _, j := range jobs[1:] {
-		if keysOf(o, j).job() != key {
-			t.Fatalf("job %s has a different warm key", j.key)
+		if !reflect.DeepEqual(keysOf(o, j), keys) {
+			t.Fatalf("job %s has different warm keys", j.key)
 		}
 	}
 
@@ -85,36 +85,36 @@ func TestSweepWarmupReuse(t *testing.T) {
 	}
 }
 
-// TestWarmKeySeparatesMachines: anything that changes the post-warmup
-// state — config, programs, warmup length, code version — must change
-// the key.
+// TestWarmKeySeparates: anything that changes the post-warmup state —
+// config, programs, warmup length, code version — must change the
+// job's warm keys.
 func TestWarmKeySeparates(t *testing.T) {
 	o := tinyOptions().normalized()
 	jobs := warmJobs(t, o)
-	base := keysOf(o, jobs[0]).job()
+	base := keysOf(o, jobs[0])
 
 	ideal := jobs[0]
 	ideal.cfg.Thermal.IdealSink = true
-	if keysOf(o, ideal).job() == base {
-		t.Error("ideal-sink config shares the real-sink key")
+	if reflect.DeepEqual(keysOf(o, ideal), base) {
+		t.Error("ideal-sink config shares the real-sink keys")
 	}
 
 	solo := jobs[0]
 	solo.cores = [][]sim.Thread{solo.cores[0][:1]}
-	if keysOf(o, solo).job() == base {
-		t.Error("different threads share a key")
+	if reflect.DeepEqual(keysOf(o, solo), base) {
+		t.Error("different threads share keys")
 	}
 
 	longer := jobs[0]
 	longer.opts.WarmupCycles++
-	if keysOf(o, longer).job() == base {
-		t.Error("different warmup lengths share a key")
+	if reflect.DeepEqual(keysOf(o, longer), base) {
+		t.Error("different warmup lengths share keys")
 	}
 
 	ov := o
 	ov.CodeVersion = "other"
-	if keysOf(ov, jobs[0]).job() == base {
-		t.Error("different code versions share a key")
+	if reflect.DeepEqual(keysOf(ov, jobs[0]), base) {
+		t.Error("different code versions share keys")
 	}
 }
 
@@ -178,9 +178,8 @@ func TestWarmupCacheAcrossRuns(t *testing.T) {
 	if store.puts != 2 {
 		t.Fatalf("second run re-put a record (%d puts)", store.puts)
 	}
-	// The cache-served warm state still counts as this sweep's one
-	// warmup execution slot; no extra warmups run.
-	if sum2.WarmupRuns != 1 {
+	// Every record comes from the store: no job simulates a warmup.
+	if sum2.WarmupRuns != 0 {
 		t.Fatalf("second run warmups = %d", sum2.WarmupRuns)
 	}
 	for k, want := range first {

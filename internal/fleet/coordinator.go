@@ -48,19 +48,13 @@ type Options struct {
 	// records (a daemon's WarmupCacheDir) the coordinator can ship from
 	// when no worker holds a needed key.
 	SnapshotDir string
-	// DisableWarmShipping turns off pre-dispatch snapshot shipping
-	// (workers then warm up from scratch on misses — slower, never
-	// wrong).
-	DisableWarmShipping bool
 	// Logger receives structured logs (default: discard).
 	Logger *slog.Logger
-	// Tracer records coordinator-side spans (fleet.job roots, one
-	// fleet.dispatch per attempt). Nil gets a default bounded tracer
-	// of TraceCapacity spans (0 = tracing.DefaultCapacity) unless
-	// DisableTracing is set.
-	Tracer         *tracing.Tracer
-	TraceCapacity  int
-	DisableTracing bool
+	// TraceCapacity sizes the span ring of the tracer that records
+	// coordinator-side spans (fleet.job roots, one fleet.dispatch per
+	// attempt): 0 means tracing.DefaultCapacity, and a negative
+	// capacity turns tracing off.
+	TraceCapacity int
 	// TraceDir, when set, is flight-recorder mode: every terminal
 	// fleet job's stitched trace is written to {TraceDir}/{trace
 	// id}.ndjson, one span per line, mergeable offline with
@@ -167,9 +161,8 @@ func New(opts Options) (*Coordinator, error) {
 		workers: make(map[string]*worker),
 		ring:    NewRing(0),
 		jobs:    make(map[string]*fleetJob),
-		tracer:  opts.Tracer,
 	}
-	if c.tracer == nil && !opts.DisableTracing {
+	if opts.TraceCapacity >= 0 {
 		c.tracer = tracing.NewTracer("fleet", opts.TraceCapacity)
 	}
 	c.met = newFleetMetrics(c)
@@ -180,12 +173,7 @@ func New(opts Options) (*Coordinator, error) {
 		}
 	}
 	c.mux = http.NewServeMux()
-	server.JobRoutes(c.mux, func(id string) *server.Job {
-		if fj := c.lookup(id); fj != nil {
-			return fj.Job
-		}
-		return nil
-	})
+	server.JobRoutes(c.mux, c.job)
 	c.mux.HandleFunc("POST /v1/jobs", c.handleSubmit)
 	c.mux.HandleFunc("GET /v1/jobs/{id}/artifact", c.handleArtifact)
 	c.mux.HandleFunc("GET /v1/traces/{id}", c.handleTrace)
@@ -369,18 +357,13 @@ func (c *Coordinator) placement(key string) []*worker {
 }
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req api.JobRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		server.WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
-		return
-	}
 	// The same resolution the workers use, so the coordinator shards
 	// on the exact key each worker caches under.
-	resolved, id, err := server.Resolve(c.opts.Version, c.opts.BaseConfig, req)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, "%v", err)
+	sub, ok := server.DecodeSubmit(w, r, c.opts.Version, c.opts.BaseConfig)
+	if !ok {
 		return
 	}
+	id, resolved := sub.ID, sub.Request
 
 	c.mu.Lock()
 	if c.closed {
@@ -407,18 +390,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The fleet.job span roots this job's trace at the coordinator
 	// edge, joining the client's trace when the submit carried a W3C
 	// traceparent header. Dispatch attempts parent under it via fj.ctx.
-	tctx := tracing.ContextWithTracer(c.baseCtx, c.tracer)
-	if sc, err := tracing.ParseTraceparent(r.Header.Get("traceparent")); err == nil {
-		tctx = tracing.ContextWithRemote(tctx, sc)
-	}
-	jctx, span := tracing.StartSpan(tctx, "fleet.job")
-	span.SetAttr("job", server.ShortID(id))
-	span.SetAttr("experiment", resolved.Experiment)
-	fj.ctx = jctx
-	fj.span = span
-	if sc := span.Context(); sc.Valid() {
-		fj.TraceID = sc.TraceID.String()
-	}
+	fj.ctx, fj.span, fj.TraceID = sub.StartSpan(c.baseCtx, c.tracer, "fleet.job")
 	c.jobs[id] = fj
 	c.wg.Add(1)
 	go c.runJob(fj)
@@ -433,6 +405,14 @@ func (c *Coordinator) lookup(id string) *fleetJob {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.jobs[id]
+}
+
+// job returns the record of the job with id, or nil.
+func (c *Coordinator) job(id string) *server.Job {
+	if fj := c.lookup(id); fj != nil {
+		return fj.Job
+	}
+	return nil
 }
 
 // handleArtifact proxies the rendered table from the worker whose

@@ -470,6 +470,7 @@ func TestFleetFrontEndParity(t *testing.T) {
 		{"unknown job status", "GET", unknown, "", http.StatusNotFound},
 		{"unknown job events", "GET", unknown + "/events", "", http.StatusNotFound},
 		{"unknown job artifact", "GET", unknown + "/artifact", "", http.StatusNotFound},
+		{"unknown job trace", "GET", "/v1/traces/" + strings.Repeat("0", 64), "", http.StatusNotFound},
 		{"malformed submit", "POST", "/v1/jobs", `{"experiment":`, http.StatusBadRequest},
 		{"unknown experiment", "POST", "/v1/jobs", `{"experiment":"fig99"}`, http.StatusBadRequest},
 	} {

@@ -16,21 +16,12 @@ import (
 // for the trace stitched together with every reachable worker's, so
 // one fetch reconstructs the whole distributed tree — client edge,
 // fleet.job, each dispatch attempt, and the worker-side job spans down
-// to individual sim quanta. The id may be a 32-hex W3C trace id or a
-// 64-hex job content address.
+// to individual sim quanta. The id may be a trace id or a job id (see
+// server.TraceID).
 func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if c.tracer == nil {
-		server.WriteError(w, http.StatusNotFound, "tracing is disabled on this coordinator")
+	tid, ok := server.TraceID(w, r, c.tracer, c.job)
+	if !ok {
 		return
-	}
-	tid := r.PathValue("id")
-	if len(tid) == 64 { // job id: map to its trace
-		fj := c.lookup(tid)
-		if fj == nil || fj.TraceID == "" {
-			server.WriteError(w, http.StatusNotFound, "unknown job or job has no trace")
-			return
-		}
-		tid = fj.TraceID
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), 10*time.Second)
 	defer cancel()

@@ -40,9 +40,6 @@ func (c *Coordinator) warmKeysFor(ctx context.Context, req api.JobRequest) []str
 // key's owner changes (worker join/leave), the first dispatch to the
 // new owner carries the old owner's records with it.
 func (c *Coordinator) shipWarm(ctx context.Context, target *worker, req api.JobRequest) {
-	if c.opts.DisableWarmShipping {
-		return
-	}
 	keys := c.warmKeysFor(ctx, req)
 	for _, key := range keys {
 		if target.hasWarm(key) {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/heatstroke-sim/heatstroke/internal/config"
 	"github.com/heatstroke-sim/heatstroke/internal/experiment"
 	"github.com/heatstroke-sim/heatstroke/internal/sweep"
 	"github.com/heatstroke-sim/heatstroke/internal/telemetry/tracing"
@@ -197,6 +198,78 @@ func JobRoutes(mux *http.ServeMux, lookup func(id string) *Job) {
 		}
 		WriteJSON(w, http.StatusOK, out)
 	})
+}
+
+// Submission is a decoded and resolved POST /v1/jobs body: the front
+// half of a submit, which the daemon and the fleet coordinator share so
+// that both answer a malformed or unresolvable request alike.
+type Submission struct {
+	ID      string         // the content address (see Resolve)
+	Request api.JobRequest // resolved: every default filled in
+	// parent is the caller's W3C traceparent; zero when the header is
+	// absent or malformed.
+	parent tracing.SpanContext
+}
+
+// DecodeSubmit reads a POST /v1/jobs body of at most 1 MiB, resolves
+// it against version and base, and reads its traceparent header. When
+// ok is false the 400 is already written.
+func DecodeSubmit(w http.ResponseWriter, r *http.Request, version string, base func() config.Config) (sub Submission, ok bool) {
+	var req api.JobRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
+		return sub, false
+	}
+	var err error
+	if sub.Request, sub.ID, err = Resolve(version, base, req); err != nil {
+		WriteError(w, http.StatusBadRequest, "%v", err)
+		return sub, false
+	}
+	if sc, err := tracing.ParseTraceparent(r.Header.Get("traceparent")); err == nil {
+		sub.parent = sc
+	}
+	return sub, true
+}
+
+// StartSpan opens the job's span, named name, on tracer: a child of
+// the caller's traceparent when the submit carried one, else the root
+// of a new trace, with the job and experiment attributes. It returns
+// the context the job runs under, the span and its trace id ("" when
+// tracer is nil).
+func (sub Submission) StartSpan(ctx context.Context, tracer *tracing.Tracer, name string) (context.Context, *tracing.ActiveSpan, string) {
+	ctx = tracing.ContextWithRemote(tracing.ContextWithTracer(ctx, tracer), sub.parent)
+	ctx, span := tracing.StartSpan(ctx, name)
+	span.SetAttr("job", ShortID(sub.ID))
+	span.SetAttr("experiment", sub.Request.Experiment)
+	var traceID string
+	if sc := span.Context(); sc.Valid() {
+		traceID = sc.TraceID.String()
+	}
+	return ctx, span, traceID
+}
+
+// TraceID maps the id of GET /v1/traces/{id} to the trace it names: a
+// 64-hex job id, found by lookup, names its job's trace, and any other
+// id is taken as a 32-hex trace id (the two are disjoint by length).
+// When ok is false the 404 is already written.
+func TraceID(w http.ResponseWriter, r *http.Request, tracer *tracing.Tracer, lookup func(id string) *Job) (traceID string, ok bool) {
+	if tracer == nil {
+		WriteError(w, http.StatusNotFound, "tracing is disabled")
+		return "", false
+	}
+	id := r.PathValue("id")
+	if len(id) != 64 {
+		return id, true
+	}
+	switch j := lookup(id); {
+	case j == nil:
+		WriteError(w, http.StatusNotFound, "unknown job")
+	case j.TraceID == "":
+		WriteError(w, http.StatusNotFound, "job has no trace")
+	default:
+		return j.TraceID, true
+	}
+	return "", false
 }
 
 // serveEvents streams a job's progress as server-sent events: one

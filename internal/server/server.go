@@ -38,7 +38,6 @@ import (
 
 	"github.com/heatstroke-sim/heatstroke/internal/config"
 	"github.com/heatstroke-sim/heatstroke/internal/experiment"
-	"github.com/heatstroke-sim/heatstroke/internal/telemetry"
 	"github.com/heatstroke-sim/heatstroke/internal/telemetry/tracing"
 	"github.com/heatstroke-sim/heatstroke/internal/workload"
 	"github.com/heatstroke-sim/heatstroke/pkg/api"
@@ -78,19 +77,13 @@ type Options struct {
 	// lifecycle events log at Info with a "job" attribute; per-request
 	// access lines log at Debug.
 	Logger *slog.Logger
-	// Tracer collects request-scoped spans (job lifecycle, queue wait,
-	// warmup restore, each sweep job, simulated quanta) into a bounded
-	// flight-recorder buffer served at GET /v1/traces/{id}. When nil,
-	// New creates one sized TraceCapacity; set DisableTracing to run
-	// without span collection entirely.
-	Tracer *tracing.Tracer
-	// TraceCapacity sizes the default tracer's span ring (<= 0 means
-	// tracing.DefaultCapacity). Ignored when Tracer is set.
+	// TraceCapacity sizes the span ring of the tracer that collects
+	// request-scoped spans (job lifecycle, queue wait, warm builds and
+	// restores, each sweep job, simulated quanta) for GET
+	// /v1/traces/{id}: 0 means tracing.DefaultCapacity, and a negative
+	// capacity turns span collection off (no tracer, traceparent
+	// headers ignored, a single nil check per quantum).
 	TraceCapacity int
-	// DisableTracing turns span collection off: no tracer is created,
-	// traceparent headers are ignored, and the per-quantum cost is a
-	// single nil check.
-	DisableTracing bool
 	// Advertise is the address this daemon wants fleet peers to reach
 	// it at (reported in /v1/stats). A coordinator uses it to label the
 	// worker and to locate snapshot sources; the daemon itself only
@@ -150,8 +143,8 @@ func New(opts Options) (*Server, error) {
 		opts.Version = BuildVersion()
 	}
 	log := cmp.Or(opts.Logger, DiscardLogger())
-	tracer := opts.Tracer
-	if tracer == nil && !opts.DisableTracing {
+	var tracer *tracing.Tracer
+	if opts.TraceCapacity >= 0 {
 		service := "heatstroked"
 		if opts.Advertise != "" {
 			service = "heatstroked@" + opts.Advertise
@@ -177,12 +170,7 @@ func New(opts Options) (*Server, error) {
 		return nil, err
 	}
 	s.mux = http.NewServeMux()
-	JobRoutes(s.mux, func(id string) *Job {
-		if e := s.lookup(id); e != nil {
-			return e.Job
-		}
-		return nil
-	})
+	JobRoutes(s.mux, s.job)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	s.mux.HandleFunc("GET /v1/warm/{key}", s.handleWarmGet)
@@ -200,15 +188,6 @@ func New(opts Options) (*Server, error) {
 
 // Handler returns the daemon's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.logRequests(s.mux) }
-
-// Metrics returns the daemon's telemetry registry (exposed at
-// GET /metrics), so embedders can add their own series.
-func (s *Server) Metrics() *telemetry.Registry { return s.met.reg }
-
-// Tracer returns the daemon's span collector (nil when tracing is
-// disabled), so embedders — the fleet coordinator above all — can
-// stitch its spans into cross-node traces.
-func (s *Server) Tracer() *tracing.Tracer { return s.tracer }
 
 // Shutdown drains the daemon: no new jobs are accepted, in-flight
 // sweeps are cancelled via context and allowed to finish their running
@@ -247,13 +226,6 @@ func (s *Server) Stats() api.Stats {
 		st.WarmKeys = s.warm.Keys()
 	}
 	return st
-}
-
-// resolve normalizes a request and derives its content address. The
-// returned request has every default filled in (so it round-trips:
-// resubmitting a resolved request yields the same ID).
-func (s *Server) resolve(req api.JobRequest) (api.JobRequest, string, error) {
-	return Resolve(s.opts.Version, s.opts.BaseConfig, req)
 }
 
 // Resolve normalizes a job request against a base configuration and
@@ -403,28 +375,12 @@ func (s *Server) expOptions(e *jobEntry) experiment.Options {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req api.JobRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
+	sub, ok := DecodeSubmit(w, r, s.opts.Version, s.opts.BaseConfig)
+	if !ok {
 		return
 	}
-	resolved, id, err := s.resolve(req)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	// The job context carries the tracer and — when the client sent a
-	// valid traceparent — the remote parent, so the job span joins the
-	// caller's trace (a coordinator dispatch, a CLI root span) instead
-	// of starting a fresh one.
+	id, resolved := sub.ID, sub.Request
 	lookupStart := time.Now()
-	tctx := tracing.ContextWithTracer(s.baseCtx, s.tracer)
-	if tp := r.Header.Get("traceparent"); tp != "" {
-		if parent, perr := tracing.ParseTraceparent(tp); perr == nil {
-			tctx = tracing.ContextWithRemote(tctx, parent)
-		}
-	}
 
 	s.mu.Lock()
 	if s.closed {
@@ -463,13 +419,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.met.cacheMisses.Inc()
 	e := newJobEntry(id, resolved, s.met)
 	e.created = lookupStart
-	jctx, span := tracing.StartSpan(tctx, "job")
-	span.SetAttr("job", ShortID(id))
-	span.SetAttr("experiment", resolved.Experiment)
-	e.span = span
-	if sc := span.Context(); sc.Valid() {
-		e.TraceID = sc.TraceID.String()
-		s.tracer.Emit(sc, "cache.lookup", lookupStart.UnixNano(), time.Now().UnixNano(),
+	// The job span joins the caller's trace (a coordinator dispatch, a
+	// CLI root span) when the submit carried a traceparent.
+	jctx, span, traceID := sub.StartSpan(s.baseCtx, s.tracer, "job")
+	e.span, e.TraceID = span, traceID
+	if traceID != "" {
+		s.tracer.Emit(span.Context(), "cache.lookup", lookupStart.UnixNano(), time.Now().UnixNano(),
 			map[string]string{"hit": "false"})
 	}
 	e.ctx, e.cancel = context.WithCancelCause(jctx)
@@ -559,26 +514,11 @@ func (s *Server) execute(e *jobEntry) {
 }
 
 // handleTrace serves every buffered span of one trace, addressed
-// either by its 32-hex trace id or by a job id (64 hex — the two are
-// disjoint by construction, so the endpoint accepts both).
+// either by its trace id or by a job id (see TraceID).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.tracer == nil {
-		WriteError(w, http.StatusNotFound, "tracing is disabled")
+	tid, ok := TraceID(w, r, s.tracer, s.job)
+	if !ok {
 		return
-	}
-	id := r.PathValue("id")
-	tid := id
-	if len(id) == 64 {
-		e := s.lookup(id)
-		if e == nil {
-			WriteError(w, http.StatusNotFound, "unknown job")
-			return
-		}
-		if e.TraceID == "" {
-			WriteError(w, http.StatusNotFound, "job has no trace")
-			return
-		}
-		tid = e.TraceID
 	}
 	spans := s.tracer.Spans(tid)
 	if len(spans) == 0 {
@@ -593,6 +533,14 @@ func (s *Server) lookup(id string) *jobEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.jobs[id]
+}
+
+// job returns the record of the job with id, or nil.
+func (s *Server) job(id string) *Job {
+	if e := s.lookup(id); e != nil {
+		return e.Job
+	}
+	return nil
 }
 
 // errClientCanceled is the cancellation cause for DELETE /v1/jobs/{id}

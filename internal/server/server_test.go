@@ -174,7 +174,7 @@ func TestContentAddressing(t *testing.T) {
 	s, _ := newTestServer(t, nil)
 
 	base := tinyRequest()
-	_, id1, err := s.resolve(base)
+	_, id1, err := Resolve(s.opts.Version, s.opts.BaseConfig, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestContentAddressing(t *testing.T) {
 	// Omitted seed resolves to the config default...
 	noSeed := tinyRequest()
 	noSeed.Seed = nil
-	resolved, idDefault, err := s.resolve(noSeed)
+	resolved, idDefault, err := Resolve(s.opts.Version, s.opts.BaseConfig, noSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestContentAddressing(t *testing.T) {
 	// ...and explicitly requesting that default aliases it.
 	explicit := tinyRequest()
 	*explicit.Seed = tinyConfig().Run.Seed
-	_, idExplicit, err := s.resolve(explicit)
+	_, idExplicit, err := Resolve(s.opts.Version, s.opts.BaseConfig, explicit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestContentAddressing(t *testing.T) {
 	// Literal seed 0 is requestable and distinct from the default.
 	zero := tinyRequest()
 	*zero.Seed = 0
-	_, idZero, err := s.resolve(zero)
+	_, idZero, err := Resolve(s.opts.Version, s.opts.BaseConfig, zero)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestContentAddressing(t *testing.T) {
 	for name, mutate := range distinct {
 		req := tinyRequest()
 		mutate(&req)
-		_, id, err := s.resolve(req)
+		_, id, err := Resolve(s.opts.Version, s.opts.BaseConfig, req)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -234,7 +234,7 @@ func TestContentAddressing(t *testing.T) {
 
 	// A different code version must never alias.
 	s2, _ := newTestServer(t, func(o *Options) { o.Version = "test-v2" })
-	_, id2, err := s2.resolve(base)
+	_, id2, err := Resolve(s2.opts.Version, s2.opts.BaseConfig, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestResolveRejects(t *testing.T) {
 		"unknown solver":     {Experiment: "fig3", Solver: "magic"},
 		"multi-core lumped":  {Experiment: "fig3", Cores: 2, Solver: config.SolverLumped},
 	} {
-		if _, _, err := s.resolve(req); err == nil {
+		if _, _, err := Resolve(s.opts.Version, s.opts.BaseConfig, req); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
@@ -299,14 +299,14 @@ func TestResolveTopology(t *testing.T) {
 	// A multi-core experiment with no overrides resolves to its
 	// registry die (2 cores on the grid), and the resolved request
 	// re-resolves to the same address.
-	resolved, id, err := s.resolve(api.JobRequest{Experiment: "neighbor-heat"})
+	resolved, id, err := Resolve(s.opts.Version, s.opts.BaseConfig, api.JobRequest{Experiment: "neighbor-heat"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resolved.Cores != 2 || resolved.Solver != config.SolverGrid {
 		t.Fatalf("resolved topology %d/%q, want 2/grid", resolved.Cores, resolved.Solver)
 	}
-	again, id2, err := s.resolve(resolved)
+	again, id2, err := Resolve(s.opts.Version, s.opts.BaseConfig, resolved)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestResolveTopology(t *testing.T) {
 		t.Error("resolved request did not round-trip to the same address")
 	}
 	// Explicitly asking for the default die aliases the omitted form.
-	_, idExplicit, err := s.resolve(api.JobRequest{Experiment: "neighbor-heat", Cores: 2, Solver: config.SolverGrid})
+	_, idExplicit, err := Resolve(s.opts.Version, s.opts.BaseConfig, api.JobRequest{Experiment: "neighbor-heat", Cores: 2, Solver: config.SolverGrid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestResolveTopology(t *testing.T) {
 		t.Error("explicit default topology must alias the omitted form")
 	}
 	// A bigger die is a different job.
-	_, id4, err := s.resolve(api.JobRequest{Experiment: "neighbor-heat", Cores: 4})
+	_, id4, err := Resolve(s.opts.Version, s.opts.BaseConfig, api.JobRequest{Experiment: "neighbor-heat", Cores: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestResolveTopology(t *testing.T) {
 	}
 
 	// Single-core experiments keep the base topology untouched.
-	single, _, err := s.resolve(tinyRequest())
+	single, _, err := Resolve(s.opts.Version, s.opts.BaseConfig, tinyRequest())
 	if err != nil {
 		t.Fatal(err)
 	}

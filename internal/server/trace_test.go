@@ -196,11 +196,11 @@ func TestTraceJoinsClientTraceparent(t *testing.T) {
 	}
 }
 
-// TestTracingDisabled: with DisableTracing the wire surface degrades
-// cleanly — no TraceID on statuses, 404 from the trace endpoint — and
-// jobs still run.
+// TestTracingDisabled: with a negative TraceCapacity the wire surface
+// degrades cleanly — no TraceID on statuses, 404 from the trace
+// endpoint — and jobs still run.
 func TestTracingDisabled(t *testing.T) {
-	_, ts := newTestServer(t, func(o *Options) { o.DisableTracing = true })
+	_, ts := newTestServer(t, func(o *Options) { o.TraceCapacity = -1 })
 
 	_, st := submit(t, ts, tinyRequest())
 	if st.TraceID != "" {

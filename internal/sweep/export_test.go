@@ -168,7 +168,7 @@ func TestWriteCSVEscaping(t *testing.T) {
 func TestJSONSummaryRoundTrip(t *testing.T) {
 	tb := sampleTable()
 	tb.Summary = &Summary{
-		Jobs: 4, Succeeded: 3, Failed: 1, Retries: 2, Parallelism: 2,
+		Jobs: 4, Succeeded: 3, Failed: 1, Parallelism: 2, WarmupRuns: 2,
 		WallTime: 1500 * time.Millisecond, JobTime: 3 * time.Second, MaxJobTime: 2 * time.Second,
 		Metrics: map[string]Agg{
 			MetricPeakTempK:   {Count: 3, Sum: 1061.4, Min: 351.0, Max: 356.2},
@@ -186,7 +186,7 @@ func TestJSONSummaryRoundTrip(t *testing.T) {
 	if back.Summary == nil {
 		t.Fatal("summary lost")
 	}
-	if back.Summary.Jobs != 4 || back.Summary.Failed != 1 || back.Summary.Retries != 2 {
+	if back.Summary.Jobs != 4 || back.Summary.Failed != 1 || back.Summary.WarmupRuns != 2 {
 		t.Errorf("counts drifted: %+v", back.Summary)
 	}
 	if back.Summary.WallTime != tb.Summary.WallTime || back.Summary.MaxJobTime != tb.Summary.MaxJobTime {

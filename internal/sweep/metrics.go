@@ -76,7 +76,7 @@ func (a Agg) MarshalJSON() ([]byte, error) {
 }
 
 // Summary aggregates a sweep's execution metrics: job counts, wall
-// times, retry totals, and any custom metrics extracted by
+// times, warm-state sharing counts, and any custom metrics extracted by
 // Options.Metrics. Timing fields vary run to run; everything else is
 // deterministic for deterministic jobs.
 type Summary struct {
@@ -84,16 +84,17 @@ type Summary struct {
 	Succeeded   int `json:"succeeded"`
 	Failed      int `json:"failed"`
 	Skipped     int `json:"skipped"`
-	Retries     int `json:"retries"`
 	Parallelism int `json:"parallelism"`
 	// WallTime is the sweep's end-to-end duration; JobTime is the sum
 	// of per-job durations (JobTime/WallTime ~ effective parallelism).
 	WallTime   time.Duration `json:"wall_ns"`
 	JobTime    time.Duration `json:"job_ns"`
 	MaxJobTime time.Duration `json:"max_job_ns"`
-	// WarmupRuns counts warmups actually executed; WarmupReused counts
-	// jobs that started from another job's warm state instead. Both are
-	// zero when no job carries a warm key.
+	// WarmupRuns counts the warm-sharing jobs that simulated at least
+	// one core warmup; WarmupReused counts those that simulated none,
+	// taking every record from the warm store or another job's build.
+	// The experiment harness fills both; they are zero when no job
+	// shares warm state.
 	WarmupRuns   int `json:"warmup_runs,omitempty"`
 	WarmupReused int `json:"warmup_reused,omitempty"`
 	// Deprecated: ForkPrefixes and ForkReused counted the fork-tree
@@ -125,9 +126,6 @@ func (s *Summary) String() string {
 	}
 	if s.Skipped > 0 {
 		fmt.Fprintf(&sb, ", %d skipped", s.Skipped)
-	}
-	if s.Retries > 0 {
-		fmt.Fprintf(&sb, ", %d retries", s.Retries)
 	}
 	fmt.Fprintf(&sb, ") in %.1fs wall / %.1fs job-time at parallelism %d",
 		s.WallTime.Seconds(), s.JobTime.Seconds(), s.Parallelism)
@@ -177,9 +175,6 @@ func summarize[T any](r *Result[T], parallelism int, wall time.Duration, metrics
 			s.Failed++
 		default:
 			s.Succeeded++
-		}
-		if j.Attempts > 1 {
-			s.Retries += j.Attempts - 1
 		}
 		s.JobTime += j.Elapsed
 		if j.Elapsed > s.MaxJobTime {

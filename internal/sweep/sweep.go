@@ -1,7 +1,7 @@
 // Package sweep is the parallel execution substrate for the evaluation
 // harness: every figure and table of the paper is a sweep of
 // independent simulations, and this package runs such sweeps with
-// bounded workers, context cancellation, a per-job error policy,
+// bounded workers, context cancellation, fail-fast error handling,
 // per-job metrics aggregated into a Summary, deterministic seed
 // derivation, and structured artifact export (ASCII, JSON, CSV).
 //
@@ -17,25 +17,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
 	"github.com/heatstroke-sim/heatstroke/internal/telemetry/tracing"
-)
-
-// ErrorPolicy selects how a sweep reacts to a failing job.
-type ErrorPolicy int
-
-const (
-	// FailFast cancels the remaining jobs after the first failure.
-	// Jobs already running are allowed to finish and their results are
-	// kept; jobs not yet started are marked Skipped. Run returns the
-	// first error in input order.
-	FailFast ErrorPolicy = iota
-	// Collect runs every job regardless of failures and returns the
-	// joined error of all failures (nil if none).
-	Collect
 )
 
 // Job is one independent unit of work. Run receives the sweep context
@@ -44,21 +29,6 @@ const (
 type Job[T any] struct {
 	Key string
 	Run func(ctx context.Context) (T, error)
-
-	// WarmKey, when non-empty, opts the job into warmup-state sharing:
-	// jobs with equal WarmKeys share one Warm result. The key must
-	// capture everything the warm state depends on (configuration,
-	// programs, warmup length, code version) — the engine trusts it.
-	WarmKey string
-	// Warm produces the shared warm state for WarmKey. It runs at most
-	// once per distinct key per sweep (on the first job to need it);
-	// a failure is sticky and fails every job sharing the key.
-	Warm func(ctx context.Context) (any, error)
-	// RunWarm runs the job starting from the shared warm state. It must
-	// treat warm as read-only — many jobs receive the same value,
-	// possibly concurrently. When WarmKey is set, RunWarm is called
-	// instead of Run; both Warm and RunWarm must then be non-nil.
-	RunWarm func(ctx context.Context, warm any) (T, error)
 }
 
 // JobResult is the outcome of one job.
@@ -70,40 +40,24 @@ type JobResult[T any] struct {
 	// Skipped marks a job that was never started because the sweep was
 	// cancelled first (its Err is the cancellation cause).
 	Skipped bool
-	// Elapsed is the job's wall time across all attempts.
+	// Elapsed is the job's wall time.
 	Elapsed time.Duration
-	// Attempts counts executions (1 + retries actually used).
-	Attempts int
-	// WarmKey echoes the job's warmup-sharing key.
-	WarmKey string
-	// WarmReused is true when the job started from a warm state
-	// produced by another job in the sweep instead of running its own
-	// warmup (decided on the job's first attempt).
-	WarmReused bool
 }
 
 // Options tune a sweep.
 type Options[T any] struct {
 	// Parallelism bounds concurrent jobs (<=0: GOMAXPROCS).
 	Parallelism int
-	// Policy is the error policy (default FailFast).
-	Policy ErrorPolicy
-	// Retries is the number of extra attempts after a failed run.
-	Retries int
 	// Metrics, when set, extracts named measurements from each
 	// successful job; they are aggregated into Summary.Metrics in
 	// input order (so the aggregation is deterministic).
 	Metrics func(r JobResult[T]) map[string]float64
-	// OnDone, when set, is called after each job finishes (serially,
-	// in completion order) — for progress reporting.
-	OnDone func(r JobResult[T])
 	// OnProgress, when set, is called after each job finishes with a
-	// snapshot of the sweep so far (serially, in completion order; the
-	// same lock as OnDone, so the two never interleave). Completed is
-	// monotonically non-decreasing across calls. The snapshot carries
-	// the finished job's measurements as extracted by Metrics, so a
-	// live consumer (progress bar, SSE stream) sees the same numbers
-	// the final Summary will aggregate.
+	// snapshot of the sweep so far (serially, in completion order).
+	// Completed is monotonically non-decreasing across calls. The
+	// snapshot carries the finished job's measurements as extracted by
+	// Metrics, so a live consumer (progress bar, SSE stream) sees the
+	// same numbers the final Summary will aggregate.
 	OnProgress func(p Progress)
 }
 
@@ -119,16 +73,12 @@ type Progress struct {
 	// Key and Err identify the job that just finished and its outcome.
 	Key string
 	Err error
-	// Elapsed is the finished job's wall time across all attempts, so a
-	// live consumer can feed latency metrics without re-timing.
+	// Elapsed is the finished job's wall time, so a live consumer can
+	// feed latency metrics without re-timing.
 	Elapsed time.Duration
 	// Metrics are the finished job's measurements as extracted by
 	// Options.Metrics (nil when unset or the job failed).
 	Metrics map[string]float64
-	// WarmKey and WarmReused mirror the finished job's warmup-sharing
-	// outcome, so a live consumer can count cache effectiveness.
-	WarmKey    string
-	WarmReused bool
 }
 
 // Result is the outcome of a sweep: one JobResult per input job, in
@@ -169,10 +119,12 @@ func (r *Result[T]) FirstErr() error {
 	return cancelErr
 }
 
-// Run executes the jobs with bounded parallelism. It always returns a
-// non-nil Result holding whatever completed; the error is the
-// policy's verdict (first failure for FailFast, joined failures for
-// Collect, or the context's error if the caller cancelled).
+// Run executes the jobs with bounded parallelism. The first failing
+// job cancels the rest: jobs already running finish and keep their
+// results, and jobs not yet started are marked Skipped. Run always
+// returns a non-nil Result holding whatever completed; the error is
+// the first failure in input order (see FirstErr), or the context's
+// error if the caller cancelled.
 func Run[T any](ctx context.Context, jobs []Job[T], o Options[T]) (*Result[T], error) {
 	par := o.Parallelism
 	if par <= 0 {
@@ -208,7 +160,6 @@ func Run[T any](ctx context.Context, jobs []Job[T], o Options[T]) (*Result[T], e
 		}
 	}()
 
-	warm := newWarmer()
 	var doneMu sync.Mutex
 	completed := 0
 	var wg sync.WaitGroup
@@ -217,25 +168,19 @@ func Run[T any](ctx context.Context, jobs []Job[T], o Options[T]) (*Result[T], e
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				jr := runOne(runCtx, jobs[i], i, o.Retries, warm)
+				jr := runOne(runCtx, jobs[i], i)
 				res.Jobs[i] = jr
-				if jr.Err != nil && o.Policy == FailFast {
+				if jr.Err != nil {
 					cancel()
 				}
-				if o.OnDone != nil || o.OnProgress != nil {
+				if o.OnProgress != nil && !jr.Skipped {
 					doneMu.Lock()
-					if o.OnDone != nil {
-						o.OnDone(jr)
+					completed++
+					p := Progress{Completed: completed, Total: len(jobs), Key: jr.Key, Err: jr.Err, Elapsed: jr.Elapsed}
+					if o.Metrics != nil && jr.Err == nil {
+						p.Metrics = o.Metrics(jr)
 					}
-					if o.OnProgress != nil && !jr.Skipped {
-						completed++
-						p := Progress{Completed: completed, Total: len(jobs), Key: jr.Key, Err: jr.Err, Elapsed: jr.Elapsed,
-							WarmKey: jr.WarmKey, WarmReused: jr.WarmReused}
-						if o.Metrics != nil && jr.Err == nil {
-							p.Metrics = o.Metrics(jr)
-						}
-						o.OnProgress(p)
-					}
+					o.OnProgress(p)
 					doneMu.Unlock()
 				}
 			}
@@ -256,79 +201,22 @@ func Run[T any](ctx context.Context, jobs []Job[T], o Options[T]) (*Result[T], e
 	}
 
 	res.Summary = summarize(res, par, time.Since(start), o.Metrics)
-	res.Summary.WarmupRuns, res.Summary.WarmupReused = warm.counts()
-
-	switch o.Policy {
-	case Collect:
-		var errs []error
-		for _, j := range res.Jobs {
-			if j.Err != nil && !j.Skipped {
-				errs = append(errs, fmt.Errorf("sweep: job %s: %w", j.Key, j.Err))
-			}
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			errs = append(errs, ctxErr)
-		}
-		return res, errors.Join(errs...)
-	default:
-		return res, res.FirstErr()
-	}
+	return res, res.FirstErr()
 }
 
-// runOne executes a single job, honouring retries, cancellation, and
-// warmup sharing.
-func runOne[T any](ctx context.Context, j Job[T], idx, retries int, w *warmer) JobResult[T] {
-	jr := JobResult[T]{Key: j.Key, Index: idx, WarmKey: j.WarmKey}
-	if j.WarmKey != "" && (j.Warm == nil || j.RunWarm == nil) {
-		jr.Err = fmt.Errorf("warm key %q set without Warm and RunWarm", j.WarmKey)
+// runOne executes a single job under its sweep.job span, unless the
+// sweep was cancelled before it started.
+func runOne[T any](ctx context.Context, j Job[T], idx int) JobResult[T] {
+	jr := JobResult[T]{Key: j.Key, Index: idx}
+	if err := ctx.Err(); err != nil {
+		jr.Skipped, jr.Err = true, err
 		return jr
 	}
 	start := time.Now()
-	// prev carries the previous attempt's span so a retry links to the
-	// attempt it replaces (zero when tracing is off or on attempt 1).
-	var prev tracing.SpanContext
-	for attempt := 0; attempt <= retries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			if jr.Attempts == 0 {
-				jr.Skipped = true
-			}
-			jr.Err = err
-			break
-		}
-		jr.Attempts++
-		actx, sp := tracing.StartSpan(ctx, "sweep.job")
-		sp.SetAttr("key", j.Key)
-		sp.SetAttr("attempt", strconv.Itoa(jr.Attempts))
-		if jr.Attempts > 1 {
-			sp.Link(prev, tracing.LinkRetry)
-		}
-		var v T
-		var err error
-		if j.WarmKey != "" {
-			var warm any
-			var reused bool
-			warm, reused, err = w.get(actx, j.WarmKey, j.Warm, jr.Attempts == 1)
-			if jr.Attempts == 1 {
-				// Retries reuse the state this very job produced; only
-				// the first attempt says whether the warmup was shared.
-				jr.WarmReused = reused
-			}
-			sp.SetAttr("warm_reused", strconv.FormatBool(reused))
-			if err == nil {
-				v, err = j.RunWarm(actx, warm)
-			}
-		} else {
-			v, err = j.Run(actx)
-		}
-		sp.EndErr(err)
-		prev = sp.Context()
-		jr.Value, jr.Err = v, err
-		if err == nil {
-			break
-		}
-	}
-	if !jr.Skipped {
-		jr.Elapsed = time.Since(start)
-	}
+	actx, sp := tracing.StartSpan(ctx, "sweep.job")
+	sp.SetAttr("key", j.Key)
+	jr.Value, jr.Err = j.Run(actx)
+	sp.EndErr(jr.Err)
+	jr.Elapsed = time.Since(start)
 	return jr
 }

@@ -34,7 +34,7 @@ func TestRunAllSucceed(t *testing.T) {
 		t.Fatalf("jobs = %d", len(res.Jobs))
 	}
 	for i, j := range res.Jobs {
-		if j.Index != i || j.Value != i*i || j.Err != nil || j.Skipped || j.Attempts != 1 {
+		if j.Index != i || j.Value != i*i || j.Err != nil || j.Skipped {
 			t.Errorf("job %d = %+v", i, j)
 		}
 	}
@@ -109,49 +109,6 @@ func TestFailFastKeepsPartialResults(t *testing.T) {
 	}
 }
 
-func TestCollectRunsEverything(t *testing.T) {
-	boom := errors.New("boom")
-	jobs := nJobs(10, func(i int) (int, error) {
-		if i%3 == 0 {
-			return 0, boom
-		}
-		return i, nil
-	})
-	res, err := Run(context.Background(), jobs, Options[int]{Parallelism: 2, Policy: Collect})
-	if err == nil || !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if res.Summary.Skipped != 0 || res.Summary.Failed != 4 || res.Summary.Succeeded != 6 {
-		t.Errorf("summary = %+v", res.Summary)
-	}
-	if len(res.ByKey()) != 6 {
-		t.Errorf("ByKey = %v", res.ByKey())
-	}
-}
-
-func TestRetries(t *testing.T) {
-	var tries atomic.Int64
-	jobs := []Job[int]{{
-		Key: "flaky",
-		Run: func(context.Context) (int, error) {
-			if tries.Add(1) < 3 {
-				return 0, errors.New("transient")
-			}
-			return 42, nil
-		},
-	}}
-	res, err := Run(context.Background(), jobs, Options[int]{Retries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Jobs[0].Value != 42 || res.Jobs[0].Attempts != 3 {
-		t.Errorf("job = %+v", res.Jobs[0])
-	}
-	if res.Summary.Retries != 2 {
-		t.Errorf("summary retries = %d", res.Summary.Retries)
-	}
-}
-
 func TestParentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
@@ -178,20 +135,15 @@ func TestParentCancellation(t *testing.T) {
 }
 
 func TestOnDoneAndMetrics(t *testing.T) {
-	var calls atomic.Int64
 	jobs := nJobs(8, func(i int) (int, error) { return i + 1, nil })
 	res, err := Run(context.Background(), jobs, Options[int]{
 		Parallelism: 4,
-		OnDone:      func(JobResult[int]) { calls.Add(1) },
 		Metrics: func(r JobResult[int]) map[string]float64 {
 			return map[string]float64{"value": float64(r.Value)}
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if calls.Load() != 8 {
-		t.Errorf("OnDone calls = %d", calls.Load())
 	}
 	agg := res.Summary.Metrics["value"]
 	if agg.Count != 8 || agg.Sum != 36 || agg.Min != 1 || agg.Max != 8 || agg.Mean() != 4.5 {
@@ -279,15 +231,16 @@ func TestEmptySweep(t *testing.T) {
 
 func TestSummaryString(t *testing.T) {
 	s := Summary{
-		Jobs: 4, Succeeded: 3, Failed: 1, Retries: 2, Parallelism: 2,
+		Jobs: 4, Succeeded: 3, Failed: 1, Parallelism: 2,
 		WallTime: 2 * time.Second, JobTime: 4 * time.Second,
+		WarmupRuns: 2, WarmupReused: 1,
 		Metrics: map[string]Agg{
 			MetricSimCycles: {Count: 3, Sum: 6e6, Min: 1e6, Max: 3e6},
 			MetricPeakTempK: {Count: 3, Sum: 1000, Min: 300, Max: 360},
 		},
 	}
 	out := s.String()
-	for _, want := range []string{"4 jobs", "3 ok", "1 failed", "2 retries", "3.0 Mcycles/s", "peak 360.0 K"} {
+	for _, want := range []string{"4 jobs", "3 ok", "1 failed", "2 warmups (1 reused)", "3.0 Mcycles/s", "peak 360.0 K"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary %q missing %q", out, want)
 		}
@@ -368,33 +321,5 @@ func TestOnProgressCancelled(t *testing.T) {
 	}
 	if res.Summary.Skipped == 0 {
 		t.Errorf("expected skipped jobs, summary = %+v", res.Summary)
-	}
-}
-
-// TestOnProgressAndOnDoneInterlock: both hooks fire under one lock, so
-// an OnDone observer and an OnProgress observer never interleave and
-// see the same completion order.
-func TestOnProgressAndOnDoneInterlock(t *testing.T) {
-	jobs := make([]Job[int], 12)
-	for i := range jobs {
-		i := i
-		jobs[i] = Job[int]{Key: fmt.Sprintf("j%d", i), Run: func(context.Context) (int, error) { return i, nil }}
-	}
-	var doneOrder, progOrder []string
-	_, err := Run(context.Background(), jobs, Options[int]{
-		Parallelism: 6,
-		OnDone:      func(r JobResult[int]) { doneOrder = append(doneOrder, r.Key) },
-		OnProgress:  func(p Progress) { progOrder = append(progOrder, p.Key) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(doneOrder) != len(progOrder) {
-		t.Fatalf("hook counts differ: %d vs %d", len(doneOrder), len(progOrder))
-	}
-	for i := range doneOrder {
-		if doneOrder[i] != progOrder[i] {
-			t.Fatalf("order diverged at %d: %v vs %v", i, doneOrder, progOrder)
-		}
 	}
 }
