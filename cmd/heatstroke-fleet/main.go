@@ -30,21 +30,14 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"github.com/heatstroke-sim/heatstroke/internal/config"
 	"github.com/heatstroke-sim/heatstroke/internal/fleet"
+	"github.com/heatstroke-sim/heatstroke/internal/server"
 )
 
 // stringList collects repeated -worker flags.
@@ -87,31 +80,9 @@ func run(args []string, ready func(addr string)) error {
 		return err
 	}
 
-	var level slog.Level
-	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
-		return fmt.Errorf("-log-level: %w", err)
-	}
-	handlerOpts := &slog.HandlerOptions{Level: level}
-	var logger *slog.Logger
-	if *logJSON {
-		logger = slog.New(slog.NewJSONHandler(os.Stderr, handlerOpts))
-	} else {
-		logger = slog.New(slog.NewTextHandler(os.Stderr, handlerOpts))
-	}
-
-	baseConfig := func() config.Config {
-		cfg := config.Default()
-		if *scale > 0 {
-			cfg.Thermal.Scale = *scale
-		}
-		if *quantum > 0 {
-			cfg.Run.QuantumCycles = *quantum
-		}
-		return cfg
-	}
-	hedge := *hedgeAfter
-	if hedge == 0 {
-		hedge = -1 // flag semantics: 0 disables; Options semantics: negative disables
+	logger, err := server.NewLogger(*logJSON, *logLevel)
+	if err != nil {
+		return err
 	}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
@@ -120,11 +91,11 @@ func run(args []string, ready func(addr string)) error {
 	}
 	coord, err := fleet.New(fleet.Options{
 		Workers:       workers,
-		HedgeAfter:    hedge,
+		HedgeAfter:    *hedgeAfter,
 		PollInterval:  *pollInterval,
 		FleetToken:    *fleetToken,
 		SnapshotDir:   *snapshotDir,
-		BaseConfig:    baseConfig,
+		BaseConfig:    server.BaseConfig(*scale, *quantum),
 		Logger:        logger,
 		TraceCapacity: *traceBuf,
 		TraceDir:      *traceDir,
@@ -132,36 +103,6 @@ func run(args []string, ready func(addr string)) error {
 	if err != nil {
 		return err
 	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: coord.Handler()}
-	log.Printf("coordinating %d workers, listening on %s", len(workers), ln.Addr())
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		return fmt.Errorf("serve: %w", err)
-	case <-ctx.Done():
-	}
-	log.Printf("signal received, draining (timeout %s)", *drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(drainCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("http shutdown: %v", err)
-	}
-	if err := coord.Shutdown(drainCtx); err != nil {
-		return err
-	}
-	log.Printf("drained cleanly")
-	return nil
+	log.Printf("coordinating %d workers", len(workers))
+	return server.ServeUntilSignal(*addr, coord.Handler(), *drainTimeout, ready, coord.Shutdown)
 }

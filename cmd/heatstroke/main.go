@@ -24,7 +24,9 @@
 // identical requests and serves repeats from its content-addressed
 // cache. Progress streams back live, and the artifact is fetched in
 // the requested format, so the flag composes with -format/-out exactly
-// like a local run.
+// like a local run. Both paths build the same job request from the
+// flags, and a local run resolves it as a daemon does (server.Resolve),
+// so it runs what -server runs and rejects what -server rejects.
 //
 // The -scale flag trades fidelity for speed (DESIGN.md §6): -scale 1
 // -quantum 500000000 is the paper's physical time base.
@@ -52,6 +54,7 @@ import (
 
 	"github.com/heatstroke-sim/heatstroke/internal/config"
 	"github.com/heatstroke-sim/heatstroke/internal/experiment"
+	"github.com/heatstroke-sim/heatstroke/internal/server"
 	"github.com/heatstroke-sim/heatstroke/internal/sweep"
 	"github.com/heatstroke-sim/heatstroke/pkg/api"
 	"github.com/heatstroke-sim/heatstroke/pkg/client"
@@ -60,28 +63,30 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("heatstroke: ")
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-// run holds main's body so profile-writing defers fire before exit.
-func run() int {
-	name := flag.String("experiment", "", "experiment to run (or 'all')")
-	list := flag.Bool("list", false, "list available experiments")
-	benches := flag.String("bench", "", "comma-separated benchmark subset (default: all)")
-	quantum := flag.Int64("quantum", 0, "cycles per OS quantum (default: config)")
-	warmup := flag.Int64("warmup", 0, "unmeasured warmup cycles (default 500000)")
-	scale := flag.Float64("scale", 0, "thermal scale factor (default 16; 1 = paper time base)")
-	cores := flag.Int("cores", 0, "die core count (default: 1, or 2 for multi-core experiments)")
-	solver := flag.String("solver", "", "thermal solver: lumped or grid (default: lumped, grid when -cores > 1)")
-	seed := flag.Int64("seed", 0, "workload generation seed (default: config)")
-	parallel := flag.Int("parallel", 0, "max concurrent simulations (default: GOMAXPROCS)")
-	format := flag.String("format", "table", "artifact format: table, json, or csv")
-	out := flag.String("out", "", "write artifacts to this file (one experiment) or directory (default: stdout)")
-	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
-	serverURL := flag.String("server", "", "run via a heatstroked daemon at this URL instead of locally")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
-	flag.Parse()
+// run holds main's body so profile-writing defers fire before exit. It
+// returns the process exit code.
+func run(args []string) int {
+	fs := flag.NewFlagSet("heatstroke", flag.ExitOnError)
+	name := fs.String("experiment", "", "experiment to run (or 'all')")
+	list := fs.Bool("list", false, "list available experiments")
+	benches := fs.String("bench", "", "comma-separated benchmark subset (default: all)")
+	quantum := fs.Int64("quantum", 0, "cycles per OS quantum (default: config)")
+	warmup := fs.Int64("warmup", 0, "unmeasured warmup cycles (default 500000)")
+	scale := fs.Float64("scale", 0, "thermal scale factor (default 16; 1 = paper time base)")
+	cores := fs.Int("cores", 0, "die core count (default: 1, or 2 for multi-core experiments)")
+	solver := fs.String("solver", "", "thermal solver: lumped or grid (default: lumped, grid when -cores > 1)")
+	seed := fs.Int64("seed", 0, "workload generation seed (default: config)")
+	parallel := fs.Int("parallel", 0, "max concurrent simulations (default: GOMAXPROCS)")
+	format := fs.String("format", "table", "artifact format: table, json, or csv")
+	out := fs.String("out", "", "write artifacts to this file (one experiment) or directory (default: stdout)")
+	timeout := fs.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
+	serverURL := fs.String("server", "", "run via a heatstroked daemon at this URL instead of locally")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile at exit to this file")
+	fs.Parse(args)
 
 	if *list {
 		for _, n := range experiment.Names() {
@@ -90,7 +95,7 @@ func run() int {
 		return 0
 	}
 	if *name == "" {
-		flag.Usage()
+		fs.Usage()
 		return 2
 	}
 	if *cpuprofile != "" {
@@ -128,25 +133,26 @@ func run() int {
 		return 1
 	}
 
-	// A literal -seed 0 must mean "seed zero", not "use the default";
-	// flag.Visit distinguishes the two.
-	seedSet := false
-	flag.Visit(func(fl *flag.Flag) {
+	// One request per experiment, the same for a local run and a
+	// -server run. A literal -seed 0 must mean "seed zero", not "use the
+	// default"; fs.Visit distinguishes the two.
+	req := api.JobRequest{Quantum: *quantum, Warmup: *warmup, Scale: *scale, Cores: *cores, Solver: *solver}
+	fs.Visit(func(fl *flag.Flag) {
 		if fl.Name == "seed" {
-			seedSet = true
+			req.Seed = seed
 		}
 	})
-
-	var benchList []string
 	if *benches != "" {
-		for _, b := range strings.Split(*benches, ",") {
-			benchList = append(benchList, strings.TrimSpace(b))
-		}
+		req.Benchmarks = strings.Split(*benches, ",")
 	}
-
 	names := []string{*name}
 	if *name == "all" {
 		names = experiment.Names()
+	}
+	reqs := make([]api.JobRequest, len(names))
+	for i, n := range names {
+		reqs[i] = req
+		reqs[i].Experiment = n
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -159,20 +165,7 @@ func run() int {
 
 	if *serverURL != "" {
 		c := client.New(*serverURL)
-		for _, n := range names {
-			req := api.JobRequest{
-				Experiment: n,
-				Benchmarks: benchList,
-				Quantum:    *quantum,
-				Warmup:     *warmup,
-				Scale:      *scale,
-				Cores:      *cores,
-				Solver:     *solver,
-			}
-			if seedSet {
-				s := *seed
-				req.Seed = &s
-			}
+		for _, req := range reqs {
 			if err := runRemote(ctx, c, req, f, *format, *out, len(names) > 1); err != nil {
 				log.Print(err)
 				return 1
@@ -181,45 +174,29 @@ func run() int {
 		return 0
 	}
 
-	cfg := config.Default()
-	if *scale > 0 {
-		cfg.Thermal.Scale = *scale
-	}
-	if *cores > 0 {
-		cfg.Topology.Cores = *cores
-		if *cores > 1 && *solver == "" {
-			cfg.Topology.Solver = config.SolverGrid
+	// A local run resolves its requests as a daemon would, all before
+	// the first simulation, so it runs exactly what -server runs and
+	// rejects what -server rejects.
+	for i, req := range reqs {
+		if reqs[i], _, err = server.Resolve("", config.Default, req); err != nil {
+			log.Print(err)
+			return 1
 		}
 	}
-	if *solver != "" {
-		cfg.Topology.Solver = *solver
-	}
-	if err := cfg.Validate(); err != nil {
-		log.Print(err)
-		return 2
-	}
-	opts := experiment.Options{
-		Config:      &cfg,
-		Quantum:     *quantum,
-		Warmup:      *warmup,
-		Seed:        *seed,
-		SeedSet:     seedSet,
-		Parallelism: *parallel,
-		Benchmarks:  benchList,
-	}
-
-	for _, n := range names {
+	for _, req := range reqs {
 		start := time.Now()
-		table, err := experiment.RunContext(ctx, n, opts)
+		opts := server.ExperimentOptions("", config.Default, req)
+		opts.Parallelism = *parallel
+		table, err := experiment.RunContext(ctx, req.Experiment, opts)
 		if err != nil {
 			log.Print(err)
 			return 1
 		}
-		if err := emit(table.Writer(f), n, f, *out, len(names) > 1); err != nil {
+		if err := emit(table.Writer(f), req.Experiment, f, *out, len(names) > 1); err != nil {
 			log.Print(err)
 			return 1
 		}
-		status := fmt.Sprintf("%s in %.1fs", n, time.Since(start).Seconds())
+		status := fmt.Sprintf("%s in %.1fs", req.Experiment, time.Since(start).Seconds())
 		if table.Summary != nil {
 			status += ": " + table.Summary.String()
 		}

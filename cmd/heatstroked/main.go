@@ -28,21 +28,15 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"github.com/heatstroke-sim/heatstroke/internal/config"
 	"github.com/heatstroke-sim/heatstroke/internal/server"
 )
 
@@ -79,27 +73,9 @@ func run(args []string, ready func(addr string)) error {
 		return err
 	}
 
-	var level slog.Level
-	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
-		return fmt.Errorf("-log-level: %w", err)
-	}
-	handlerOpts := &slog.HandlerOptions{Level: level}
-	var logger *slog.Logger
-	if *logJSON {
-		logger = slog.New(slog.NewJSONHandler(os.Stderr, handlerOpts))
-	} else {
-		logger = slog.New(slog.NewTextHandler(os.Stderr, handlerOpts))
-	}
-
-	baseConfig := func() config.Config {
-		cfg := config.Default()
-		if *scale > 0 {
-			cfg.Thermal.Scale = *scale
-		}
-		if *quantum > 0 {
-			cfg.Run.QuantumCycles = *quantum
-		}
-		return cfg
+	logger, err := server.NewLogger(*logJSON, *logLevel)
+	if err != nil {
+		return err
 	}
 	srv, err := server.New(server.Options{
 		MaxConcurrent:  *maxConcurrent,
@@ -110,7 +86,7 @@ func run(args []string, ready func(addr string)) error {
 		WarmupCacheDir: *warmupCacheDir,
 		Advertise:      *advertise,
 		FleetToken:     *fleetToken,
-		BaseConfig:     baseConfig,
+		BaseConfig:     server.BaseConfig(*scale, *quantum),
 		Logger:         logger,
 		TraceCapacity:  *traceBuf,
 	})
@@ -138,38 +114,5 @@ func run(args []string, ready func(addr string)) error {
 			}
 		}()
 	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	log.Printf("listening on %s", ln.Addr())
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		return fmt.Errorf("serve: %w", err)
-	case <-ctx.Done():
-	}
-	log.Printf("signal received, draining (timeout %s)", *drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	// Stop accepting connections first, then cancel in-flight sweeps
-	// and wait for them; both honour the drain deadline.
-	if err := httpSrv.Shutdown(drainCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("http shutdown: %v", err)
-	}
-	if err := srv.Shutdown(drainCtx); err != nil {
-		return err
-	}
-	log.Printf("drained cleanly")
-	return nil
+	return server.ServeUntilSignal(*addr, srv.Handler(), *drainTimeout, ready, srv.Shutdown)
 }

@@ -125,6 +125,9 @@ func AblationAbsoluteThreshold(ctx context.Context, o Options) (*Table, error) {
 func AblationMultiCulprit(ctx context.Context, o Options) (*Table, error) {
 	explicitQuantum := o.Quantum > 0
 	o = o.normalized()
+	if !explicitQuantum {
+		o.Quantum = DefaultQuantum(NameMulti, *o.Config)
+	}
 	benches := o.subset()
 	if len(benches) < 2 {
 		return nil, fmt.Errorf("experiment: multiculprit needs two benchmarks")
@@ -156,13 +159,6 @@ func AblationMultiCulprit(ctx context.Context, o Options) (*Table, error) {
 		j := soloJob(o, key, ta, policy, false)
 		j.cfg.Pipeline.Contexts = 4
 		j.cfg.Pipeline.FetchThreads = 2
-		// The re-examination delay is 2x the cooling time (5 M scaled
-		// cycles); the quantum must span several such periods for the
-		// second culprit to be caught. An explicitly requested quantum
-		// is honoured as-is.
-		if !explicitQuantum && j.cfg.Run.QuantumCycles < 20_000_000 {
-			j.cfg.Run.QuantumCycles = 20_000_000
-		}
 		// Tighten the re-examination window for the ablation: with the
 		// paper's 2x-cooling delay the lower threshold is usually
 		// re-crossed first at this thermal scale, so the second-culprit

@@ -28,7 +28,8 @@ type Options struct {
 	Config *config.Config
 	// Benchmarks selects the SPEC2K-like workloads; nil means all.
 	Benchmarks []string
-	// Quantum overrides the per-run cycle count (0 = Config's).
+	// Quantum overrides the per-run cycle count (0 = the experiment's
+	// DefaultQuantum).
 	Quantum int64
 	// Warmup is the unmeasured warmup prefix (default
 	// DefaultWarmupCycles). Every simulation of every experiment gets
@@ -89,21 +90,6 @@ type Options struct {
 	// an experiment's warm keys without simulating — job construction
 	// is cheap (program generation and digests), the sweep is not.
 	enumerate func(o Options, jobs []job)
-}
-
-// ResolvedSeed returns the seed an experiment run will actually use:
-// Seed verbatim when SeedSet or nonzero, else the Config's Run.Seed
-// (config.Default()'s when Config is nil). Cache keys must be built
-// from this, never from the raw Seed field, so that "seed omitted" and
-// "seed explicitly = config default" address the same result.
-func (o Options) ResolvedSeed() int64 {
-	if o.SeedSet || o.Seed != 0 {
-		return o.Seed
-	}
-	if o.Config != nil {
-		return o.Config.Run.Seed
-	}
-	return config.Default().Run.Seed
 }
 
 func (o Options) normalized() Options {
@@ -226,6 +212,20 @@ func simMetrics(r sweep.JobResult[*sim.Result]) map[string]float64 {
 // the caches and branch predictors and settle the thermal network's
 // transient from the ambient start.
 const DefaultWarmupCycles = 500_000
+
+// minQuantum raises the configured quantum of the experiments that
+// need a long one when no quantum is requested: timing statistics want
+// several heat-cool cycles, and the multi-culprit ablation's quantum
+// must span several 2x-cooling-time re-examination periods (5 M scaled
+// cycles each) for the second culprit to be caught.
+var minQuantum = map[string]int64{NameTiming: 12_000_000, NameMulti: 20_000_000}
+
+// DefaultQuantum is the quantum experiment name runs when none is
+// requested: cfg's, raised to the experiment's minimum where it has
+// one. An explicitly requested quantum is honoured as-is.
+func DefaultQuantum(name string, cfg config.Config) int64 {
+	return max(cfg.Run.QuantumCycles, minQuantum[name])
+}
 
 // Table is a rendered experiment artifact (see sweep.Table for the
 // ASCII/JSON/CSV encoders).

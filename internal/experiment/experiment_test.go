@@ -253,23 +253,6 @@ func TestSeedSentinelAndSeedSet(t *testing.T) {
 	if o.Seed != 7 {
 		t.Errorf("Seed 7 should stay 7, got %d", o.Seed)
 	}
-
-	// ResolvedSeed mirrors normalization without mutating.
-	cases := []struct {
-		o    Options
-		want int64
-	}{
-		{Options{Config: &cfg}, 42},
-		{Options{Config: &cfg, SeedSet: true}, 0},
-		{Options{Config: &cfg, Seed: 9}, 9},
-		{Options{Config: &cfg, Seed: 9, SeedSet: true}, 9},
-		{Options{}, config.Default().Run.Seed},
-	}
-	for i, c := range cases {
-		if got := c.o.ResolvedSeed(); got != c.want {
-			t.Errorf("case %d: ResolvedSeed = %d, want %d", i, got, c.want)
-		}
-	}
 }
 
 // TestSeedZeroRunnable: a literal seed-0 experiment must actually run

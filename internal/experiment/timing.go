@@ -19,6 +19,9 @@ import (
 func Timing(ctx context.Context, o Options) (*Table, error) {
 	explicitQuantum := o.Quantum > 0
 	o = o.normalized()
+	if !explicitQuantum {
+		o.Quantum = DefaultQuantum(NameTiming, *o.Config)
+	}
 	benches := o.subset()
 	var jobs []job
 	for _, b := range benches {
@@ -32,12 +35,6 @@ func Timing(ctx context.Context, o Options) (*Table, error) {
 		}
 		j := pairJob(o, b, spec, v2, dtm.StopAndGo, false)
 		j.opts.TraceTemps = true
-		// Timing statistics want several heat-cool cycles, so the
-		// config default is raised — but an explicitly requested
-		// quantum is honoured as-is.
-		if !explicitQuantum && j.cfg.Run.QuantumCycles < 12_000_000 {
-			j.cfg.Run.QuantumCycles = 12_000_000
-		}
 		jobs = append(jobs, j)
 	}
 	results, sum, err := runSweep(ctx, jobs, o)

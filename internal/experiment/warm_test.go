@@ -37,7 +37,8 @@ func warmJobs(t *testing.T, o Options) []job {
 
 // TestSweepWarmupReuse is the acceptance test for warm-state
 // reuse: ten jobs sharing one warm key run warmup exactly once, and
-// every result is identical to the cold-warmup path.
+// every job restores from it (TestWarmResultsMatchCold checks their
+// results against the cold path).
 func TestSweepWarmupReuse(t *testing.T) {
 	o := tinyOptions().normalized()
 	o.Parallelism = 4
@@ -56,7 +57,7 @@ func TestSweepWarmupReuse(t *testing.T) {
 	var mu sync.Mutex
 	o.OnRestore = func(float64) { mu.Lock(); restores++; mu.Unlock() }
 
-	warmed, sum, err := runSweep(context.Background(), jobs, o)
+	_, sum, err := runSweep(context.Background(), jobs, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,19 @@ func TestSweepWarmupReuse(t *testing.T) {
 	if restores != len(jobs) {
 		t.Fatalf("OnRestore fired %d times, want %d", restores, len(jobs))
 	}
+}
 
+// TestWarmResultsMatchCold: every result of the ten jobs
+// TestSweepWarmupReuse shares one warm key across, events included, is
+// deep-equal to the same job run from a cold warmup.
+func TestWarmResultsMatchCold(t *testing.T) {
+	o := tinyOptions().normalized()
+	o.Parallelism = 4
+	jobs := warmJobs(t, o)
+	warmed, _, err := runSweep(context.Background(), jobs, o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cold := o
 	cold.DisableWarmupReuse = true
 	cold.OnRestore = func(float64) { t.Error("cold path must not restore") }
@@ -77,6 +90,9 @@ func TestSweepWarmupReuse(t *testing.T) {
 	}
 	if coldSum.WarmupRuns != 0 || coldSum.WarmupReused != 0 {
 		t.Fatalf("cold path reported warmup sharing: %d/%d", coldSum.WarmupRuns, coldSum.WarmupReused)
+	}
+	if len(coldRes) != len(jobs) {
+		t.Fatalf("cold path returned %d results for %d jobs", len(coldRes), len(jobs))
 	}
 	for k, want := range coldRes {
 		if got := warmed[k]; !reflect.DeepEqual(want, got) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -25,9 +26,8 @@ type Options struct {
 	Workers []string
 	// HedgeAfter is how long a dispatched job may run before the
 	// coordinator speculatively duplicates it onto the next replica
-	// (first terminal result wins, the loser is cancelled). 0 means
-	// the 30s default; negative disables hedging entirely. Hedging is
-	// safe because results are
+	// (first terminal result wins, the loser is cancelled); zero or
+	// negative never hedges. Hedging is safe because results are
 	// deterministic and content-addressed: both replicas compute the
 	// byte-identical answer, so "first wins" can never change it.
 	HedgeAfter time.Duration
@@ -139,9 +139,6 @@ type Coordinator struct {
 // each once so the ring reflects who is actually reachable before the
 // first job arrives.
 func New(opts Options) (*Coordinator, error) {
-	if opts.HedgeAfter == 0 {
-		opts.HedgeAfter = 30 * time.Second
-	}
 	if opts.PollInterval <= 0 {
 		opts.PollInterval = 2 * time.Second
 	}
@@ -458,16 +455,8 @@ func (c *Coordinator) Stats() api.FleetStats {
 	for _, w := range ws {
 		st.Workers = append(st.Workers, w.info())
 	}
-	sortWorkers(st.Workers)
+	slices.SortFunc(st.Workers, func(a, b api.WorkerInfo) int { return cmp.Compare(a.URL, b.URL) })
 	return st
-}
-
-func sortWorkers(ws []api.WorkerInfo) {
-	for i := 1; i < len(ws); i++ {
-		for j := i; j > 0 && ws[j].URL < ws[j-1].URL; j-- {
-			ws[j], ws[j-1] = ws[j-1], ws[j]
-		}
-	}
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, _ *http.Request) {

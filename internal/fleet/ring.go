@@ -97,16 +97,6 @@ func (r *Ring) Remove(member string) {
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.members) }
 
-// Members returns the members in sorted order.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Owner returns the member owning key, or false on an empty ring.
 func (r *Ring) Owner(key string) (string, bool) {
 	owners := r.Owners(key, 1)

@@ -307,10 +307,10 @@ func Resolve(version string, base func() config.Config, req api.JobRequest) (api
 		return req, "", fmt.Errorf("quantum and warmup must be non-negative")
 	}
 	if req.Quantum == 0 {
-		req.Quantum = cfg.Run.QuantumCycles
+		req.Quantum = experiment.DefaultQuantum(req.Experiment, cfg)
 	}
 	if req.Warmup == 0 {
-		req.Warmup = 500_000
+		req.Warmup = experiment.DefaultWarmupCycles
 	}
 	if req.Seed == nil {
 		seed := cfg.Run.Seed

@@ -10,9 +10,9 @@ import (
 	"github.com/heatstroke-sim/heatstroke/internal/workload"
 )
 
-// allocSim builds a warmed-up simulator mid-quantum, so AllocsPerRun
-// measures the steady-state sensor pipeline, not construction or the
-// first quantum's capacity growth.
+// allocSim builds a warmed-up simulator that has run one full
+// quantum, so AllocsPerRun measures the steady-state sensor pipeline,
+// not construction or the first quantum's capacity growth.
 func allocSim(t *testing.T, policy dtm.Kind, opts Options) *Simulator {
 	t.Helper()
 	cfg := config.Default()
@@ -35,32 +35,37 @@ func allocSim(t *testing.T, policy dtm.Kind, opts Options) *Simulator {
 	if opts.Recorder != nil {
 		opts.Recorder.Reset()
 	}
-	if err := s.BeginRun(cfg.Run.QuantumCycles); err != nil {
-		t.Fatal(err)
-	}
 	return s
 }
 
-// stepOneInterval advances the open quantum by exactly one sensor
-// interval — the sensor pipeline's unit of work.
+// stepOneInterval opens a quantum and returns a step that advances it
+// by exactly one sensor interval — the sensor pipeline's unit of work
+// — through RunCycles' per-chunk helper.
 func stepOneInterval(t *testing.T, s *Simulator) func() {
 	t.Helper()
 	interval := int64(s.cfg.Thermal.SensorIntervalCycles)
+	quantum := s.cfg.Run.QuantumCycles
+	var qr *quantumRun
+	open := func() {
+		var err error
+		if qr, err = s.openQuantum(quantum); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open()
 	return func() {
-		if s.qr.done+interval > s.qr.quantum {
+		if qr.done+interval > quantum {
 			// Re-open a fresh quantum when the current one runs out.
-			if _, err := s.FinishRun(); err != nil {
-				t.Fatal(err)
-			}
+			s.closeQuantum(qr)
 			if s.opts.Recorder != nil {
 				s.opts.Recorder.Reset()
 			}
-			if err := s.BeginRun(s.cfg.Run.QuantumCycles); err != nil {
+			open()
+		}
+		for end := qr.done + interval; qr.done < end; {
+			if err := s.runChunk(qr); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if _, err := s.StepRun(s.qr.done + interval); err != nil {
-			t.Fatal(err)
 		}
 	}
 }

@@ -70,8 +70,8 @@ func warmParts(t *testing.T, cfg config.Config, coreThreads [][]Thread, mo Optio
 // TestMultiWarmRestoreEquivalence: a machine whose warmup is assembled
 // from shared parts — every core and the die restored, or some cores
 // warmed in place next to restored ones — holds every core's state and
-// the die's temperatures deep-equal to the cold run's once its quantum
-// opens, and measures a deep-equal Result, under every scope and
+// the die's temperatures deep-equal to the cold run's once its warmup
+// ends, and measures a deep-equal Result, under every scope and
 // policy; and the restored runs leave the parts unchanged. It runs on
 // the 2-core grid die and on the paper's single core, which restores
 // the same way.
@@ -94,14 +94,11 @@ func checkWarmRestoreEquivalence(t *testing.T, tm testMachine) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cold.BeginRun(quantum); err != nil {
+		if err := cold.warmup(); err != nil {
 			t.Fatal(err)
 		}
 		wantState := captureMachine(cold)
-		if _, err := cold.StepRun(quantum); err != nil {
-			t.Fatal(err)
-		}
-		want, err := cold.FinishRun()
+		want, err := cold.RunCycles(quantum)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,17 +141,11 @@ func checkWarmRestoreEquivalence(t *testing.T, tm testMachine) {
 			if err := m.FinishWarmup(ds); err != nil {
 				t.Fatal(err)
 			}
-			if err := m.BeginRun(quantum); err != nil {
-				t.Fatal(err)
-			}
 			if !reflect.DeepEqual(captureMachine(m), wantState) {
 				t.Errorf("%s, %s: machine state at the quantum's start differs from the cold run's",
 					mo.Policy, shape.name)
 			}
-			if _, err := m.StepRun(quantum); err != nil {
-				t.Fatal(err)
-			}
-			got, err := m.FinishRun()
+			got, err := m.RunCycles(quantum)
 			if err != nil {
 				t.Fatal(err)
 			}

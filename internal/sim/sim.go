@@ -67,7 +67,7 @@ type Options struct {
 	// suites can prove properties on both execution paths.
 	DisableFastForward bool
 	// Tracer, when set, records one "sim.quantum" span per measurement
-	// quantum (BeginRun through FinishRun) parented under TraceParent.
+	// quantum (one RunCycles call) parented under TraceParent.
 	// Spans carry wall-clock boundaries plus cycle/temperature attrs and
 	// never feed back into simulation state, so results are
 	// byte-identical with and without them (enforced by the tracing
@@ -168,9 +168,6 @@ type Simulator struct {
 	// Construction leaves it false so a die whose post-warmup state is
 	// restored never pays for the initial relaxation.
 	anchored bool
-	// qr is the measurement quantum in progress between BeginRun and
-	// FinishRun (nil otherwise).
-	qr *quantumRun
 
 	// powers holds the per-core power vectors handed to the solver each
 	// sensor interval and coreMaxT each core's hottest sensor, both
@@ -193,40 +190,56 @@ type coreSim struct {
 	temp func(power.Unit) float64
 }
 
-// quantumRun is the live state of one measurement quantum: the loop
-// position and partial accumulators, so a quantum can pause at a chunk
-// boundary and resume. The chip-wide accumulators cover the whole die
-// (on one core, the core itself).
+// quantumRun is the state of one measurement quantum in progress: the
+// loop position, the chip-wide accumulators (on one core, the core
+// itself) and each core's share.
 type quantumRun struct {
-	quantum, done, chunks int64
+	done, chunks int64
+	startCycle   int64
+	energyAccum  float64
+	// chip follows the die's hottest sensor, and peakCore the core
+	// its peak was read on.
+	chip     peakTracker
+	peakCore int
 
-	startCycle     int64
-	aboveEmergency bool
-	energyAccum    float64
-	peakTemp       float64
-	peakUnit       power.Unit
-	peakCore       int
-	emergencies    int
-
-	// cores holds each core's baselines and partial accumulators.
 	cores []coreQuantum
 	// traceStartNS is the quantum's wall-clock open time, captured only
 	// when a tracer is attached (zero otherwise).
 	traceStartNS int64
 }
 
-// coreQuantum is one core's share of a quantum in progress.
+// coreQuantum is one core's share of a quantum in progress: its
+// baselines, its hottest sensor and its RF trace.
 type coreQuantum struct {
+	peakTracker
 	startStalled  uint64
 	startStats    []cpu.ThreadStats
 	startRF       []uint64
 	lastCommitted []uint64
+	rfTrace       []float64
+}
 
-	aboveEmergency bool
-	peakTemp       float64
-	peakUnit       power.Unit
-	emergencies    int
-	rfTrace        []float64
+// peakTracker follows one stream of hottest-sensor readings over a
+// quantum: the hottest reading and its unit, and the rising crossings
+// of the emergency temperature.
+type peakTracker struct {
+	peak        float64
+	unit        power.Unit
+	above       bool
+	emergencies int
+}
+
+// observe records one reading and reports whether it is the hottest
+// yet and whether it crosses the emergency temperature from below.
+func (p *peakTracker) observe(t float64, u power.Unit, emergencyK float64) (hotter, rising bool) {
+	if hotter = t > p.peak; hotter {
+		p.peak, p.unit = t, u
+	}
+	if rising = t >= emergencyK && !p.above; rising {
+		p.emergencies++
+	}
+	p.above = t >= emergencyK
+	return hotter, rising
 }
 
 // tileAreas are one core tile's per-unit areas. Every core's power
@@ -450,7 +463,8 @@ func (s *Simulator) steadyPowers() [][power.NumUnits]float64 {
 }
 
 // anchor relaxes the die to its steady operating point, once. It runs
-// lazily, on the first warmup, BeginRun or Solver call. The cores'
+// lazily, on the first warmup (RunCycles runs a pending one) or Solver
+// call. The cores'
 // warmup never touches the solver, and the lumped network's steady
 // state is a direct solve, so anchoring before or after the cores warm
 // gives the same bits.
@@ -503,48 +517,50 @@ func (s *Simulator) Run() (*Result, error) {
 	return s.RunCycles(s.cfg.Run.QuantumCycles)
 }
 
-// RunCycles simulates the given number of cycles on every core.
+// RunCycles simulates one measurement quantum of the given number of
+// cycles on every core and returns its measurements. It runs the
+// warmup first if it is still pending. The quantum advances one sample
+// chunk at a time; cores run in index order within each chunk, and the
+// solver steps once per sensor interval over every core's power, so
+// core order never affects the physics.
 func (s *Simulator) RunCycles(quantum int64) (*Result, error) {
-	if err := s.BeginRun(quantum); err != nil {
+	qr, err := s.openQuantum(quantum)
+	if err != nil {
 		return nil, err
 	}
-	if _, err := s.StepRun(quantum); err != nil {
-		return nil, err
+	for qr.done < quantum {
+		if err := s.runChunk(qr); err != nil {
+			return nil, err
+		}
 	}
-	return s.FinishRun()
+	return s.closeQuantum(qr), nil
 }
 
-// BeginRun opens a measurement quantum: it runs the warmup (if
-// pending) and anchors every per-quantum baseline. Advance the quantum
-// with StepRun and close it with FinishRun; RunCycles is exactly that
-// composition. Only one quantum may be in progress at a time.
-func (s *Simulator) BeginRun(quantum int64) error {
+// openQuantum runs the warmup (if pending) and takes every per-quantum
+// baseline.
+func (s *Simulator) openQuantum(quantum int64) (*quantumRun, error) {
 	if quantum <= 0 {
-		return fmt.Errorf("sim: quantum %d must be positive", quantum)
-	}
-	if s.qr != nil {
-		return fmt.Errorf("sim: a quantum is already in progress (%d of %d cycles done)", s.qr.done, s.qr.quantum)
+		return nil, fmt.Errorf("sim: quantum %d must be positive", quantum)
 	}
 	if err := s.warmup(); err != nil {
-		return err
+		return nil, err
 	}
 
-	// FinishRun copies the open quantum's events out into its Result,
-	// so nothing outside the quantum reads the log: each BeginRun reuses
-	// the log's backing storage instead of letting a long-lived
-	// simulator grow it without bound.
+	// closeQuantum copies the quantum's events out into its Result, so
+	// nothing outside the quantum reads the log: each quantum reuses the
+	// log's backing storage instead of letting a long-lived simulator
+	// grow it without bound.
 	s.events.Reset()
 
 	qr := &quantumRun{
-		quantum:    quantum,
 		startCycle: s.cores[0].core.Cycle(),
-		peakTemp:   -1,
+		chip:       peakTracker{peak: -1},
 		cores:      make([]coreQuantum, len(s.cores)),
 	}
 	for c, cs := range s.cores {
 		n := len(cs.threads)
 		cq := &qr.cores[c]
-		cq.peakTemp = -1
+		cq.peak = -1
 		cq.startStalled = cs.core.StalledCycles()
 		cq.startStats = make([]cpu.ThreadStats, n)
 		cq.startRF = make([]uint64, n)
@@ -556,115 +572,89 @@ func (s *Simulator) BeginRun(quantum int64) error {
 		}
 		if s.opts.TraceTemps {
 			// One entry per sensor boundary: size the trace up front so
-			// the appends in StepRun never grow the backing array.
+			// the appends in sense never grow the backing array.
 			cq.rfTrace = make([]float64, 0, quantum/int64(s.cfg.Thermal.SensorIntervalCycles)+1)
 		}
 	}
 	if s.opts.Tracer != nil {
 		qr.traceStartNS = time.Now().UnixNano()
 	}
-	s.qr = qr
-	return nil
+	return qr, nil
 }
 
-// StepRun advances the open quantum until at least upTo of its cycles
-// are done (clamped to the quantum length), stopping at a sample-chunk
-// boundary, and reports whether the quantum is complete. Cores advance
-// in index order within each chunk; the solver steps once per sensor
-// interval over every core's power, so core order never affects the
-// physics. Every sensor boundary inside the advanced span runs exactly
-// as it would have in a single RunCycles call, so pausing at any chunk
-// boundary is invisible to the results.
-func (s *Simulator) StepRun(upTo int64) (bool, error) {
-	qr := s.qr
-	if qr == nil {
-		return false, fmt.Errorf("sim: StepRun without BeginRun")
-	}
-	if upTo > qr.quantum {
-		upTo = qr.quantum
-	}
+// runChunk advances the quantum by one sample chunk: every core runs
+// one sample interval and its monitor samples, and at a sensor
+// boundary the die senses.
+func (s *Simulator) runChunk(qr *quantumRun) error {
 	sample := int64(s.cfg.Sedation.SampleIntervalCycles)
+	// stalled feeds the trace recorder only; the gated-cycle count
+	// comes from the core's own accounting, which stays exact even if a
+	// policy ever toggles the stall mid-chunk.
+	stalled := s.cores[0].core.GlobalStalled()
+	for _, cs := range s.cores {
+		cs.core.Run(sample)
+		cs.mon.Sample()
+	}
+	qr.done += sample
+	qr.chunks++
+	if qr.chunks%(int64(s.cfg.Thermal.SensorIntervalCycles)/sample) != 0 {
+		return nil
+	}
+	return s.sense(qr, stalled)
+}
+
+// sense runs one sensor boundary: every core's power interval, one
+// solver step, the peak and emergency bookkeeping, the chip's
+// emergency event, the DTM tick, and the observers.
+func (s *Simulator) sense(qr *quantumRun, stalled bool) error {
 	interval := int64(s.cfg.Thermal.SensorIntervalCycles)
-	sensorEvery := interval / sample
 	secondsPerSensor := float64(interval) / s.cfg.Power.FrequencyHz
 	emergencyK := s.cfg.Thermal.EmergencyK
-	for qr.done < upTo {
-		// stalled feeds the trace recorder only; the gated-cycle count
-		// comes from the core's own accounting, which stays exact even
-		// if a policy ever toggles the stall mid-chunk.
-		stalled := s.cores[0].core.GlobalStalled()
-		for _, cs := range s.cores {
-			cs.core.Run(sample)
-			cs.mon.Sample()
+	total := 0.0
+	for c, cs := range s.cores {
+		if err := cs.model.Interval(cs.core.Activity(), interval, &s.powers[c]); err != nil {
+			return err
 		}
-		qr.done += sample
-		qr.chunks++
-		if qr.chunks%sensorEvery != 0 {
-			continue
-		}
+		total += thermal.TotalPower(s.powers[c])
+	}
+	qr.energyAccum += total * secondsPerSensor
+	s.solver.StepCores(s.powers, secondsPerSensor)
 
-		total := 0.0
-		for c, cs := range s.cores {
-			if err := cs.model.Interval(cs.core.Activity(), interval, &s.powers[c]); err != nil {
-				return false, err
-			}
-			total += thermal.TotalPower(s.powers[c])
-		}
-		qr.energyAccum += total * secondsPerSensor
-		s.solver.StepCores(s.powers, secondsPerSensor)
-
-		cycle := s.cores[0].core.Cycle()
-		chipMax, chipMaxU, chipMaxCore := -1.0, power.Unit(0), 0
-		for c := range s.cores {
-			maxU, maxT := s.solver.CoreMaxUnit(c)
-			s.coreMaxT[c] = maxT
-			cq := &qr.cores[c]
-			if maxT > cq.peakTemp {
-				cq.peakTemp, cq.peakUnit = maxT, maxU
-			}
-			if maxT >= emergencyK {
-				if !cq.aboveEmergency {
-					cq.emergencies++
-					cq.aboveEmergency = true
-				}
-			} else {
-				cq.aboveEmergency = false
-			}
-			if maxT > chipMax {
-				chipMax, chipMaxU, chipMaxCore = maxT, maxU, c
-			}
-		}
-		if chipMax > qr.peakTemp {
-			qr.peakTemp, qr.peakUnit, qr.peakCore = chipMax, chipMaxU, chipMaxCore
-		}
-		if chipMax >= emergencyK {
-			if !qr.aboveEmergency {
-				qr.emergencies++
-				qr.aboveEmergency = true
-				s.events.Emit(telemetry.Event{Cycle: cycle, Kind: telemetry.KindEmergency,
-					Unit: chipMaxU.String(), Thread: -1, TempK: chipMax})
-			}
-		} else {
-			qr.aboveEmergency = false
-		}
-
-		if s.chip != nil {
-			s.chip.TickChip(cycle, s.coreMaxT)
-		} else {
-			for c, cs := range s.cores {
-				cs.policy.Tick(cycle, s.coreMaxT[c], cs.temp)
-			}
-		}
-		if s.opts.TraceTemps {
-			for c := range s.cores {
-				qr.cores[c].rfTrace = append(qr.cores[c].rfTrace, s.solver.CoreUnitTemp(c, power.UnitIntReg))
-			}
-		}
-		if s.opts.Recorder != nil {
-			s.record(stalled, qr.cores[0].lastCommitted)
+	cycle := s.cores[0].core.Cycle()
+	chipMax, chipMaxU, chipMaxCore := -1.0, power.Unit(0), 0
+	for c := range s.cores {
+		maxU, maxT := s.solver.CoreMaxUnit(c)
+		s.coreMaxT[c] = maxT
+		qr.cores[c].observe(maxT, maxU, emergencyK)
+		if maxT > chipMax {
+			chipMax, chipMaxU, chipMaxCore = maxT, maxU, c
 		}
 	}
-	return qr.done >= qr.quantum, nil
+	hotter, rising := qr.chip.observe(chipMax, chipMaxU, emergencyK)
+	if hotter {
+		qr.peakCore = chipMaxCore
+	}
+	if rising {
+		s.events.Emit(telemetry.Event{Cycle: cycle, Kind: telemetry.KindEmergency,
+			Unit: chipMaxU.String(), Thread: -1, TempK: chipMax})
+	}
+
+	if s.chip != nil {
+		s.chip.TickChip(cycle, s.coreMaxT)
+	} else {
+		for c, cs := range s.cores {
+			cs.policy.Tick(cycle, s.coreMaxT[c], cs.temp)
+		}
+	}
+	if s.opts.TraceTemps {
+		for c := range s.cores {
+			qr.cores[c].rfTrace = append(qr.cores[c].rfTrace, s.solver.CoreUnitTemp(c, power.UnitIntReg))
+		}
+	}
+	if s.opts.Recorder != nil {
+		s.record(stalled, qr.cores[0].lastCommitted)
+	}
+	return nil
 }
 
 // record captures one trace sample of the single core at a sensor
@@ -689,16 +679,8 @@ func (s *Simulator) record(stalled bool, lastCommitted []uint64) {
 	s.opts.Recorder.RecordCopy(sample)
 }
 
-// FinishRun closes the open quantum and returns its measurements. It
-// finalizes at the quantum's current position, so a caller that
-// stepped only part of the quantum gets a correspondingly shorter
-// Result (RunCycles always steps to completion first).
-func (s *Simulator) FinishRun() (*Result, error) {
-	qr := s.qr
-	if qr == nil {
-		return nil, fmt.Errorf("sim: FinishRun without BeginRun")
-	}
-	s.qr = nil
+// closeQuantum assembles the quantum's measurements.
+func (s *Simulator) closeQuantum(qr *quantumRun) *Result {
 	elapsed := s.cores[0].core.Cycle() - qr.startCycle
 	cores := make([]Result, len(s.cores))
 	for c, cs := range s.cores {
@@ -706,15 +688,15 @@ func (s *Simulator) FinishRun() (*Result, error) {
 	}
 	res := &cores[0]
 	if len(cores) > 1 {
-		res = &Result{Cycles: elapsed, Emergencies: qr.emergencies, PeakTemp: qr.peakTemp,
-			PeakUnit: qr.peakUnit, PeakCore: qr.peakCore, Cores: cores}
+		res = &Result{Cycles: elapsed, Emergencies: qr.chip.emergencies, PeakTemp: qr.chip.peak,
+			PeakUnit: qr.chip.unit, PeakCore: qr.peakCore, Cores: cores}
 	}
 	res.TotalPowerW = qr.energyAccum / (float64(elapsed) / s.cfg.Power.FrequencyHz)
 	if s.events != nil {
 		res.Events = append(res.Events, s.events.Events...)
 	}
 	s.traceQuantum(res, qr.traceStartNS)
-	return res, nil
+	return res
 }
 
 // result assembles one core's measurements over the quantum.
@@ -723,8 +705,8 @@ func (cs *coreSim) result(cq *coreQuantum, elapsed int64) Result {
 		Cycles:       elapsed,
 		Emergencies:  cq.emergencies,
 		StopGoCycles: int64(cs.core.StalledCycles() - cq.startStalled),
-		PeakTemp:     cq.peakTemp,
-		PeakUnit:     cq.peakUnit,
+		PeakTemp:     cq.peak,
+		PeakUnit:     cq.unit,
 		RFTrace:      cq.rfTrace,
 		Threads:      make([]ThreadResult, 0, len(cs.threads)),
 	}

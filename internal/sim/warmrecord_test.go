@@ -201,13 +201,6 @@ func FuzzRestoreWarm(f *testing.F) {
 		if err := s.FinishWarmup(rec.Die); err != nil {
 			return
 		}
-		sensor := int64(m.cfg.Thermal.SensorIntervalCycles)
-		if err := s.BeginRun(10 * sensor); err != nil {
-			return
-		}
-		if _, err := s.StepRun(2 * sensor); err != nil {
-			return
-		}
-		s.FinishRun()
+		s.RunCycles(2 * int64(m.cfg.Thermal.SensorIntervalCycles))
 	})
 }

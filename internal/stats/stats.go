@@ -1,12 +1,8 @@
-// Package stats provides the small aggregation helpers the experiment
-// harness uses: means, geometric means, time breakdowns, and simple
-// series containers.
+// Package stats holds the experiment harness's two small measurement
+// helpers: the arithmetic mean and a thread's execution-time breakdown.
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Mean returns the arithmetic mean of xs (0 for an empty slice).
 func Mean(xs []float64) float64 {
@@ -18,50 +14,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs; non-positive values are
-// clamped to a small epsilon so a single zero doesn't zero the mean.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		if x < 1e-12 {
-			x = 1e-12
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}
-
-// Min and Max return the extrema of xs (0 for an empty slice).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs (0 for an empty slice).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Breakdown is one thread's execution-time split over an OS quantum
@@ -92,17 +44,4 @@ func (b Breakdown) Fractions() (normal, cooling, sedation float64) {
 func (b Breakdown) String() string {
 	n, c, s := b.Fractions()
 	return fmt.Sprintf("normal %.1f%% cooling %.1f%% sedation %.1f%%", n*100, c*100, s*100)
-}
-
-// Degradation returns the relative slowdown of value vs baseline
-// (e.g. IPC): 0.88 means an 88% loss.
-func Degradation(baseline, value float64) float64 {
-	if baseline <= 0 {
-		return 0
-	}
-	d := 1 - value/baseline
-	if d < 0 {
-		return 0
-	}
-	return d
 }

@@ -16,29 +16,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if GeoMean(nil) != 0 {
-		t.Error("empty geomean")
-	}
-	if got := GeoMean([]float64{2, 8}); math.Abs(got-4) > 1e-9 {
-		t.Errorf("geomean = %v", got)
-	}
-	// A zero must not zero the whole mean.
-	if got := GeoMean([]float64{0, 4}); got <= 0 {
-		t.Errorf("geomean with zero = %v", got)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Error("min/max wrong")
-	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Error("empty min/max")
-	}
-}
-
 func TestBreakdown(t *testing.T) {
 	b := Breakdown{NormalCycles: 50, CoolingCycles: 30, SedationCycles: 20}
 	if b.Total() != 100 {
@@ -71,17 +48,5 @@ func TestQuickBreakdownFractionsSumToOne(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDegradation(t *testing.T) {
-	if got := Degradation(2.0, 0.25); math.Abs(got-0.875) > 1e-12 {
-		t.Errorf("degradation = %v", got)
-	}
-	if Degradation(0, 1) != 0 {
-		t.Error("zero baseline")
-	}
-	if Degradation(1, 2) != 0 {
-		t.Error("speedup clamps to 0")
 	}
 }

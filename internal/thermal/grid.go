@@ -243,9 +243,6 @@ func (g *Grid) Dims() (nx, ny int) { return g.nx, g.ny }
 // Die returns the floorplan the grid meshes.
 func (g *Grid) Die() *floorplan.Die { return g.die }
 
-// DtMax returns the Euler substep bound in seconds.
-func (g *Grid) DtMax() float64 { return g.dtMax }
-
 // powersToCells folds per-core unit powers onto die blocks (the
 // shared L2 accumulates every core's contribution) and scatters block
 // watts onto cells by area fraction.
@@ -520,9 +517,6 @@ func (g *Grid) BlockTemp(bi int) float64 {
 	}
 	return t
 }
-
-// CellTemp returns the die-layer temperature of cell (i, j).
-func (g *Grid) CellTemp(i, j int) float64 { return g.temps[j*g.nx+i] }
 
 // SinkTemp returns the sink node temperature.
 func (g *Grid) SinkTemp() float64 { return g.temps[g.sink] }

@@ -133,16 +133,6 @@ func Generate(p Profile, seed int64) (*isa.Program, Stats, error) {
 	return prog, st, nil
 }
 
-// MustGenerate is Generate that panics on error; for table-driven use
-// with the built-in profiles, which are validated by tests.
-func MustGenerate(p Profile, seed int64) *isa.Program {
-	prog, _, err := Generate(p, seed)
-	if err != nil {
-		panic(err)
-	}
-	return prog
-}
-
 // Spec generates the named SPEC2K-like benchmark.
 func Spec(name string, seed int64) (*isa.Program, error) {
 	p, err := SpecProfile(name)
