@@ -68,7 +68,6 @@ func run(args []string, ready func(addr string)) error {
 	hedgeAfter := fs.Duration("hedge-after", 30*time.Second, "duplicate a still-running job onto a second replica after this long (0 = never hedge)")
 	pollInterval := fs.Duration("poll-interval", 2*time.Second, "worker health/stats poll cadence")
 	fleetToken := fs.String("fleet-token", "", "bearer token sent to workers (must match their -fleet-token)")
-	snapshotDir := fs.String("snapshot-dir", "", "local directory of {key}.warm warm records to ship from when no worker holds a key")
 	scale := fs.Float64("scale", 0, "base thermal scale factor (default: config's; must match the workers')")
 	quantum := fs.Int64("quantum", 0, "base cycles per OS quantum (default: config's; must match the workers')")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "shutdown drain deadline")
@@ -94,7 +93,6 @@ func run(args []string, ready func(addr string)) error {
 		HedgeAfter:    *hedgeAfter,
 		PollInterval:  *pollInterval,
 		FleetToken:    *fleetToken,
-		SnapshotDir:   *snapshotDir,
 		BaseConfig:    server.BaseConfig(*scale, *quantum),
 		Logger:        logger,
 		TraceCapacity: *traceBuf,

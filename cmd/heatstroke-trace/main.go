@@ -145,12 +145,11 @@ func run(args []string) error {
 		return errors.New("nothing to run: set -bench and/or -variant")
 	}
 
-	rec := &trace.Recorder{Stride: *stride}
 	s, err := sim.New(cfg, threads, sim.Options{
-		Policy:        dtm.Kind(*policy),
-		WarmupCycles:  *warmup,
-		Recorder:      rec,
-		CollectEvents: *eventsOut != "" || *perfettoOut != "",
+		Policy:         dtm.Kind(*policy),
+		WarmupCycles:   *warmup,
+		CollectEvents:  *eventsOut != "" || *perfettoOut != "",
+		CollectSamples: true,
 	})
 	if err != nil {
 		return err
@@ -171,6 +170,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	samples := trace.Stride(res.Samples, *stride)
 
 	names := make([]string, len(threads))
 	for i, th := range threads {
@@ -189,14 +189,14 @@ func run(args []string) error {
 				FrequencyHz: cfg.Power.FrequencyHz,
 				ThreadNames: names,
 				Events:      res.Events,
-				Samples:     rec.Samples,
+				Samples:     samples,
 			})
 		}); err != nil {
 			return err
 		}
 	}
 
-	writeCSV := func(w *os.File) error { return rec.WriteCSV(w, nil) }
+	writeCSV := func(w *os.File) error { return trace.WriteCSV(w, samples, nil) }
 	if *out == "" {
 		err = writeCSV(os.Stdout)
 	} else {
@@ -205,7 +205,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	sum := rec.Summarize()
+	sum := trace.Summarize(samples)
 	fmt.Fprintf(os.Stderr, "samples=%d peak=%.2fK@%s stalled=%.1f%% meanPower=%.1fW events=%d\n",
 		sum.Samples, sum.PeakTempK, sum.PeakUnit, 100*sum.StallFrac, sum.MeanPowerW, len(res.Events))
 	return nil

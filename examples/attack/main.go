@@ -11,6 +11,8 @@ import (
 	"strings"
 
 	heatstroke "github.com/heatstroke-sim/heatstroke"
+	"github.com/heatstroke-sim/heatstroke/internal/power"
+	"github.com/heatstroke-sim/heatstroke/internal/trace"
 )
 
 func main() {
@@ -43,9 +45,9 @@ func main() {
 			{Name: "variant1", Prog: attacker},
 		},
 		heatstroke.Options{
-			Policy:       heatstroke.PolicyStopAndGo,
-			WarmupCycles: 500_000,
-			TraceTemps:   true,
+			Policy:         heatstroke.PolicyStopAndGo,
+			WarmupCycles:   500_000,
+			CollectSamples: true,
 		})
 	if err != nil {
 		log.Fatal(err)
@@ -57,7 +59,7 @@ func main() {
 
 	fmt.Println("Register-file temperature during the attack (one column per 400k cycles):")
 	fmt.Println()
-	printTrace(res.RFTrace, cfg.Thermal.EmergencyK)
+	printTrace(res.Samples, cfg.Thermal.EmergencyK)
 	fmt.Println()
 	fmt.Printf("emergencies: %d    pipeline stalled for cooling: %.1f%% of the quantum\n",
 		res.Emergencies, 100*float64(res.StopGoCycles)/float64(res.Cycles))
@@ -67,16 +69,17 @@ func main() {
 	fmt.Printf("victim time: %.0f%% running, %.0f%% frozen by the attacker's hot spot\n", n*100, c*100)
 }
 
-// printTrace renders an ASCII strip chart of the temperature trace.
-func printTrace(trace []float64, emergency float64) {
-	if len(trace) == 0 {
+// printTrace renders an ASCII strip chart of the register file's
+// temperature in the series.
+func printTrace(series []trace.Sample, emergency float64) {
+	if len(series) == 0 {
 		return
 	}
 	// Downsample to at most 72 columns.
-	step := len(trace)/72 + 1
+	step := len(series)/72 + 1
 	var samples []float64
-	for i := 0; i < len(trace); i += step {
-		samples = append(samples, trace[i])
+	for i := 0; i < len(series); i += step {
+		samples = append(samples, series[i].UnitTempK[power.UnitIntReg])
 	}
 	lo, hi := samples[0], samples[0]
 	for _, v := range samples {

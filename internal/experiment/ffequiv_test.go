@@ -14,7 +14,7 @@ import (
 // measured quantity. A Figure-5-style attack pair (SPEC program vs
 // malicious variant 2) runs under each DTM policy twice — once
 // stepping every cycle, once fast-forwarding — and the full sim.Result
-// structs, thermal trace included, must be deeply equal. The same pair
+// structs, samples included, must be deeply equal. The same pair
 // split across a 2-core grid die, as neighbor-heat places it, must be
 // too, under each per-core policy and the chip scope.
 func TestFastForwardEquivalence(t *testing.T) {
@@ -42,7 +42,7 @@ func TestFastForwardEquivalence(t *testing.T) {
 			for _, j := range jobs {
 				run := func(fastForward bool) *sim.Result {
 					opts := j.opts
-					opts.TraceTemps, opts.DisableFastForward = true, !fastForward
+					opts.CollectSamples, opts.DisableFastForward = true, !fastForward
 					s, err := sim.NewMulti(j.cfg, j.cores, opts)
 					if err != nil {
 						t.Fatal(err)

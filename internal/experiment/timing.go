@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"github.com/heatstroke-sim/heatstroke/internal/dtm"
+	"github.com/heatstroke-sim/heatstroke/internal/power"
 	"github.com/heatstroke-sim/heatstroke/internal/sim"
 	"github.com/heatstroke-sim/heatstroke/internal/stats"
 )
@@ -34,7 +35,7 @@ func Timing(ctx context.Context, o Options) (*Table, error) {
 			return nil, err
 		}
 		j := pairJob(o, b, spec, v2, dtm.StopAndGo, false)
-		j.opts.TraceTemps = true
+		j.opts.CollectSamples = true
 		jobs = append(jobs, j)
 	}
 	results, sum, err := runSweep(ctx, jobs, o)
@@ -76,17 +77,17 @@ func Timing(ctx context.Context, o Options) (*Table, error) {
 }
 
 // heatCoolDurations extracts heat-up runs (resume -> emergency) and
-// cooling stalls from the register-file temperature trace. The trace is
-// sampled once per sensor interval; a cooling stall is the fixed
+// cooling stalls from the register file's temperature in the result's
+// samples, one per sensor interval; a cooling stall is the fixed
 // cooling period, recovered from the result's stall accounting.
 func heatCoolDurations(r *sim.Result, emergencyK, intervalCycles float64) (heat, cool []float64) {
-	trace := r.RFTrace
-	if len(trace) == 0 {
+	if len(r.Samples) == 0 {
 		return nil, nil
 	}
 	heatStart := 0
 	above := false
-	for i, temp := range trace {
+	for i := range r.Samples {
+		temp := r.Samples[i].UnitTempK[power.UnitIntReg]
 		if !above && temp >= emergencyK {
 			above = true
 			heat = append(heat, float64(i-heatStart)*intervalCycles)

@@ -5,16 +5,19 @@ import (
 	"strconv"
 	"testing"
 
+	"github.com/heatstroke-sim/heatstroke/internal/power"
 	"github.com/heatstroke-sim/heatstroke/internal/sim"
+	"github.com/heatstroke-sim/heatstroke/internal/trace"
 )
 
 func TestHeatCoolDurations(t *testing.T) {
-	// Synthetic trace: 3 samples heating, 2 above emergency, 3 heating,
-	// 1 above.
-	r := &sim.Result{
-		RFTrace:      []float64{350, 353, 356, 359, 359, 352, 354, 357, 359, 350},
-		Emergencies:  2,
-		StopGoCycles: 4_000_000,
+	// Synthetic IntReg series: 3 samples heating, 2 above emergency, 3
+	// heating, 1 above.
+	r := &sim.Result{Emergencies: 2, StopGoCycles: 4_000_000}
+	for _, temp := range []float64{350, 353, 356, 359, 359, 352, 354, 357, 359, 350} {
+		var smp trace.Sample
+		smp.UnitTempK[power.UnitIntReg] = temp
+		r.Samples = append(r.Samples, smp)
 	}
 	heat, cool := heatCoolDurations(r, 358.5, 20_000)
 	if len(heat) != 2 {
@@ -28,10 +31,10 @@ func TestHeatCoolDurations(t *testing.T) {
 	if len(cool) != 2 || cool[0] != 2_000_000 {
 		t.Errorf("cool = %v", cool)
 	}
-	// Empty trace.
+	// No samples.
 	h, c := heatCoolDurations(&sim.Result{}, 358.5, 20_000)
 	if h != nil || c != nil {
-		t.Error("empty trace should yield nothing")
+		t.Error("no samples should yield nothing")
 	}
 }
 

@@ -150,27 +150,31 @@ func (fl *flights) claim(keys []string) (own, held map[string]*flight) {
 	return own, held
 }
 
-// traceSimOpts copies the context's tracer and current span into the
-// job's sim options so the simulator records its quantum-boundary span
-// under the per-job span. A no-op (and no allocation) when the context
-// carries no tracer.
-func traceSimOpts(ctx context.Context, opts *sim.Options) {
-	if tr := tracing.TracerFrom(ctx); tr != nil {
-		opts.Tracer = tr
-		if sc, ok := tracing.SpanContextFrom(ctx); ok {
-			opts.TraceParent = sc
-		}
+// runQuantum runs s's measurement quantum under a sim.quantum span, a
+// child of the job's span carrying the quantum's cycles, peak
+// temperature and DTM policy. The attributes are formatted only when
+// the span is live: without a tracer the span costs two context
+// lookups and no allocation. A cold simulator's quantum runs its
+// warmup first, inside the span.
+func runQuantum(ctx context.Context, s *sim.Simulator, policy dtm.Kind) (*sim.Result, error) {
+	_, sp := tracing.StartSpan(ctx, "sim.quantum")
+	res, err := s.Run()
+	if sp != nil && err == nil {
+		sp.SetAttr("cycles", strconv.FormatInt(res.Cycles, 10))
+		sp.SetAttr("peak_temp_k", strconv.FormatFloat(res.PeakTemp, 'f', 2, 64))
+		sp.SetAttr("policy", string(policy))
 	}
+	sp.EndErr(err)
+	return res, err
 }
 
 // runCold runs a job from scratch: construct, warm up, measure.
 func runCold(ctx context.Context, j job) (*sim.Result, error) {
-	traceSimOpts(ctx, &j.opts)
 	s, err := sim.NewMulti(j.cfg, j.cores, j.opts)
 	if err != nil {
 		return nil, err
 	}
-	return s.Run()
+	return runQuantum(ctx, s, j.opts.Policy)
 }
 
 // runWarm runs job j from its warm state. It looks each of the job's
@@ -257,7 +261,6 @@ func runWarm(ctx context.Context, o Options, fl *flights, j job) (res *sim.Resul
 		}
 	}
 
-	traceSimOpts(ctx, &j.opts)
 	s, err := sim.NewMulti(j.cfg, j.cores, j.opts)
 	if err != nil {
 		return nil, built, err
@@ -279,6 +282,6 @@ func runWarm(ctx context.Context, o Options, fl *flights, j job) (res *sim.Resul
 	if o.OnRestore != nil {
 		o.OnRestore(time.Since(start).Seconds())
 	}
-	res, err = s.Run()
+	res, err = runQuantum(ctx, s, j.opts.Policy)
 	return res, built, err
 }

@@ -44,10 +44,6 @@ type Options struct {
 	// BaseConfig supplies the machine configuration requests override
 	// (default config.Default); it must match the workers'.
 	BaseConfig func() config.Config
-	// SnapshotDir, when set, is a local directory of {key}.warm warm
-	// records (a daemon's WarmupCacheDir) the coordinator can ship from
-	// when no worker holds a needed key.
-	SnapshotDir string
 	// Logger receives structured logs (default: discard).
 	Logger *slog.Logger
 	// TraceCapacity sizes the span ring of the tracer that records

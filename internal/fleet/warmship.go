@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"time"
 
 	"github.com/heatstroke-sim/heatstroke/internal/experiment"
@@ -29,12 +27,11 @@ func (c *Coordinator) warmKeysFor(ctx context.Context, req api.JobRequest) []str
 }
 
 // shipWarm makes sure the target worker holds every warm record the
-// job will want, before the job is submitted there. Sources, in order:
-// any other worker advertising the key in its stats, then the
-// coordinator's local SnapshotDir. Everything here is best-effort — a
-// missing or unshippable record just means the target re-runs that
-// part of the warmup itself (the warm store is a cache, not a
-// dependency).
+// job will want, before the job is submitted there, copying each
+// missing one from another worker that advertises the key in its
+// stats. Everything here is best-effort — a missing or unshippable
+// record just means the target re-runs that part of the warmup itself
+// (the warm store is a cache, not a dependency).
 //
 // This is what keeps warm hit rates intact across resharding: when a
 // key's owner changes (worker join/leave), the first dispatch to the
@@ -62,11 +59,9 @@ func (c *Coordinator) shipWarm(ctx context.Context, target *worker, req api.JobR
 	}
 }
 
-// findSnapshot locates a warm record in its wire form: first from a
-// worker that advertises the key (GET /v1/warm/{key}), then from the
-// coordinator's local snapshot directory. The on-disk .warm format is
-// the wire format (sim.WriteWarmFile writes sim.WriteWarm bytes), so
-// local files ship verbatim.
+// findSnapshot fetches a warm record in its wire form from a healthy
+// worker other than exclude that advertises the key (GET
+// /v1/warm/{key}), or returns nil when none can serve it.
 func (c *Coordinator) findSnapshot(ctx context.Context, key string, exclude *worker) []byte {
 	c.mu.Lock()
 	ws := make([]*worker, 0, len(c.workers))
@@ -85,11 +80,6 @@ func (c *Coordinator) findSnapshot(ctx context.Context, key string, exclude *wor
 			return data
 		}
 		c.log.Info("warm fetch failed", "key", server.ShortID(key), "worker", w.label(), "err", err)
-	}
-	if c.opts.SnapshotDir != "" {
-		if data, err := os.ReadFile(filepath.Join(c.opts.SnapshotDir, key+".warm")); err == nil {
-			return data
-		}
 	}
 	return nil
 }

@@ -89,7 +89,7 @@ func checkWarmRestoreEquivalence(t *testing.T, tm testMachine) {
 	for _, mo := range scopeOptions() {
 		mo.WarmupCycles = 50_000
 		mo.CollectEvents = true
-		mo.TraceTemps = true
+		mo.CollectSamples = true
 		cold, err := NewMulti(cfg, threads, mo)
 		if err != nil {
 			t.Fatal(err)

@@ -25,8 +25,8 @@ func checkDeterminism(t *testing.T, i int) {
 	t.Helper()
 	name := testMachines(t)[i].name
 	for _, o := range []Options{
-		{Policy: dtm.SelectiveSedation, WarmupCycles: 100_000, TraceTemps: true, CollectEvents: true},
-		{Scope: dtm.ScopeChip, WarmupCycles: 50_000, CollectEvents: true},
+		{Policy: dtm.SelectiveSedation, WarmupCycles: 100_000, CollectSamples: true, CollectEvents: true},
+		{Scope: dtm.ScopeChip, WarmupCycles: 50_000, CollectSamples: true, CollectEvents: true},
 	} {
 		run := func() (*Result, capturedState) {
 			s := testMachines(t)[i].build(t, o)

@@ -6,7 +6,6 @@ import (
 	"github.com/heatstroke-sim/heatstroke/internal/config"
 	"github.com/heatstroke-sim/heatstroke/internal/dtm"
 	"github.com/heatstroke-sim/heatstroke/internal/power"
-	"github.com/heatstroke-sim/heatstroke/internal/trace"
 )
 
 // TestMultiNeighborHeating is the physics smoke test of the attack
@@ -82,8 +81,36 @@ func TestMultiRejectsBadShapes(t *testing.T) {
 	if _, err := NewMulti(bad, attackVictimThreads(t), Options{}); err == nil {
 		t.Error("2-core lumped accepted")
 	}
-	if _, err := NewMulti(cfg, attackVictimThreads(t), Options{Recorder: &trace.Recorder{}}); err == nil {
-		t.Error("recorder on a 2-core die accepted")
+}
+
+// TestMultiSamples: on a die every core returns its own samples, one
+// per sensor interval, ending at its final temperatures; the chip-wide
+// Result carries none.
+func TestMultiSamples(t *testing.T) {
+	cfg := multiCfg(2)
+	m, err := NewMulti(cfg, attackVictimThreads(t),
+		Options{Policy: dtm.StopAndGo, WarmupCycles: 50_000, CollectSamples: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Samples != nil {
+		t.Errorf("chip-wide Result carries %d samples", len(res.Samples))
+	}
+	want := int(cfg.Run.QuantumCycles) / cfg.Thermal.SensorIntervalCycles
+	for c, cr := range res.Cores {
+		if len(cr.Samples) != want {
+			t.Fatalf("core %d: %d samples, want %d", c, len(cr.Samples), want)
+		}
+		if last := cr.Samples[want-1]; last.UnitTempK != cr.FinalTemps {
+			t.Errorf("core %d: last sample's temperatures %v, final temperatures %v", c, last.UnitTempK, cr.FinalTemps)
+		}
+	}
+	if res.Cores[0].Samples[0].UnitTempK == res.Cores[1].Samples[0].UnitTempK {
+		t.Error("both cores sampled the same temperatures")
 	}
 }
 

@@ -9,8 +9,6 @@ package sim
 import (
 	"cmp"
 	"fmt"
-	"strconv"
-	"time"
 
 	"github.com/heatstroke-sim/heatstroke/internal/config"
 	score "github.com/heatstroke-sim/heatstroke/internal/core"
@@ -21,7 +19,6 @@ import (
 	"github.com/heatstroke-sim/heatstroke/internal/power"
 	"github.com/heatstroke-sim/heatstroke/internal/stats"
 	"github.com/heatstroke-sim/heatstroke/internal/telemetry"
-	"github.com/heatstroke-sim/heatstroke/internal/telemetry/tracing"
 	"github.com/heatstroke-sim/heatstroke/internal/thermal"
 	"github.com/heatstroke-sim/heatstroke/internal/trace"
 )
@@ -40,18 +37,11 @@ type Options struct {
 	// Policy selects each core's DTM policy (default dtm.StopAndGo).
 	// Under the chip scope it must be empty or dtm.ChipRoundRobin.
 	Policy dtm.Kind
-	// TraceTemps records each core's IntReg die temperature every
-	// sensor interval into its Result.RFTrace.
-	TraceTemps bool
 	// WarmupCycles runs every core this long before measurement begins:
 	// caches fill and predictors train while the die holds its steady
 	// operating point. Warmup activity is excluded from every reported
 	// statistic.
 	WarmupCycles int64
-	// Recorder, when set, receives one trace.Sample per sensor interval
-	// (temperatures, power, stall state, per-thread interval IPC). It
-	// records a single core: NewMulti rejects it on a die of K > 1.
-	Recorder *trace.Recorder
 	// CollectEvents enables the typed DTM event stream: threshold
 	// crossings, sedation start/end with the culprit thread and EWMA
 	// score, stop-and-go engage/release, emergency trips, and OS
@@ -60,24 +50,19 @@ type Options struct {
 	// Events are emitted only at sensor boundaries, so collection does
 	// not perturb the hot path (and results stay byte-identical).
 	CollectEvents bool
+	// CollectSamples records every core's sensor-interval time series:
+	// at each sensor boundary each core appends one trace.Sample (its
+	// temperatures, power, stall flag, per-thread interval IPC and fetch
+	// gates) to its Result.Samples. Like events, samples are taken only
+	// at sensor boundaries and leave every other measurement
+	// byte-identical.
+	CollectSamples bool
 	// DisableFastForward runs every cycle through the full pipeline
 	// step instead of fast-forwarding provably idle stall spans. The
 	// two modes are byte-identical by construction (enforced by the
 	// fast-forward equivalence tests); the switch exists so differential
 	// suites can prove properties on both execution paths.
 	DisableFastForward bool
-	// Tracer, when set, records one "sim.quantum" span per measurement
-	// quantum (one RunCycles call) parented under TraceParent.
-	// Spans carry wall-clock boundaries plus cycle/temperature attrs and
-	// never feed back into simulation state, so results are
-	// byte-identical with and without them (enforced by the tracing
-	// determinism guard). With Tracer nil the entire cost is one nil
-	// check per quantum — zero allocations, like the disabled sensor
-	// pipeline.
-	Tracer *tracing.Tracer
-	// TraceParent is the span context quantum spans parent under
-	// (typically the per-sweep-job span). Ignored when invalid.
-	TraceParent tracing.SpanContext
 }
 
 // MultiSimulator, MultiOptions and MultiResult alias Simulator,
@@ -108,7 +93,7 @@ type ThreadResult struct {
 // Result is one quantum's measurements. On one core it is that core's
 // result; on a die of K > 1 cores it carries the chip-wide fields
 // (Cycles, Emergencies, the peak, TotalPowerW, Events) and one
-// per-core Result in Cores.
+// per-core Result, samples included, in Cores.
 type Result struct {
 	Cycles  int64
 	Threads []ThreadResult
@@ -128,11 +113,11 @@ type Result struct {
 	// other policies).
 	Sedation score.Stats
 	Reports  []score.Report
-	// RFTrace is the IntReg temperature per sensor interval when
-	// Options.TraceTemps is set.
-	RFTrace []float64
-	// TotalPowerW is the average power over the quantum, summed over
-	// every core.
+	// Samples is the core's time series, one trace.Sample per sensor
+	// interval, when Options.CollectSamples is set.
+	Samples []trace.Sample
+	// TotalPowerW is the average power over the quantum's sensed
+	// intervals, summed over every core.
 	TotalPowerW float64
 	// Events is the quantum's typed DTM timeline when
 	// Options.CollectEvents is set (see telemetry.Event).
@@ -157,12 +142,7 @@ type Simulator struct {
 	opts   Options
 	events *telemetry.EventLog
 
-	// sampleScratch is the reusable sensor-interval observation handed
-	// to the recorder. RecordCopy deep-copies it into recorder-owned
-	// storage, so refilling the same scratch every interval is safe and
-	// keeps the record path allocation-free.
-	sampleScratch trace.Sample
-	warmed        bool
+	warmed bool
 	// anchored records that the die sits at its steady operating point:
 	// set by the first anchor() and by any restore of the die's state.
 	// Construction leaves it false so a die whose post-warmup state is
@@ -196,27 +176,30 @@ type coreSim struct {
 type quantumRun struct {
 	done, chunks int64
 	startCycle   int64
-	energyAccum  float64
+	// sensed counts the cycles of the sensor intervals sensed so far,
+	// whose energy energyAccum sums.
+	sensed      int64
+	energyAccum float64
 	// chip follows the die's hottest sensor, and peakCore the core
 	// its peak was read on.
 	chip     peakTracker
 	peakCore int
 
 	cores []coreQuantum
-	// traceStartNS is the quantum's wall-clock open time, captured only
-	// when a tracer is attached (zero otherwise).
-	traceStartNS int64
 }
 
 // coreQuantum is one core's share of a quantum in progress: its
-// baselines, its hottest sensor and its RF trace.
+// baselines, its hottest sensor and its samples.
 type coreQuantum struct {
 	peakTracker
 	startStalled  uint64
 	startStats    []cpu.ThreadStats
 	startRF       []uint64
 	lastCommitted []uint64
-	rfTrace       []float64
+	// stalled is the core's stop-and-go stall flag as the current chunk
+	// began, which its next sample records.
+	stalled bool
+	samples []trace.Sample
 }
 
 // peakTracker follows one stream of hottest-sensor readings over a
@@ -276,9 +259,6 @@ func NewMulti(cfg config.Config, coreThreads [][]Thread, opts Options) (*Simulat
 	if err != nil {
 		return nil, err
 	}
-	if opts.Recorder != nil && k > 1 {
-		return nil, fmt.Errorf("sim: the trace recorder observes one core, not %d", k)
-	}
 	solver, err := thermal.NewSolver(cfg.Topology, cfg.Thermal)
 	if err != nil {
 		return nil, err
@@ -325,10 +305,6 @@ func NewMulti(cfg config.Config, coreThreads [][]Thread, opts Options) (*Simulat
 		cs := &coreSim{core: cpuCore, model: model, mon: mon, threads: threads}
 		cs.temp = func(u power.Unit) float64 { return s.solver.CoreUnitTemp(c, u) }
 		s.cores[c] = cs
-	}
-	if opts.Recorder != nil {
-		s.sampleScratch.ThreadIPC = make([]float64, len(coreThreads[0]))
-		s.sampleScratch.ThreadSedated = make([]bool, len(coreThreads[0]))
 	}
 	if err := s.buildPolicies(); err != nil {
 		return nil, err
@@ -522,7 +498,9 @@ func (s *Simulator) Run() (*Result, error) {
 // warmup first if it is still pending. The quantum advances one sample
 // chunk at a time; cores run in index order within each chunk, and the
 // solver steps once per sensor interval over every core's power, so
-// core order never affects the physics.
+// core order never affects the physics. A tail shorter than one sensor
+// interval is simulated but not sensed: it steps no solver, ticks no
+// policy, takes no sample and adds nothing to TotalPowerW.
 func (s *Simulator) RunCycles(quantum int64) (*Result, error) {
 	qr, err := s.openQuantum(quantum)
 	if err != nil {
@@ -557,6 +535,8 @@ func (s *Simulator) openQuantum(quantum int64) (*quantumRun, error) {
 		chip:       peakTracker{peak: -1},
 		cores:      make([]coreQuantum, len(s.cores)),
 	}
+	sample := int64(s.cfg.Sedation.SampleIntervalCycles)
+	boundaries := (quantum + sample - 1) / sample / (int64(s.cfg.Thermal.SensorIntervalCycles) / sample)
 	for c, cs := range s.cores {
 		n := len(cs.threads)
 		cq := &qr.cores[c]
@@ -570,16 +550,25 @@ func (s *Simulator) openQuantum(quantum int64) (*quantumRun, error) {
 			cq.startRF[tid] = cs.core.Activity().Thread(tid, power.UnitIntReg)
 			cq.lastCommitted[tid] = cq.startStats[tid].Committed
 		}
-		if s.opts.TraceTemps {
-			// One entry per sensor boundary: size the trace up front so
-			// the appends in sense never grow the backing array.
-			cq.rfTrace = make([]float64, 0, quantum/int64(s.cfg.Thermal.SensorIntervalCycles)+1)
+		if s.opts.CollectSamples {
+			cq.samples = sampleBuffer(boundaries, n)
 		}
 	}
-	if s.opts.Tracer != nil {
-		qr.traceStartNS = time.Now().UnixNano()
-	}
 	return qr, nil
+}
+
+// sampleBuffer returns an empty sample slice with room for a quantum's
+// boundaries, each slot's per-thread slices already cut from two
+// shared arrays, so taking a sample never allocates.
+func sampleBuffer(boundaries int64, threads int) []trace.Sample {
+	buf := make([]trace.Sample, boundaries)
+	ipc := make([]float64, len(buf)*threads)
+	sedated := make([]bool, len(buf)*threads)
+	for i := range buf {
+		lo, hi := i*threads, (i+1)*threads
+		buf[i].ThreadIPC, buf[i].ThreadSedated = ipc[lo:hi:hi], sedated[lo:hi:hi]
+	}
+	return buf[:0]
 }
 
 // runChunk advances the quantum by one sample chunk: every core runs
@@ -587,11 +576,11 @@ func (s *Simulator) openQuantum(quantum int64) (*quantumRun, error) {
 // boundary the die senses.
 func (s *Simulator) runChunk(qr *quantumRun) error {
 	sample := int64(s.cfg.Sedation.SampleIntervalCycles)
-	// stalled feeds the trace recorder only; the gated-cycle count
-	// comes from the core's own accounting, which stays exact even if a
-	// policy ever toggles the stall mid-chunk.
-	stalled := s.cores[0].core.GlobalStalled()
-	for _, cs := range s.cores {
+	for c, cs := range s.cores {
+		// The stall flag feeds the samples only; the gated-cycle count
+		// comes from the core's own accounting, which stays exact even
+		// if a policy ever toggles the stall mid-chunk.
+		qr.cores[c].stalled = cs.core.GlobalStalled()
 		cs.core.Run(sample)
 		cs.mon.Sample()
 	}
@@ -600,13 +589,13 @@ func (s *Simulator) runChunk(qr *quantumRun) error {
 	if qr.chunks%(int64(s.cfg.Thermal.SensorIntervalCycles)/sample) != 0 {
 		return nil
 	}
-	return s.sense(qr, stalled)
+	return s.sense(qr)
 }
 
 // sense runs one sensor boundary: every core's power interval, one
 // solver step, the peak and emergency bookkeeping, the chip's
-// emergency event, the DTM tick, and the observers.
-func (s *Simulator) sense(qr *quantumRun, stalled bool) error {
+// emergency event, the DTM tick, and the samples.
+func (s *Simulator) sense(qr *quantumRun) error {
 	interval := int64(s.cfg.Thermal.SensorIntervalCycles)
 	secondsPerSensor := float64(interval) / s.cfg.Power.FrequencyHz
 	emergencyK := s.cfg.Thermal.EmergencyK
@@ -618,6 +607,7 @@ func (s *Simulator) sense(qr *quantumRun, stalled bool) error {
 		total += thermal.TotalPower(s.powers[c])
 	}
 	qr.energyAccum += total * secondsPerSensor
+	qr.sensed += interval
 	s.solver.StepCores(s.powers, secondsPerSensor)
 
 	cycle := s.cores[0].core.Cycle()
@@ -646,37 +636,31 @@ func (s *Simulator) sense(qr *quantumRun, stalled bool) error {
 			cs.policy.Tick(cycle, s.coreMaxT[c], cs.temp)
 		}
 	}
-	if s.opts.TraceTemps {
-		for c := range s.cores {
-			qr.cores[c].rfTrace = append(qr.cores[c].rfTrace, s.solver.CoreUnitTemp(c, power.UnitIntReg))
+	if s.opts.CollectSamples {
+		for c, cs := range s.cores {
+			cs.sample(&qr.cores[c], &s.powers[c], float64(interval))
 		}
-	}
-	if s.opts.Recorder != nil {
-		s.record(stalled, qr.cores[0].lastCommitted)
 	}
 	return nil
 }
 
-// record captures one trace sample of the single core at a sensor
-// boundary into the reusable scratch and hands it to the recorder by
-// copy.
-func (s *Simulator) record(stalled bool, lastCommitted []uint64) {
-	cs := s.cores[0]
-	sample := &s.sampleScratch
-	sample.Cycle = cs.core.Cycle()
-	sample.Stalled = stalled
-	sample.TotalPowerW = thermal.TotalPower(s.powers[0])
+// sample appends the core's observation of the boundary just sensed to
+// its quantum's samples, into a slot sampleBuffer cut.
+func (cs *coreSim) sample(cq *coreQuantum, p *[power.NumUnits]float64, interval float64) {
+	cq.samples = cq.samples[:len(cq.samples)+1]
+	smp := &cq.samples[len(cq.samples)-1]
+	smp.Cycle = cs.core.Cycle()
+	smp.Stalled = cq.stalled
+	smp.TotalPowerW = thermal.TotalPower(*p)
 	for u := power.Unit(0); u < power.NumUnits; u++ {
-		sample.UnitTempK[u] = s.solver.CoreUnitTemp(0, u)
+		smp.UnitTempK[u] = cs.temp(u)
 	}
-	interval := float64(s.cfg.Thermal.SensorIntervalCycles)
 	for tid := range cs.threads {
 		cur := cs.core.Stats(tid).Committed
-		sample.ThreadIPC[tid] = float64(cur-lastCommitted[tid]) / interval
-		lastCommitted[tid] = cur
-		sample.ThreadSedated[tid] = !cs.core.FetchEnabled(tid)
+		smp.ThreadIPC[tid] = float64(cur-cq.lastCommitted[tid]) / interval
+		cq.lastCommitted[tid] = cur
+		smp.ThreadSedated[tid] = !cs.core.FetchEnabled(tid)
 	}
-	s.opts.Recorder.RecordCopy(sample)
 }
 
 // closeQuantum assembles the quantum's measurements.
@@ -691,11 +675,12 @@ func (s *Simulator) closeQuantum(qr *quantumRun) *Result {
 		res = &Result{Cycles: elapsed, Emergencies: qr.chip.emergencies, PeakTemp: qr.chip.peak,
 			PeakUnit: qr.chip.unit, PeakCore: qr.peakCore, Cores: cores}
 	}
-	res.TotalPowerW = qr.energyAccum / (float64(elapsed) / s.cfg.Power.FrequencyHz)
+	if qr.sensed > 0 {
+		res.TotalPowerW = qr.energyAccum / (float64(qr.sensed) / s.cfg.Power.FrequencyHz)
+	}
 	if s.events != nil {
 		res.Events = append(res.Events, s.events.Events...)
 	}
-	s.traceQuantum(res, qr.traceStartNS)
 	return res
 }
 
@@ -707,7 +692,7 @@ func (cs *coreSim) result(cq *coreQuantum, elapsed int64) Result {
 		StopGoCycles: int64(cs.core.StalledCycles() - cq.startStalled),
 		PeakTemp:     cq.peak,
 		PeakUnit:     cq.unit,
-		RFTrace:      cq.rfTrace,
+		Samples:      cq.samples,
 		Threads:      make([]ThreadResult, 0, len(cs.threads)),
 	}
 	for u := power.Unit(0); u < power.NumUnits; u++ {
@@ -737,23 +722,4 @@ func (cs *coreSim) result(cq *coreQuantum, elapsed int64) Result {
 		})
 	}
 	return r
-}
-
-// traceQuantum records the quantum-boundary span when a tracer is
-// attached. The nil check is the entire disabled-path cost: no time
-// reads, no allocations, no branch inside the cycle loop.
-func (s *Simulator) traceQuantum(res *Result, startNS int64) {
-	tr := s.opts.Tracer
-	if tr == nil {
-		return
-	}
-	parent := s.opts.TraceParent
-	if !parent.Valid() {
-		return
-	}
-	tr.Emit(parent, "sim.quantum", startNS, time.Now().UnixNano(), map[string]string{
-		"cycles":      strconv.FormatInt(res.Cycles, 10),
-		"peak_temp_k": strconv.FormatFloat(res.PeakTemp, 'f', 2, 64),
-		"policy":      string(s.opts.Policy),
-	})
 }

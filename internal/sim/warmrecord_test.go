@@ -188,7 +188,7 @@ func FuzzRestoreWarm(f *testing.F) {
 			return
 		}
 		o := Options{Policy: dtm.SelectiveSedation, WarmupCycles: warmRecordOptions.WarmupCycles,
-			TraceTemps: true, CollectEvents: true}
+			CollectSamples: true, CollectEvents: true}
 		s, err := NewMulti(m.cfg, m.threads, o)
 		if err != nil {
 			t.Fatal(err)

@@ -26,7 +26,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // canonicalRun is the attack pair of the paper's Figure 4 discussion:
 // crafty as the victim, variant 2 as the attacker, selective sedation
 // with the stop-and-go safety net.
-func canonicalRun(t *testing.T) (*sim.Result, *trace.Recorder, config.Config, []string) {
+func canonicalRun(t *testing.T) (*sim.Result, []trace.Sample, config.Config, []string) {
 	t.Helper()
 	cfg := config.Default()
 	cfg.Run.QuantumCycles = 4_000_000
@@ -39,12 +39,11 @@ func canonicalRun(t *testing.T) (*sim.Result, *trace.Recorder, config.Config, []
 		t.Fatal(err)
 	}
 	threads := []sim.Thread{{Name: "crafty", Prog: victim}, {Name: "variant2", Prog: attacker}}
-	rec := &trace.Recorder{Stride: 4}
 	s, err := sim.New(cfg, threads, sim.Options{
-		Policy:        dtm.SelectiveSedation,
-		WarmupCycles:  500_000,
-		Recorder:      rec,
-		CollectEvents: true,
+		Policy:         dtm.SelectiveSedation,
+		WarmupCycles:   500_000,
+		CollectEvents:  true,
+		CollectSamples: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +55,7 @@ func canonicalRun(t *testing.T) (*sim.Result, *trace.Recorder, config.Config, []
 	if len(res.Events) == 0 {
 		t.Fatal("canonical run produced no events; goldens would be vacuous")
 	}
-	return res, rec, cfg, []string{"crafty", "variant2"}
+	return res, trace.Stride(res.Samples, 4), cfg, []string{"crafty", "variant2"}
 }
 
 func goldenCompare(t *testing.T, name string, got []byte) {
@@ -83,7 +82,7 @@ func goldenCompare(t *testing.T, name string, got []byte) {
 }
 
 func TestGoldenExports(t *testing.T) {
-	res, rec, cfg, names := canonicalRun(t)
+	res, samples, cfg, names := canonicalRun(t)
 
 	var ndjson bytes.Buffer
 	if err := telemetry.WriteNDJSON(&ndjson, res.Events); err != nil {
@@ -96,7 +95,7 @@ func TestGoldenExports(t *testing.T) {
 		FrequencyHz: cfg.Power.FrequencyHz,
 		ThreadNames: names,
 		Events:      res.Events,
-		Samples:     rec.Samples,
+		Samples:     samples,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +104,14 @@ func TestGoldenExports(t *testing.T) {
 
 // TestGoldenEventsMatchTrace is the acceptance cross-check at golden
 // scale: reconstructing each thread's sedated state from the event
-// stream must agree with the recorder's sampled flags at every
-// retained sensor boundary.
+// stream must agree with the sampled flags at every retained sensor
+// boundary.
 func TestGoldenEventsMatchTrace(t *testing.T) {
-	res, rec, _, _ := canonicalRun(t)
+	res, samples, _, _ := canonicalRun(t)
 	sedated := map[int]bool{}
 	i := 0
 	checked := 0
-	for _, smp := range rec.Samples {
+	for _, smp := range samples {
 		for ; i < len(res.Events) && res.Events[i].Cycle <= smp.Cycle; i++ {
 			switch res.Events[i].Kind {
 			case telemetry.KindSedate:
@@ -133,7 +132,7 @@ func TestGoldenEventsMatchTrace(t *testing.T) {
 		t.Fatal("no samples cross-checked")
 	}
 	var sawSedated bool
-	for _, smp := range rec.Samples {
+	for _, smp := range samples {
 		for _, s := range smp.ThreadSedated {
 			sawSedated = sawSedated || s
 		}

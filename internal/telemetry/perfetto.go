@@ -29,7 +29,7 @@ type TraceOptions struct {
 	// Events is the DTM event timeline (sim.Result.Events).
 	Events []Event
 	// Samples, when non-nil, adds temperature and power counters (one
-	// value per sensor interval, from the run's trace.Recorder).
+	// value per sample, from sim.Result.Samples).
 	Samples []trace.Sample
 	// Units selects the temperature counter tracks (nil = all units).
 	Units []power.Unit

@@ -103,15 +103,22 @@ func (l Lumped) CoreMaxUnit(core int) (power.Unit, float64) {
 	return l.Network.MaxUnit()
 }
 
-// State snapshots the network temperatures.
+// State snapshots the network's node temperatures (die blocks,
+// spreader sections, sink); everything else is derived from the
+// floorplan and package parameters at construction.
 func (l Lumped) State() SolverState {
-	return SolverState{Kind: config.SolverLumped, Temps: l.Network.Snapshot().Temps}
+	return SolverState{Kind: config.SolverLumped, Temps: append([]float64(nil), l.temps...)}
 }
 
-// SetState restores a lumped snapshot.
+// SetState restores a lumped snapshot. Kind and node count (2*blocks+1)
+// must match.
 func (l Lumped) SetState(st SolverState) error {
 	if st.Kind != config.SolverLumped {
 		return fmt.Errorf("thermal: %q state cannot restore into the lumped solver", st.Kind)
 	}
-	return l.Network.Restore(NetworkState{Temps: st.Temps})
+	if len(st.Temps) != len(l.temps) {
+		return fmt.Errorf("thermal: state has %d nodes, want %d", len(st.Temps), len(l.temps))
+	}
+	copy(l.temps, st.Temps)
+	return nil
 }

@@ -1,9 +1,8 @@
-// Package trace records full-system time series — per-unit
-// temperatures, chip power, stall state, per-thread progress — sampled
-// once per sensor interval, and exports them as CSV for plotting. The
-// attack example's ASCII strip chart and the timing experiment use the
-// same data through sim.Result; this package is the external,
-// everything-included view.
+// Package trace holds the full-system time series the simulator samples
+// once per sensor interval (sim.Result.Samples) — per-unit temperatures,
+// core power, stall state, per-thread progress — and plain functions
+// over it: Stride thins it, Summarize aggregates it and WriteCSV
+// exports it for plotting.
 package trace
 
 import (
@@ -15,13 +14,14 @@ import (
 	"github.com/heatstroke-sim/heatstroke/internal/power"
 )
 
-// Sample is one sensor-interval observation.
+// Sample is one core's sensor-interval observation.
 type Sample struct {
 	// Cycle is the core cycle at the end of the interval.
 	Cycle int64
-	// Stalled reports a global stop-and-go stall in effect.
+	// Stalled reports a global stop-and-go stall in effect on the core
+	// as the interval's last chunk began.
 	Stalled bool
-	// TotalPowerW is the chip power averaged over the interval.
+	// TotalPowerW is the core's power averaged over the interval.
 	TotalPowerW float64
 	// UnitTempK holds each unit's die temperature.
 	UnitTempK [power.NumUnits]float64
@@ -43,76 +43,23 @@ func (s *Sample) MaxTemp() (power.Unit, float64) {
 	return best, bestT
 }
 
-// Recorder accumulates samples. The zero value records every sample;
-// set Stride to keep only every n-th.
-type Recorder struct {
-	// Stride keeps every n-th sample (0 or 1 keeps all).
-	Stride int
-	// Samples are the recorded observations.
-	Samples []Sample
-
-	seen int
-}
-
-// Record appends a sample, honouring the stride. The sample's slices
-// are retained as passed (aliased, not copied); callers that reuse a
-// scratch sample must use RecordCopy instead.
-func (r *Recorder) Record(s Sample) {
-	r.seen++
-	if r.keep() {
-		r.Samples = append(r.Samples, s)
+// Stride returns every n-th sample, starting with the first. With n
+// of 0 or 1 it returns samples itself; otherwise the result is a new
+// slice whose elements share their per-thread slices with samples.
+func Stride(samples []Sample, n int) []Sample {
+	if n <= 1 {
+		return samples
 	}
-}
-
-// RecordCopy appends a deep copy of s, honouring the stride. The
-// recorder owns the retained storage, so the caller may reuse s and
-// its slices immediately. After a Reset, RecordCopy refills the slots
-// (and their per-thread slices) retained from the previous recording,
-// so a steady-state record loop does not allocate.
-func (r *Recorder) RecordCopy(s *Sample) {
-	r.seen++
-	if !r.keep() {
-		return
+	out := make([]Sample, 0, (len(samples)+n-1)/n)
+	for i := 0; i < len(samples); i += n {
+		out = append(out, samples[i])
 	}
-	if n := len(r.Samples); n < cap(r.Samples) {
-		r.Samples = r.Samples[:n+1]
-	} else {
-		r.Samples = append(r.Samples, Sample{})
-	}
-	dst := &r.Samples[len(r.Samples)-1]
-	ipc, sed := dst.ThreadIPC, dst.ThreadSedated
-	*dst = *s
-	dst.ThreadIPC = append(ipc[:0], s.ThreadIPC...)
-	dst.ThreadSedated = append(sed[:0], s.ThreadSedated...)
+	return out
 }
 
-// keep advances nothing; it reports whether the current (already
-// counted) observation lands on the stride.
-func (r *Recorder) keep() bool {
-	stride := r.Stride
-	if stride < 1 {
-		stride = 1
-	}
-	return (r.seen-1)%stride == 0
-}
-
-// Reset empties the recorder, retaining the backing storage of the
-// sample slice and of each retained sample's per-thread slices for
-// reuse by subsequent RecordCopy calls. Samples handed out before the
-// Reset become invalid — copy them out first. Callers that drain a
-// recorder every quantum should Reset it rather than allocate a fresh
-// one, keeping the record path allocation-free across quanta.
-func (r *Recorder) Reset() {
-	r.Samples = r.Samples[:0]
-	r.seen = 0
-}
-
-// Len returns the number of retained samples.
-func (r *Recorder) Len() int { return len(r.Samples) }
-
-// WriteCSV emits the samples with one row per retained interval. units
-// selects the temperature columns (nil = all units).
-func (r *Recorder) WriteCSV(w io.Writer, units []power.Unit) error {
+// WriteCSV emits the samples with one row per sample. units selects
+// the temperature columns (nil = all units).
+func WriteCSV(w io.Writer, samples []Sample, units []power.Unit) error {
 	if units == nil {
 		units = power.Units()
 	}
@@ -121,11 +68,11 @@ func (r *Recorder) WriteCSV(w io.Writer, units []power.Unit) error {
 		cols = append(cols, "temp_"+u.String()+"_k")
 	}
 	// Size the thread columns to the widest sample, not the first: a
-	// recording that spans a thread joining mid-run would otherwise
-	// emit rows wider than the header. Narrow samples zero-fill below.
+	// series that spans a thread joining mid-run would otherwise emit
+	// rows wider than the header. Narrow samples zero-fill below.
 	nthreads := 0
-	for i := range r.Samples {
-		if n := len(r.Samples[i].ThreadIPC); n > nthreads {
+	for i := range samples {
+		if n := len(samples[i].ThreadIPC); n > nthreads {
 			nthreads = n
 		}
 	}
@@ -136,8 +83,8 @@ func (r *Recorder) WriteCSV(w io.Writer, units []power.Unit) error {
 		return err
 	}
 	row := make([]string, 0, len(cols))
-	for i := range r.Samples {
-		s := &r.Samples[i]
+	for i := range samples {
+		s := &samples[i]
 		row = row[:0]
 		row = append(row,
 			strconv.FormatInt(s.Cycle, 10),
@@ -169,7 +116,7 @@ func boolBit(b bool) string {
 	return "0"
 }
 
-// Summary aggregates a recorded run for quick inspection.
+// Summary aggregates a series for quick inspection.
 type Summary struct {
 	Samples    int
 	PeakTempK  float64
@@ -178,23 +125,23 @@ type Summary struct {
 	MeanPowerW float64
 }
 
-// Summarize computes the aggregate view.
-func (r *Recorder) Summarize() Summary {
+// Summarize computes the aggregate view of samples.
+func Summarize(samples []Sample) Summary {
 	var s Summary
-	s.Samples = len(r.Samples)
+	s.Samples = len(samples)
 	if s.Samples == 0 {
 		return s
 	}
 	stalled := 0
-	for i := range r.Samples {
-		u, t := r.Samples[i].MaxTemp()
+	for i := range samples {
+		u, t := samples[i].MaxTemp()
 		if t > s.PeakTempK {
 			s.PeakTempK, s.PeakUnit = t, u
 		}
-		if r.Samples[i].Stalled {
+		if samples[i].Stalled {
 			stalled++
 		}
-		s.MeanPowerW += r.Samples[i].TotalPowerW
+		s.MeanPowerW += samples[i].TotalPowerW
 	}
 	s.StallFrac = float64(stalled) / float64(s.Samples)
 	s.MeanPowerW /= float64(s.Samples)

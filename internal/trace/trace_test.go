@@ -23,24 +23,23 @@ func sample(cycle int64, rfTemp float64, stalled bool) Sample {
 	return s
 }
 
-func TestRecorderStride(t *testing.T) {
-	r := &Recorder{Stride: 3}
+func TestStride(t *testing.T) {
+	var all []Sample
 	for i := int64(0); i < 10; i++ {
-		r.Record(sample(i, 351, false))
+		all = append(all, sample(i, 351, false))
 	}
-	if r.Len() != 4 { // samples 0,3,6,9
-		t.Fatalf("retained %d samples, want 4", r.Len())
+	got := Stride(all, 3)
+	if len(got) != 4 { // samples 0,3,6,9
+		t.Fatalf("kept %d samples, want 4", len(got))
 	}
-	if r.Samples[1].Cycle != 3 {
-		t.Errorf("stride picked cycle %d", r.Samples[1].Cycle)
+	if got[0].Cycle != 0 || got[1].Cycle != 3 || got[3].Cycle != 9 {
+		t.Errorf("stride picked cycles %d, %d, %d", got[0].Cycle, got[1].Cycle, got[3].Cycle)
 	}
-	// Zero stride keeps everything.
-	r2 := &Recorder{}
-	for i := int64(0); i < 5; i++ {
-		r2.Record(sample(i, 351, false))
-	}
-	if r2.Len() != 5 {
-		t.Errorf("zero stride retained %d", r2.Len())
+	// A stride of 0 or 1 keeps everything.
+	for _, n := range []int{0, 1} {
+		if got := Stride(all[:5], n); len(got) != 5 {
+			t.Errorf("stride %d kept %d", n, len(got))
+		}
 	}
 }
 
@@ -53,11 +52,9 @@ func TestSampleMaxTemp(t *testing.T) {
 }
 
 func TestWriteCSV(t *testing.T) {
-	r := &Recorder{}
-	r.Record(sample(20000, 355.5, false))
-	r.Record(sample(40000, 358.75, true))
+	samples := []Sample{sample(20000, 355.5, false), sample(40000, 358.75, true)}
 	var sb strings.Builder
-	if err := r.WriteCSV(&sb, []power.Unit{power.UnitIntReg}); err != nil {
+	if err := WriteCSV(&sb, samples, []power.Unit{power.UnitIntReg}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -80,14 +77,10 @@ func TestWriteCSV(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	r := &Recorder{}
-	if s := r.Summarize(); s.Samples != 0 {
+	if s := Summarize(nil); s.Samples != 0 {
 		t.Error("empty summary")
 	}
-	r.Record(sample(1, 355, false))
-	r.Record(sample(2, 359, true))
-	r.Record(sample(3, 353, true))
-	s := r.Summarize()
+	s := Summarize([]Sample{sample(1, 355, false), sample(2, 359, true), sample(3, 353, true)})
 	if s.Samples != 3 || s.PeakTempK != 359 || s.PeakUnit != power.UnitIntReg {
 		t.Errorf("summary = %+v", s)
 	}
@@ -104,11 +97,12 @@ func TestSummarize(t *testing.T) {
 // sample with fewer threads used to shear every wider row off the
 // header.
 func TestWriteCSVRaggedThreads(t *testing.T) {
-	r := &Recorder{}
-	r.Record(Sample{Cycle: 1000, ThreadIPC: []float64{1.5}, ThreadSedated: []bool{false}})
-	r.Record(Sample{Cycle: 2000, ThreadIPC: []float64{1.2, 0.8}, ThreadSedated: []bool{false, true}})
+	samples := []Sample{
+		{Cycle: 1000, ThreadIPC: []float64{1.5}, ThreadSedated: []bool{false}},
+		{Cycle: 2000, ThreadIPC: []float64{1.2, 0.8}, ThreadSedated: []bool{false, true}},
+	}
 	var sb strings.Builder
-	if err := r.WriteCSV(&sb, []power.Unit{power.UnitIntReg}); err != nil {
+	if err := WriteCSV(&sb, samples, []power.Unit{power.UnitIntReg}); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
@@ -135,70 +129,5 @@ func TestWriteCSVRaggedThreads(t *testing.T) {
 	row1 := strings.Split(lines[2], ",")
 	if row1[len(row1)-2] != "0.8000" || row1[len(row1)-1] != "1" {
 		t.Errorf("second row lost thread 1: %v", row1)
-	}
-}
-
-func TestRecordCopyOwnsStorage(t *testing.T) {
-	r := &Recorder{Stride: 2}
-	scratch := sample(0, 351, false)
-	for i := int64(0); i < 6; i++ {
-		scratch.Cycle = i
-		scratch.ThreadIPC[0] = float64(i)
-		scratch.ThreadSedated[1] = i%2 == 0
-		r.RecordCopy(&scratch)
-	}
-	if r.Len() != 3 { // samples 0,2,4
-		t.Fatalf("retained %d samples, want 3", r.Len())
-	}
-	// Retained samples must not alias the scratch: trashing the scratch
-	// after recording must not reach back into them.
-	scratch.ThreadIPC[0] = -1
-	scratch.ThreadSedated[1] = false
-	for i, want := range []float64{0, 2, 4} {
-		s := &r.Samples[i]
-		if s.Cycle != int64(want) || s.ThreadIPC[0] != want {
-			t.Errorf("sample %d: cycle %d ipc %.0f, want %.0f", i, s.Cycle, s.ThreadIPC[0], want)
-		}
-		if !s.ThreadSedated[1] {
-			t.Errorf("sample %d: sedated flag lost", i)
-		}
-	}
-}
-
-func TestRecorderResetReusesStorage(t *testing.T) {
-	r := &Recorder{}
-	scratch := sample(0, 351, false)
-	for i := int64(0); i < 8; i++ {
-		scratch.Cycle = i
-		r.RecordCopy(&scratch)
-	}
-	r.Reset()
-	if r.Len() != 0 {
-		t.Fatalf("reset left %d samples", r.Len())
-	}
-	// Refilling up to the previous high-water mark must not allocate:
-	// the recorder reuses the retained slots and their thread slices.
-	allocs := testing.AllocsPerRun(100, func() {
-		r.Reset()
-		for i := int64(0); i < 8; i++ {
-			scratch.Cycle = i
-			r.RecordCopy(&scratch)
-		}
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state record loop allocates %.1f times per run, want 0", allocs)
-	}
-	if r.Len() != 8 || r.Samples[7].Cycle != 7 {
-		t.Fatalf("refill retained %d samples (last cycle %d)", r.Len(), r.Samples[r.Len()-1].Cycle)
-	}
-	// The stride counter restarts too.
-	r.Reset()
-	r.Stride = 3
-	for i := int64(0); i < 4; i++ {
-		scratch.Cycle = i
-		r.RecordCopy(&scratch)
-	}
-	if r.Len() != 2 || r.Samples[1].Cycle != 3 {
-		t.Errorf("post-reset stride retained %d samples", r.Len())
 	}
 }
